@@ -13,7 +13,6 @@ conversion to raw model time happens here, not in the library.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -23,16 +22,9 @@ import numpy as np
 from .errors import KrausWitnessError, UsageError
 from .models import (
     MODEL_CLASSES,
-    CKDephase,
-    JCMPhoton,
-    JCMQubit,
     ModelSpec,
-    YEMarkov,
-    YENonMarkov,
-    default_grid,
-    default_tau,
     model_channel,
-    model_rate,
+    model_closed_fidelity,
     model_state,
 )
 from .probes import small_time_exponents
@@ -47,34 +39,12 @@ from .witnesses import (
 
 _ENV_WITNESS_TOL = "KRAUS_WITNESS_TOL"
 
-# flag names that parameterize each model; anything else is rejected loudly
-_MODEL_PARAMS: dict[str, set[str]] = {
-    "ye-markov": {"Gamma", "lam"},
-    "ye-nonmarkov": {"Gamma", "gamma", "alpha_x"},
-    "jcm-qubit": {"g", "alpha", "n_cut"},
-    "jcm-photon": {"g", "alpha", "n_cut"},
-    "ck": {"rho11", "rho22", "rho12"},
-}
-
+# model parameter flags, in the order inapplicable ones are reported
 _ALL_PARAM_KEYS = ("Gamma", "lam", "gamma", "gamma2", "alpha_x", "g", "alpha",
                    "n_cut", "rho11", "rho22", "rho12")
 
-_ABSCISSA_NAME = {
-    "ye-markov": "Gamma_t",
-    "ye-nonmarkov": "Gamma_t",
-    "jcm-qubit": "g_t",
-    "jcm-photon": "g_t",
-    "ck": "t",
-}
-
 _FIGURE_MODEL = {1: "ye-markov", 2: "ye-nonmarkov", 3: "ye-nonmarkov",
                  4: "jcm-qubit", 5: "ck"}
-
-_CONFIG_KEYS = {
-    "model", "start", "stop", "step", "tau", "witness_tol", "seed", "out",
-    "samples", "t_min", "t_max", "points",
-    *_ALL_PARAM_KEYS,
-}
 
 
 @dataclass(frozen=True)
@@ -93,6 +63,10 @@ class RunConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        if not self.tau_list:
+            raise UsageError("at least one lag is required, got an empty tau list")
+        if min(self.tau_list) < 0.0:
+            raise UsageError(f"lags must be nonnegative, got {list(self.tau_list)!r}")
         start, stop, step = self.grid
         if not (stop > start >= 0.0):
             raise UsageError(
@@ -204,6 +178,8 @@ _CONVERTERS = {
     "model": str, "out": str,
 }
 
+_CONFIG_KEYS = {*_CONVERTERS, "tau"}
+
 
 def _resolve(ns: argparse.Namespace, key: str, config: dict[str, str]):
     """Flag value if given, else config value, else None."""
@@ -240,61 +216,34 @@ def _resolve_witness_tol(ns: argparse.Namespace, config: dict[str, str]) -> floa
 
 def _build_spec(name: str, ns: argparse.Namespace, config: dict[str, str],
                 allow_extra: set[str] = frozenset()) -> ModelSpec:
-    allowed = _MODEL_PARAMS[name] | allow_extra
+    cls = MODEL_CLASSES[name]
+    # a parameter left unset falls back to the dataclass default
+    params = {}
     for key in _ALL_PARAM_KEYS:
-        if _resolve(ns, key, config) is not None and key not in allowed:
+        value = _resolve(ns, key, config)
+        if value is None:
+            continue
+        if key in cls.FLAGS:
+            params[cls.FLAGS[key]] = value
+        elif key not in allow_extra:
             flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
             raise UsageError(f"parameter {flag} does not apply to model {name!r}")
-
-    def get(key: str):
-        return _resolve(ns, key, config)
-
     try:
-        if name == "ye-markov":
-            return YEMarkov(
-                Gamma=get("Gamma") if get("Gamma") is not None else 1.0,
-                lam=get("lam") if get("lam") is not None else 0.5,
-            )
-        if name == "ye-nonmarkov":
-            return YENonMarkov(
-                Gamma=get("Gamma") if get("Gamma") is not None else 1.0,
-                gamma=get("gamma") if get("gamma") is not None else 1e-4,
-                alpha_x=get("alpha_x") if get("alpha_x") is not None else 0.5,
-            )
-        if name == "jcm-qubit":
-            return JCMQubit(
-                g=get("g") if get("g") is not None else 1.0,
-                alpha_c=get("alpha") if get("alpha") is not None else 0j,
-                n_max=get("n_cut"),
-            )
-        if name == "jcm-photon":
-            return JCMPhoton(
-                g=get("g") if get("g") is not None else 1.0,
-                alpha_c=get("alpha") if get("alpha") is not None else 0j,
-                n_max=get("n_cut"),
-            )
-        if name == "ck":
-            return CKDephase(
-                rho11=get("rho11") if get("rho11") is not None else 0.5,
-                rho22=get("rho22") if get("rho22") is not None else 0.5,
-                rho12=get("rho12") if get("rho12") is not None else 0.5 + 0j,
-            )
+        return cls(**params)
     except KrausWitnessError as err:
         # bad parameter values arriving through flags are usage problems
         raise UsageError(str(err)) from err
-    raise UsageError(f"unknown model {name!r}")
 
 
 def _run_config(spec: ModelSpec, ns: argparse.Namespace, config: dict[str, str],
-                grid_default: tuple[float, float, float] | None = None,
-                tau_default: float | None = None) -> RunConfig:
-    d_start, d_stop, d_step = grid_default if grid_default is not None else default_grid(spec)
+                grid_default: tuple[float, float, float] | None = None) -> RunConfig:
+    d_start, d_stop, d_step = grid_default if grid_default is not None else spec.GRID
     start = _resolve(ns, "start", config)
     stop = _resolve(ns, "stop", config)
     step = _resolve(ns, "step", config)
     taus = _resolve(ns, "tau", config)
     if taus is None:
-        taus = [tau_default if tau_default is not None else default_tau(spec)]
+        taus = [spec.TAU]
     seed = _resolve(ns, "seed", config)
     return RunConfig(
         model=spec,
@@ -311,7 +260,7 @@ def _run_config(spec: ModelSpec, ns: argparse.Namespace, config: dict[str, str],
 
 
 def _raw_grid(cfg: RunConfig) -> np.ndarray:
-    rate = model_rate(cfg.model)
+    rate = cfg.model.rate
     start, stop, step = cfg.grid
     return make_grid(start / rate, stop / rate, step / rate)
 
@@ -342,36 +291,19 @@ def cmd_figure(ns: argparse.Namespace) -> int:
     model_name = _FIGURE_MODEL[fid]
     extra = {"gamma", "gamma2"} if fid == 3 else set()
     spec = _build_spec(model_name, ns, config, allow_extra=extra)
-
-    grid_default = None
-    tau_default = None
-    if fid == 1:
-        grid_default, tau_default = (0.0, 10.0, 0.02), 1.0
-    elif fid == 2:
-        grid_default, tau_default = (0.0, 20.0, 0.02), 1.0
-    elif fid == 3:
-        grid_default = (0.0, 10.0, 0.02)
-    elif fid == 4:
-        grid_default, tau_default = (0.0, 10.0, 0.01), 10.0
-    elif fid == 5:
-        grid_default, tau_default = (0.0, 2.0 * math.pi, 0.005), math.pi / 6.0
-
-    cfg = _run_config(spec, ns, config, grid_default=grid_default, tau_default=tau_default)
-    rate = model_rate(spec)
+    # figure 3 compares memory kernels over a shorter window than the model's
+    cfg = _run_config(spec, ns, config, grid_default=(0.0, 10.0, 0.02) if fid == 3 else None)
+    rate = spec.rate
     grid = _raw_grid(cfg)
     x = grid * rate
-    xname = _ABSCISSA_NAME[model_name]
+    xname = spec.ABSCISSA
     out = cfg.output_path or f"fig{fid}.csv"
     tau_raw = cfg.tau_list[0] / rate
 
     # CSV columns are the contract: the abscissa is always named t and holds
     # the dimensionless scaled time shown on the figure axes
     if fid == 1:
-        from .models import ye_markov_fidelity
-
-        f_values = np.array(
-            [ye_markov_fidelity(float(t), tau_raw, spec.Gamma, spec.lam) for t in grid]
-        )
+        f_values = np.array([model_closed_fidelity(spec, float(t), tau_raw) for t in grid])
         _write_csv(out, ["t", "F"], [x, f_values])
         print(f"figure 1: wrote {x.size} rows to {out}")
         print(_summarize_column(x, f_values, "F", xname))
@@ -416,18 +348,19 @@ def cmd_witness(ns: argparse.Namespace) -> int:
     name = _require_model(ns, config)
     spec = _build_spec(name, ns, config)
     cfg = _run_config(spec, ns, config)
-    rate = model_rate(spec)
+    rate = spec.rate
     grid = _raw_grid(cfg)
-    xname = _ABSCISSA_NAME[name]
+    xname = spec.ABSCISSA
 
-    raw_taus = tuple(tau / rate for tau in cfg.tau_list)
     verdict = markovianity_verdict(
-        spec, tau_list=raw_taus, t_grid=grid, witness_tol=cfg.witness_tol
+        spec,
+        tau_list=tuple(tau / rate for tau in cfg.tau_list),
+        t_grid=grid,
+        witness_tol=cfg.witness_tol,
     )
     columns = [grid * rate]
     header = [xname]
-    for tau, raw_tau in zip(cfg.tau_list, raw_taus):
-        scan = scan_G(spec, grid, raw_tau, witness_tol=cfg.witness_tol)
+    for tau, scan in zip(cfg.tau_list, verdict.scans):
         print(
             f"tau={tau:g}: min G = {scan.min_value:+.6e} at {xname} = "
             f"{scan.min_at * rate:.6g}, max G = {scan.max_value:+.6e}"
@@ -493,7 +426,7 @@ def cmd_validate(ns: argparse.Namespace) -> int:
         raise UsageError(f"--samples must be at least 2, got {samples!r}")
     # building the reference state exercises the cutoff certificate
     model_state(spec, 0.0)
-    rate = model_rate(spec)
+    rate = spec.rate
     start, stop, _ = cfg.grid
     times = np.linspace(start / rate, stop / rate, samples)
     from .channels import channel_defect
@@ -503,7 +436,7 @@ def cmd_validate(ns: argparse.Namespace) -> int:
     at = float(times[int(np.argmax(defects))] * rate)
     print(
         f"model {name}: max completeness defect {worst:.3e} at "
-        f"{_ABSCISSA_NAME[name]} = {at:.6g} over {samples} times"
+        f"{spec.ABSCISSA} = {at:.6g} over {samples} times"
     )
     if worst <= 1e-10:
         print("channel valid within 1e-10")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -56,8 +56,36 @@ def _check_rate(value: float, name: str) -> float:
 # model parameter records
 
 
+class ModelSpec:
+    """One model: a frozen dataclass of its parameters that gives the Kraus
+    channel and reference state at time t, the closed-form fidelity where one
+    exists, and the rate turning the dimensionless abscissa into raw time.
+
+    Class constants: NAME (registry and CLI name), GRID (default
+    dimensionless scan grid, start/stop/step), TAU (default dimensionless
+    lag), BLP_GRID (dimensionless stop and point count of the revival grid),
+    ABSCISSA (CLI name of the dimensionless time), FLAGS (CLI flag key ->
+    field) and, for the dephasing families only, BLP_FAMILY (the field
+    perturbed for BLP pairs, drawn in [0, top] at least gap apart).
+    """
+
+    def channel(self, t: float) -> KrausChannel:
+        raise NotImplementedError
+
+    def state(self, t: float) -> np.ndarray:
+        raise NotImplementedError
+
+    def closed_fidelity(self, t: float, tau: float) -> float | None:
+        """Closed-form F[rho(t), rho(t + tau)], or None where none is known."""
+        return None
+
+    def lindblad(self) -> LindbladSet | None:
+        """Constant-rate generator set, or None where the model has none."""
+        return None
+
+
 @dataclass(frozen=True)
-class YEMarkov:
+class YEMarkov(ModelSpec):
     """Two-qubit dephasing semigroup; lam sets the initial coherence."""
 
     Gamma: float = 1.0
@@ -65,15 +93,37 @@ class YEMarkov:
 
     NAME = "ye-markov"
     dim = 4
+    GRID = (0.0, 10.0, 0.02)
+    TAU = 1.0
+    BLP_GRID = (10.0, 201)
+    ABSCISSA = "Gamma_t"
+    FLAGS = {"Gamma": "Gamma", "lam": "lam"}
+    BLP_FAMILY = ("lam", 4.0, 0.2)
 
     def __post_init__(self) -> None:
         _check_rate(self.Gamma, "Gamma")
         if not 0.0 <= self.lam <= 4.0:
             raise ParamOutOfRange(f"lam must lie in [0, 4], got {self.lam!r}")
 
+    @property
+    def rate(self) -> float:
+        return self.Gamma
+
+    def channel(self, t: float) -> KrausChannel:
+        return ye_markov_channel(t, self.Gamma)
+
+    def state(self, t: float) -> np.ndarray:
+        return ye_markov_state(t, self.Gamma, self.lam)
+
+    def closed_fidelity(self, t: float, tau: float) -> float:
+        return ye_markov_fidelity(t, tau, self.Gamma, self.lam)
+
+    def lindblad(self) -> LindbladSet:
+        return ye_markov_lindblad(self.Gamma)
+
 
 @dataclass(frozen=True)
-class YENonMarkov:
+class YENonMarkov(ModelSpec):
     """Dephasing with a reservoir memory time 1/gamma; alpha_x shapes the
     initial X state."""
 
@@ -83,6 +133,12 @@ class YENonMarkov:
 
     NAME = "ye-nonmarkov"
     dim = 4
+    GRID = (0.0, 20.0, 0.02)
+    TAU = 1.0
+    BLP_GRID = (20.0, 401)
+    ABSCISSA = "Gamma_t"
+    FLAGS = {"Gamma": "Gamma", "gamma": "gamma", "alpha_x": "alpha_x"}
+    BLP_FAMILY = ("alpha_x", 1.0, 0.05)
 
     def __post_init__(self) -> None:
         _check_rate(self.Gamma, "Gamma")
@@ -90,59 +146,90 @@ class YENonMarkov:
         if not 0.0 <= self.alpha_x <= 1.0:
             raise ParamOutOfRange(f"alpha_x must lie in [0, 1], got {self.alpha_x!r}")
 
+    @property
+    def rate(self) -> float:
+        return self.Gamma
+
+    def channel(self, t: float) -> KrausChannel:
+        return ye_nonmarkov_channel(t, self.Gamma, self.gamma)
+
+    def state(self, t: float) -> np.ndarray:
+        return ye_nonmarkov_state(t, self)
+
+    def closed_fidelity(self, t: float, tau: float) -> float:
+        return ye_nonmarkov_fidelity(t, tau, self)
+
 
 @dataclass(frozen=True)
-class JCMQubit:
-    """Atom sector of the resonant interaction; field starts coherent."""
+class _JaynesCummings(ModelSpec):
+    """Resonant atom-field interaction with the field initially coherent."""
 
     g: float = 1.0
     alpha_c: complex = 0j
     n_max: int | None = None
+
+    TAU = 10.0
+    BLP_GRID = (10.0, 401)
+    ABSCISSA = "g_t"
+    FLAGS = {"g": "g", "alpha": "alpha_c", "n_cut": "n_max"}
+
+    def __post_init__(self) -> None:
+        _check_rate(self.g, "g")
+        if self.n_max is not None and self.n_max < 1:
+            raise ParamOutOfRange(f"n_max must be at least 1, got {self.n_max!r}")
+
+    @property
+    def cutoff(self) -> int:
+        if self.n_max is not None:
+            return self.n_max
+        return default_fock_cutoff(self.alpha_c)
+
+    @property
+    def rate(self) -> float:
+        return self.g
+
+
+@dataclass(frozen=True)
+class JCMQubit(_JaynesCummings):
+    """Atom sector of the resonant interaction; field starts coherent."""
 
     NAME = "jcm-qubit"
     dim = 2
+    GRID = (0.0, 10.0, 0.01)
 
-    def __post_init__(self) -> None:
-        _check_rate(self.g, "g")
-        if self.n_max is not None and self.n_max < 1:
-            raise ParamOutOfRange(f"n_max must be at least 1, got {self.n_max!r}")
+    def channel(self, t: float) -> KrausChannel:
+        return jcm_qubit_channel(t, self)
 
-    @property
-    def cutoff(self) -> int:
-        if self.n_max is not None:
-            return self.n_max
-        return default_fock_cutoff(self.alpha_c)
+    def state(self, t: float) -> np.ndarray:
+        return jcm_qubit_state(t, self)
+
+    def closed_fidelity(self, t: float, tau: float) -> float | None:
+        if self.alpha_c == 0:
+            return jcm_vacuum_fidelity(t, tau, self.g)
+        return None
 
 
 @dataclass(frozen=True)
-class JCMPhoton:
+class JCMPhoton(_JaynesCummings):
     """Field sector of the resonant interaction, truncated at n_max photons."""
 
-    g: float = 1.0
-    alpha_c: complex = 0j
-    n_max: int | None = None
-
     NAME = "jcm-photon"
-
-    def __post_init__(self) -> None:
-        _check_rate(self.g, "g")
-        if self.n_max is not None and self.n_max < 1:
-            raise ParamOutOfRange(f"n_max must be at least 1, got {self.n_max!r}")
-
-    @property
-    def cutoff(self) -> int:
-        if self.n_max is not None:
-            return self.n_max
-        return default_fock_cutoff(self.alpha_c)
+    GRID = (0.0, 10.0, 0.05)
 
     @property
     def dim(self) -> int:
         # one slot above the cutoff so a decaying atom can deposit its photon
         return self.cutoff + 2
 
+    def channel(self, t: float) -> KrausChannel:
+        return jcm_photon_channel(t, self.g, self.cutoff)
+
+    def state(self, t: float) -> np.ndarray:
+        return jcm_photon_state(t, self)
+
 
 @dataclass(frozen=True)
-class CKDephase:
+class CKDephase(ModelSpec):
     """Qubit dephasing with cosine coherence revival, started at t0."""
 
     rho11: float = 0.5
@@ -152,16 +239,35 @@ class CKDephase:
 
     NAME = "ck"
     dim = 2
+    rate = 1.0
+    GRID = (0.0, 2.0 * math.pi, 0.005)
+    TAU = math.pi / 6.0
+    BLP_GRID = (2.0 * math.pi, 629)
+    ABSCISSA = "t"
+    FLAGS = {"rho11": "rho11", "rho22": "rho22", "rho12": "rho12"}
 
     def __post_init__(self) -> None:
         _validate_ck_entries(self.rho11, self.rho22, self.rho12)
         if self.t0 < 0.0:
             raise ParamOutOfRange(f"t0 must be nonnegative, got {self.t0!r}")
 
+    def channel(self, t: float) -> KrausChannel:
+        return ck_channel(t, self.t0)
 
-ModelSpec = Union[YEMarkov, YENonMarkov, JCMQubit, JCMPhoton, CKDephase]
+    def state(self, t: float) -> np.ndarray:
+        return ck_map_state(t, self)
 
-MODEL_CLASSES: dict[str, type] = {
+    def closed_fidelity(self, t: float, tau: float) -> float | None:
+        # the closed form covers the default, maximally coherent start only
+        if (self.rho11, self.rho22, self.rho12, self.t0) == (0.5, 0.5, 0.5 + 0j, 0.0):
+            return ck_fidelity(t, tau)
+        return None
+
+    def lindblad(self) -> LindbladSet:
+        return ck_lindblad()
+
+
+MODEL_CLASSES: dict[str, type[ModelSpec]] = {
     cls.NAME: cls for cls in (YEMarkov, YENonMarkov, JCMQubit, JCMPhoton, CKDephase)
 }
 
@@ -446,11 +552,16 @@ def jcm_photon_initial(spec: JCMPhoton) -> np.ndarray:
 # cosine-revival dephasing
 
 
-def ck_channel(t: float, t0: float = 0.0) -> KrausChannel:
-    """Dephasing channel whose coherence factor is cos(t - t0)."""
+def _check_start(t: float, t0: float) -> float:
     t = _check_time(t)
     if t < t0:
         raise NegativeTime(f"t = {t!r} precedes the initial time t0 = {t0!r}")
+    return t
+
+
+def ck_channel(t: float, t0: float = 0.0) -> KrausChannel:
+    """Dephasing channel whose coherence factor is cos(t - t0)."""
+    t = _check_start(t, t0)
     half = 0.5 * (t - t0)
     k0 = math.cos(half) * np.eye(2, dtype=np.complex128)
     k1 = math.sin(half) * np.diag([1.0, -1.0]).astype(np.complex128)
@@ -458,8 +569,9 @@ def ck_channel(t: float, t0: float = 0.0) -> KrausChannel:
 
 
 def ck_map_state(t: float, spec: CKDephase) -> np.ndarray:
-    """Evolved state: populations frozen, coherence scaled by cos(t - t0)."""
-    t = _check_time(t)
+    """Evolved state: populations frozen, coherence scaled by cos(t - t0);
+    times before t0 are refused, as by the channel."""
+    t = _check_start(t, spec.t0)
     _validate_ck_entries(spec.rho11, spec.rho22, spec.rho12)
     factor = math.cos(t - spec.t0)
     off = spec.rho12 * factor
@@ -490,32 +602,12 @@ def ck_lindblad() -> LindbladSet:
 
 def model_channel(spec: ModelSpec, t: float) -> KrausChannel:
     """Kraus channel of any model at time t."""
-    if isinstance(spec, YEMarkov):
-        return ye_markov_channel(t, spec.Gamma)
-    if isinstance(spec, YENonMarkov):
-        return ye_nonmarkov_channel(t, spec.Gamma, spec.gamma)
-    if isinstance(spec, JCMQubit):
-        return jcm_qubit_channel(t, spec)
-    if isinstance(spec, JCMPhoton):
-        return jcm_photon_channel(t, spec.g, spec.cutoff)
-    if isinstance(spec, CKDephase):
-        return ck_channel(t, spec.t0)
-    raise TypeError(f"unknown model spec {spec!r}")
+    return spec.channel(t)
 
 
 def model_state(spec: ModelSpec, t: float) -> np.ndarray:
     """Evolved reference state of any model at time t."""
-    if isinstance(spec, YEMarkov):
-        return ye_markov_state(t, spec.Gamma, spec.lam)
-    if isinstance(spec, YENonMarkov):
-        return ye_nonmarkov_state(t, spec)
-    if isinstance(spec, JCMQubit):
-        return jcm_qubit_state(t, spec)
-    if isinstance(spec, JCMPhoton):
-        return jcm_photon_state(t, spec)
-    if isinstance(spec, CKDephase):
-        return ck_map_state(t, spec)
-    raise TypeError(f"unknown model spec {spec!r}")
+    return spec.state(t)
 
 
 def model_closed_fidelity(spec: ModelSpec, t: float, tau: float) -> float | None:
@@ -525,73 +617,28 @@ def model_closed_fidelity(spec: ModelSpec, t: float, tau: float) -> float | None
     atom sector, the field sector, or non-default revival initial states);
     callers then fall back to the generic eigenvalue route.
     """
-    if isinstance(spec, YEMarkov):
-        return ye_markov_fidelity(t, tau, spec.Gamma, spec.lam)
-    if isinstance(spec, YENonMarkov):
-        return ye_nonmarkov_fidelity(t, tau, spec)
-    if isinstance(spec, JCMQubit):
-        if spec.alpha_c == 0:
-            return jcm_vacuum_fidelity(t, tau, spec.g)
-        return None
-    if isinstance(spec, JCMPhoton):
-        return None
-    if isinstance(spec, CKDephase):
-        if (
-            spec.rho11 == 0.5
-            and spec.rho22 == 0.5
-            and spec.rho12 == 0.5 + 0j
-            and spec.t0 == 0.0
-        ):
-            return ck_fidelity(t, tau)
-        return None
-    raise TypeError(f"unknown model spec {spec!r}")
+    return spec.closed_fidelity(t, tau)
 
 
 def model_lindblad(spec: ModelSpec) -> LindbladSet | None:
     """Constant-rate generator set where the model has one."""
-    if isinstance(spec, YEMarkov):
-        return ye_markov_lindblad(spec.Gamma)
-    if isinstance(spec, CKDephase):
-        return ck_lindblad()
-    return None
+    return spec.lindblad()
 
 
 def model_rate(spec: ModelSpec) -> float:
     """Rate that converts the model's dimensionless abscissa into raw time."""
-    if isinstance(spec, (YEMarkov, YENonMarkov)):
-        return spec.Gamma
-    if isinstance(spec, (JCMQubit, JCMPhoton)):
-        return spec.g
-    if isinstance(spec, CKDephase):
-        return 1.0
-    raise TypeError(f"unknown model spec {spec!r}")
+    return spec.rate
 
 
 def default_grid(spec: ModelSpec) -> tuple[float, float, float]:
     """Dimensionless (start, stop, step) covering the model's interesting
     window."""
-    if isinstance(spec, YEMarkov):
-        return (0.0, 10.0, 0.02)
-    if isinstance(spec, YENonMarkov):
-        return (0.0, 20.0, 0.02)
-    if isinstance(spec, JCMQubit):
-        return (0.0, 10.0, 0.01)
-    if isinstance(spec, JCMPhoton):
-        return (0.0, 10.0, 0.05)
-    if isinstance(spec, CKDephase):
-        return (0.0, 2.0 * math.pi, 0.005)
-    raise TypeError(f"unknown model spec {spec!r}")
+    return spec.GRID
 
 
 def default_tau(spec: ModelSpec) -> float:
     """Dimensionless comparison lag used when the caller does not pick one."""
-    if isinstance(spec, (YEMarkov, YENonMarkov)):
-        return 1.0
-    if isinstance(spec, (JCMQubit, JCMPhoton)):
-        return 10.0
-    if isinstance(spec, CKDephase):
-        return math.pi / 6.0
-    raise TypeError(f"unknown model spec {spec!r}")
+    return spec.TAU
 
 
 def build_model(name: str, **params: object) -> ModelSpec:

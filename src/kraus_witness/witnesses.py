@@ -18,21 +18,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import apply
-from .errors import DegenerateDenominator, GridTooCoarse, OracleMismatch
+from .errors import DegenerateDenominator, GridTooCoarse, OracleMismatch, UsageError
 from .linalg import fidelity, trace_distance
 from .models import (
-    CKDephase,
     JCMPhoton,
-    JCMQubit,
     ModelSpec,
-    YEMarkov,
-    YENonMarkov,
-    coherent_amplitudes,
-    default_grid,
-    default_tau,
+    jcm_photon_initial,
     model_channel,
     model_closed_fidelity,
-    model_rate,
     model_state,
 )
 
@@ -70,13 +63,15 @@ class Verdict:
     """Outcome of the fidelity witness over one or more lags.
 
     NoViolationFound means exactly that; it never claims the dynamics is
-    Markovian.  evidence holds the scan with the deepest minimum.
+    Markovian.  scans holds one scan per lag, in the order of tau_list, and
+    evidence is the one with the deepest minimum.
     """
 
     outcome: str
     evidence: ScanResult
     tau_list: tuple[float, ...]
     witness_tol: float
+    scans: tuple[ScanResult, ...]
 
 
 @dataclass(frozen=True)
@@ -102,20 +97,33 @@ def make_grid(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def _generic_fidelity(spec: ModelSpec, t1: float, t2: float) -> float:
-    return fidelity(model_state(spec, t1), model_state(spec, t2))
-
-
-def _window_fidelity(spec: ModelSpec, t: float, tau: float, closed: bool) -> float:
+def _fidelity(spec: ModelSpec, t: float, tau: float, closed: bool) -> float | None:
+    """F[rho(t), rho(t + tau)]: the closed form when closed is set (None where
+    the model has none), else the generic eigenvalue route."""
     if closed:
-        value = model_closed_fidelity(spec, t, tau)
-        if value is not None:
-            return value
-    return _generic_fidelity(spec, t, t + tau)
+        return model_closed_fidelity(spec, t, tau)
+    return fidelity(model_state(spec, t), model_state(spec, t + tau))
 
 
-def _has_closed_form(spec: ModelSpec) -> bool:
-    return model_closed_fidelity(spec, 0.0, 0.0) is not None
+def _reference(spec: ModelSpec, tau: float, closed: bool = True) -> tuple[float, bool]:
+    """Reference fidelity F[rho(0), rho(tau)], at least 1e-12, and whether the
+    closed form gave it; the generic route serves when closed is unset or no
+    closed form exists."""
+    value = _fidelity(spec, 0.0, tau, closed)
+    if value is None:
+        closed = False
+        value = _fidelity(spec, 0.0, tau, closed)
+    if value <= _DENOMINATOR_FLOOR:
+        raise DegenerateDenominator(
+            f"reference fidelity {value:.3e} at lag {tau!r} cannot normalize G"
+        )
+    return value, closed
+
+
+def _G(spec: ModelSpec, t: float, tau: float, reference: float, closed: bool) -> float:
+    if t == 0.0:
+        return 0.0
+    return (_fidelity(spec, t, tau, closed) - reference) / reference
 
 
 def fidelity_difference(spec: ModelSpec, t: float, tau: float) -> float:
@@ -125,15 +133,8 @@ def fidelity_difference(spec: ModelSpec, t: float, tau: float) -> float:
     rho(tau)] is at most 1e-12, which happens at lags where the reference
     states become orthogonal.
     """
-    closed = _has_closed_form(spec)
-    reference = _window_fidelity(spec, 0.0, tau, closed)
-    if reference <= _DENOMINATOR_FLOOR:
-        raise DegenerateDenominator(
-            f"reference fidelity {reference:.3e} at lag {tau!r} cannot normalize G"
-        )
-    if t == 0.0:
-        return 0.0
-    return (_window_fidelity(spec, t, tau, closed) - reference) / reference
+    reference, closed = _reference(spec, tau)
+    return _G(spec, t, tau, reference, closed)
 
 
 def scan_G(
@@ -150,32 +151,16 @@ def scan_G(
     eigenvalue route; disagreement beyond 1e-9 raises OracleMismatch.
     """
     t_grid = _check_scan_grid(t_grid)
-    closed = _has_closed_form(spec)
-    reference = _window_fidelity(spec, 0.0, tau, closed)
-    if reference <= _DENOMINATOR_FLOOR:
-        raise DegenerateDenominator(
-            f"reference fidelity {reference:.3e} at lag {tau!r} cannot normalize G"
-        )
-    values = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        if t == 0.0:
-            values[i] = 0.0
-        else:
-            values[i] = (_window_fidelity(spec, float(t), tau, closed) - reference) / reference
+    reference, closed = _reference(spec, tau)
+    values = np.array([_G(spec, float(t), tau, reference, closed) for t in t_grid])
     if closed and cross_check:
-        generic_reference = _generic_fidelity(spec, 0.0, tau)
+        generic_reference, _ = _reference(spec, tau, closed=False)
         for i in range(0, t_grid.size, _CROSS_CHECK_STRIDE):
             t = float(t_grid[i])
-            generic_value = (
-                0.0
-                if t == 0.0
-                else (_generic_fidelity(spec, t, t + tau) - generic_reference)
-                / generic_reference
-            )
-            if abs(generic_value - values[i]) > _CROSS_CHECK_TOL:
+            gap = abs(_G(spec, t, tau, generic_reference, False) - values[i])
+            if gap > _CROSS_CHECK_TOL:
                 raise OracleMismatch(
-                    f"closed-form and generic G differ by "
-                    f"{abs(generic_value - values[i]):.3e} at t = {t!r}"
+                    f"closed-form and generic G differ by {gap:.3e} at t = {t!r}"
                 )
     return _summarize(t_grid, values, witness_tol, label=f"G[{spec.NAME}] tau={tau!r}")
 
@@ -183,10 +168,9 @@ def scan_G(
 def memory_fidelity(spec: ModelSpec, t_grid: np.ndarray) -> ScanResult:
     """Fidelity of rho(t) against the initial state over a grid."""
     t_grid = _check_scan_grid(t_grid)
-    closed = _has_closed_form(spec)
-    values = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        values[i] = _window_fidelity(spec, 0.0, float(t), closed)
+    # the first point tells whether the model has a closed form
+    closed = _fidelity(spec, 0.0, float(t_grid[0]), True) is not None
+    values = np.array([_fidelity(spec, 0.0, float(t), closed) for t in t_grid])
     imin = int(np.argmin(values))
     return ScanResult(
         abscissa=t_grid,
@@ -238,21 +222,23 @@ def markovianity_verdict(
     NonMarkovianWitnessed; otherwise the outcome is NoViolationFound, which
     deliberately leaves the Markovian question open.
     """
-    rate = model_rate(spec)
+    rate = spec.rate
     if tau_list is None:
-        tau_list = (default_tau(spec) / rate,)
+        tau_list = (spec.TAU / rate,)
     tau_list = tuple(float(tau) for tau in tau_list)
+    if not tau_list:
+        raise UsageError("the lag list tau_list is empty; give at least one lag")
     if t_grid is None:
-        start, stop, step = default_grid(spec)
+        start, stop, step = spec.GRID
         t_grid = make_grid(start / rate, stop / rate, step / rate)
-    scans = [scan_G(spec, t_grid, tau, witness_tol=witness_tol) for tau in tau_list]
-    evidence = min(scans, key=lambda s: s.min_value)
+    scans = tuple(scan_G(spec, t_grid, tau, witness_tol=witness_tol) for tau in tau_list)
     triggered = any(s.witness_triggered for s in scans)
     return Verdict(
         outcome=NON_MARKOVIAN_WITNESSED if triggered else NO_VIOLATION_FOUND,
-        evidence=evidence,
+        evidence=min(scans, key=lambda s: s.min_value),
         tau_list=tau_list,
         witness_tol=witness_tol,
+        scans=scans,
     )
 
 
@@ -294,7 +280,7 @@ def default_blp_pairs(
     """
     rng = np.random.default_rng(seed)
     pairs: list[tuple[np.ndarray, np.ndarray, str]] = []
-    if isinstance(spec, (JCMQubit, CKDephase)):
+    if spec.dim == 2:
         for i, direction in enumerate(_fibonacci_directions(66)):
             pairs.append(
                 (_bloch_state(direction), _bloch_state(-direction), f"antipodal-{i}")
@@ -302,40 +288,6 @@ def default_blp_pairs(
         for i in range(10):
             pairs.append(
                 (_random_density(rng, 2), _random_density(rng, 2), f"mixed-{i}")
-            )
-        return pairs
-    if isinstance(spec, YEMarkov):
-        for i in range(10):
-            lo, hi = np.sort(rng.uniform(0.0, 4.0, size=2))
-            while hi - lo < 0.2:
-                lo, hi = np.sort(rng.uniform(0.0, 4.0, size=2))
-            pairs.append(
-                (
-                    model_state(replace(spec, lam=float(lo)), 0.0),
-                    model_state(replace(spec, lam=float(hi)), 0.0),
-                    f"family-{i}",
-                )
-            )
-        for i in range(10):
-            pairs.append(
-                (_random_density(rng, 4), _random_density(rng, 4), f"random-{i}")
-            )
-        return pairs
-    if isinstance(spec, YENonMarkov):
-        for i in range(10):
-            lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
-            while hi - lo < 0.05:
-                lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
-            pairs.append(
-                (
-                    model_state(replace(spec, alpha_x=float(lo)), 0.0),
-                    model_state(replace(spec, alpha_x=float(hi)), 0.0),
-                    f"family-{i}",
-                )
-            )
-        for i in range(10):
-            pairs.append(
-                (_random_density(rng, 4), _random_density(rng, 4), f"random-{i}")
             )
         return pairs
     if isinstance(spec, JCMPhoton):
@@ -358,29 +310,33 @@ def default_blp_pairs(
             rho2[i + 1, i + 1] = 1.0
             pairs.append((rho1, rho2, f"fock-{i}-{i + 1}"))
         return pairs
-    raise TypeError(f"unknown model spec {spec!r}")
+    field, top, gap = spec.BLP_FAMILY
+    for i in range(10):
+        lo, hi = np.sort(rng.uniform(0.0, top, size=2))
+        while hi - lo < gap:
+            lo, hi = np.sort(rng.uniform(0.0, top, size=2))
+        pairs.append(
+            (
+                model_state(replace(spec, **{field: float(lo)}), 0.0),
+                model_state(replace(spec, **{field: float(hi)}), 0.0),
+                f"family-{i}",
+            )
+        )
+    for i in range(10):
+        pairs.append(
+            (_random_density(rng, 4), _random_density(rng, 4), f"random-{i}")
+        )
+    return pairs
 
 
 def _embedded_coherent(alpha: complex, spec: JCMPhoton) -> np.ndarray:
-    amps = coherent_amplitudes(alpha, spec.cutoff)
-    vec = np.zeros(spec.dim, dtype=np.complex128)
-    vec[: spec.cutoff + 1] = amps
-    rho = np.outer(vec, vec.conj())
+    rho = jcm_photon_initial(replace(spec, alpha_c=alpha, n_max=spec.cutoff))
     return rho / np.trace(rho).real
 
 
 def default_blp_grid(spec: ModelSpec) -> np.ndarray:
     """Uniform raw-time grid long enough to contain the model's revivals."""
-    rate = model_rate(spec)
-    if isinstance(spec, YEMarkov):
-        return np.linspace(0.0, 10.0 / rate, 201)
-    if isinstance(spec, YENonMarkov):
-        return np.linspace(0.0, 20.0 / rate, 401)
-    if isinstance(spec, (JCMQubit, JCMPhoton)):
-        return np.linspace(0.0, 10.0 / rate, 401)
-    if isinstance(spec, CKDephase):
-        return np.linspace(0.0, 2.0 * math.pi, 629)
-    raise TypeError(f"unknown model spec {spec!r}")
+    return np.linspace(0.0, spec.BLP_GRID[0] / spec.rate, spec.BLP_GRID[1])
 
 
 def blp_measure(

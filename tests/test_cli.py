@@ -2,12 +2,20 @@
 codes, config handling."""
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kraus_witness.cli import main
+
+# sha256 of the closed-route CSVs, shared with the benchmark's output check
+REFERENCE_CSV = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text()
+)["csv_sha256"]
 
 
 def read_csv(path):
@@ -72,6 +80,24 @@ class TestFigureCommand:
         assert main(["figure", "5"]) == 0
         assert "G: min" in capsys.readouterr().out
         assert (tmp_path / "fig5.csv").exists()
+
+
+class TestCsvContract:
+    """The closed-route CSVs stay byte-identical to the recorded digests."""
+
+    @pytest.mark.parametrize(
+        "label, argv",
+        [(f"figure-{fid}", ["figure", str(fid)]) for fid in range(1, 6)]
+        + [
+            (f"witness-{model}", ["witness", "--model", model, "--tau", "1", "--tau", "2"])
+            for model in ("ye-markov", "ye-nonmarkov", "jcm-qubit", "ck")
+        ],
+    )
+    def test_closed_route_csv_bytes(self, label, argv, tmp_path, capsys):
+        out = tmp_path / f"{label}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE_CSV[label]
 
 
 class TestWitnessCommand:
@@ -164,8 +190,10 @@ class TestUsageErrors:
             ["witness", "--model", "nope"],
             ["witness"],
             ["figure", "9"],
+            ["witness", "--model", "ck", "--tau", "-1"],
         ],
-        ids=["zero-step", "inapplicable-param", "unknown-model", "missing-model", "bad-figure"],
+        ids=["zero-step", "inapplicable-param", "unknown-model", "missing-model", "bad-figure",
+             "negative-lag"],
     )
     def test_exit_code_one(self, argv, capsys):
         assert main(argv) == 1
@@ -211,6 +239,12 @@ class TestConfigFile:
         conf.write_text("model = ck\ntau = abc\n")
         assert main(["witness", "--config", str(conf)]) == 1
         capsys.readouterr()
+
+    def test_empty_lag_list_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "w.conf"
+        conf.write_text("model = ck\ntau = ,\n")
+        assert main(["witness", "--config", str(conf)]) == 1
+        assert "usage error" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["witness", "--config", str(tmp_path / "absent.conf")]) in (1, 2)

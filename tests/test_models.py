@@ -324,13 +324,20 @@ class TestRevivalDephasing:
             )
             assert closed == pytest.approx(generic, abs=1e-9)
 
-    def test_start_offset(self):
+    def test_start_offset(self, rng):
         spec = CKDephase(t0=1.0)
         np.testing.assert_allclose(
             ck_map_state(1.0, spec), ck_map_state(0.0, CKDephase()), atol=1e-15
         )
         with pytest.raises(NegativeTime):
             ck_channel(0.5, t0=1.0)
+        with pytest.raises(NegativeTime):
+            ck_map_state(0.5, spec)
+        # the channel at t carries the state at t0 to the state at t
+        rho_t0 = model_state(spec, spec.t0)
+        for t in np.concatenate([[spec.t0], rng.uniform(spec.t0, 8.0, size=20)]):
+            evolved = apply(model_channel(spec, float(t)), rho_t0)
+            assert np.max(np.abs(evolved - model_state(spec, float(t)))) <= 1e-12
 
 
 class TestDispatch:

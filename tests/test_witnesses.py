@@ -15,6 +15,7 @@ from kraus_witness import (
     JCMQubit,
     NO_VIOLATION_FOUND,
     NON_MARKOVIAN_WITNESSED,
+    UsageError,
     YEMarkov,
     YENonMarkov,
     blp_measure,
@@ -141,6 +142,15 @@ class TestMarkovianityVerdict:
     def test_explicit_tau_list(self):
         verdict = markovianity_verdict(YEMarkov(), tau_list=[0.5, 1.0, 2.0])
         assert verdict.tau_list == (0.5, 1.0, 2.0)
+        # one scan per lag, in order; the evidence is the deepest of them
+        assert [s.label for s in verdict.scans] == [
+            f"G[ye-markov] tau={tau!r}" for tau in verdict.tau_list
+        ]
+        assert verdict.evidence is min(verdict.scans, key=lambda s: s.min_value)
+
+    def test_empty_tau_list(self):
+        with pytest.raises(UsageError, match="empty"):
+            markovianity_verdict(YEMarkov(), tau_list=())
 
 
 class TestBlpPairs:
