@@ -60,8 +60,6 @@ from .models import (
     ck_map_state,
     coherent_amplitudes,
     default_fock_cutoff,
-    default_grid,
-    default_tau,
     jcm_photon_channel,
     jcm_photon_initial,
     jcm_photon_state,
@@ -70,8 +68,6 @@ from .models import (
     jcm_vacuum_fidelity,
     model_channel,
     model_closed_fidelity,
-    model_lindblad,
-    model_rate,
     model_state,
     ye_markov_channel,
     ye_markov_fidelity,

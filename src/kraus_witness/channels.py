@@ -1,6 +1,6 @@
 """Kraus channels, composition, and the LGKS right-hand side.
 
-A channel is a finite list of Kraus operators K_i acting as
+A channel is a (k, d, d) stack of Kraus operators K_i acting as
 rho -> sum_i K_i rho K_i^dagger.  Completeness sum_i K_i^dagger K_i = I is
 checked lazily and cached on the channel object; channels whose operator set
 is only complete on a leading subspace (truncated field sectors, conditioned
@@ -20,34 +20,47 @@ from .linalg import validate_density
 _APPLY_DEFECT_CEILING = 1e-8
 
 
-def _as_operator_tuple(operators: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    ops = tuple(np.asarray(k, dtype=np.complex128) for k in operators)
-    if not ops:
+def _as_operator_stack(operators: Sequence[np.ndarray]) -> np.ndarray:
+    """Check that the operators are square and of one shape, and return them
+    as one (k, d, d) complex128 stack; shapes are compared first, so ragged
+    input raises DimensionMismatch."""
+    shapes = [np.shape(k) for k in operators]
+    if not shapes:
         raise InvalidChannel("a channel needs at least one Kraus operator")
-    dim = ops[0].shape
+    dim = shapes[0]
     if len(dim) != 2 or dim[0] != dim[1]:
         raise DimensionMismatch(f"Kraus operators must be square, got shape {dim}")
-    for k in ops[1:]:
-        if k.shape != dim:
-            raise DimensionMismatch(f"mixed Kraus shapes {dim} and {k.shape}")
-    return ops
+    for shape in shapes[1:]:
+        if shape != dim:
+            raise DimensionMismatch(f"mixed Kraus shapes {dim} and {shape}")
+    return np.asarray(operators, dtype=np.complex128)
+
+
+def _sandwich(ops: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """sum_i K_i state K_i^dagger over the stack."""
+    return (ops @ state @ ops.conj().swapaxes(1, 2)).sum(axis=0)
+
+
+def _gram(ops: np.ndarray) -> np.ndarray:
+    """sum_i K_i^dagger K_i over the stack."""
+    return (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
 
 
 @dataclass
 class KrausChannel:
-    """Kraus operator list with a cached completeness defect.
+    """Kraus operator stack, shape (k, d, d), with a cached completeness defect.
 
     valid_dim restricts the completeness requirement to the leading
     valid_dim x valid_dim block; inputs must then be supported on that block.
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     label: str = ""
     valid_dim: int | None = None
     _defect: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.operators = _as_operator_tuple(self.operators)
+        self.operators = _as_operator_stack(self.operators)
         if self.valid_dim is not None and not (1 <= self.valid_dim <= self.dim):
             raise DimensionMismatch(
                 f"valid_dim {self.valid_dim} outside 1..{self.dim}"
@@ -55,7 +68,7 @@ class KrausChannel:
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
 
 
 @dataclass(frozen=True)
@@ -66,17 +79,17 @@ class LindbladSet:
     rate-free so the same set can serve families with time-dependent rates.
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     rate: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "operators", _as_operator_tuple(self.operators))
+        object.__setattr__(self, "operators", _as_operator_stack(self.operators))
         if self.rate < 0.0:
             raise InvalidChannel(f"rate must be nonnegative, got {self.rate!r}")
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
 
 
 def channel_defect(channel: KrausChannel) -> float:
@@ -85,9 +98,7 @@ def channel_defect(channel: KrausChannel) -> float:
     For channels with valid_dim set, only the leading block is compared.
     The result is cached on the channel.
     """
-    total = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
-    for k in channel.operators:
-        total += k.conj().T @ k
+    total = _gram(channel.operators)
     block = channel.valid_dim if channel.valid_dim is not None else channel.dim
     defect_mat = total[:block, :block] - np.eye(block)
     defect = float(np.max(np.abs(defect_mat)))
@@ -125,20 +136,17 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
         raise InvalidChannel(
             f"refusing to apply channel with completeness defect {channel._defect:.3e}"
         )
-    out = np.zeros_like(state)
-    for k in channel.operators:
-        out += k @ state @ k.conj().T
-    return out
+    return _sandwich(channel.operators, state)
 
 
 def compose(late: KrausChannel, early: KrausChannel) -> KrausChannel:
-    """Channel performing ``early`` then ``late``; operator set is the full
-    product list, unpruned."""
+    """Channel performing ``early`` then ``late``; the operator stack is every
+    product K_late K_early, late-major and unpruned."""
     if late.dim != early.dim:
         raise DimensionMismatch(
             f"cannot compose dimensions {late.dim} and {early.dim}"
         )
-    ops = tuple(kl @ ke for kl in late.operators for ke in early.operators)
+    ops = (late.operators[:, None] @ early.operators[None]).reshape(-1, late.dim, late.dim)
     valid = None
     if late.valid_dim is not None or early.valid_dim is not None:
         valid = min(
@@ -160,11 +168,8 @@ def lgks_rhs(lset: LindbladSet, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"state shape {state.shape} does not match Lindblad dimension {lset.dim}"
         )
-    out = np.zeros_like(state)
-    anticomm = np.zeros_like(state)
-    for op in lset.operators:
-        out += op @ state @ op.conj().T
-        anticomm += op.conj().T @ op
+    out = _sandwich(lset.operators, state)
+    anticomm = _gram(lset.operators)
     out -= 0.5 * (anticomm @ state + state @ anticomm)
     return out
 

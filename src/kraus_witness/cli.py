@@ -60,7 +60,6 @@ class RunConfig:
     tau_list: tuple[float, ...]
     output_path: str | None
     witness_tol: float
-    seed: int
 
     def __post_init__(self) -> None:
         if not self.tau_list:
@@ -103,7 +102,6 @@ def _build_parser() -> _Parser:
     def add_common(p: _Parser) -> None:
         p.add_argument("--config", help="flat key=value file; flags override it")
         p.add_argument("--out", help="CSV output path")
-        p.add_argument("--seed", type=int, help="seed for anything sampled")
         p.add_argument("--witness-tol", dest="witness_tol", type=float,
                        help="negativity depth that fires the witness (default 1e-8)")
         p.add_argument("--start", type=float, help="grid start, dimensionless time")
@@ -170,7 +168,7 @@ def _load_config(path: str) -> dict[str, str]:
 
 _CONVERTERS = {
     "start": float, "stop": float, "step": float, "witness_tol": float,
-    "seed": int, "samples": int, "points": int, "n_cut": int,
+    "samples": int, "points": int, "n_cut": int,
     "t_min": float, "t_max": float,
     "Gamma": float, "lam": float, "gamma": float, "gamma2": float,
     "alpha_x": float, "g": float, "rho11": float, "rho22": float,
@@ -244,7 +242,6 @@ def _run_config(spec: ModelSpec, ns: argparse.Namespace, config: dict[str, str],
     taus = _resolve(ns, "tau", config)
     if taus is None:
         taus = [spec.TAU]
-    seed = _resolve(ns, "seed", config)
     return RunConfig(
         model=spec,
         grid=(
@@ -255,7 +252,6 @@ def _run_config(spec: ModelSpec, ns: argparse.Namespace, config: dict[str, str],
         tau_list=tuple(float(t) for t in taus),
         output_path=_resolve(ns, "out", config),
         witness_tol=_resolve_witness_tol(ns, config),
-        seed=seed if seed is not None else 0,
     )
 
 

@@ -54,17 +54,18 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def _jacobi(mat: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _jacobi(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi diagonalization of a Hermitian matrix.
 
     Sweeps all upper-triangle pivots in row order, each time applying a
-    complex plane rotation that zeroes the pivot.  Converged when the
+    complex plane rotation that zeroes the pivot and accumulating the
+    rotations into the eigenvector matrix.  Converged when the
     off-diagonal Frobenius mass falls below 1e-14 (scaled by the matrix norm
     for inputs larger than unit size).
     """
     a = mat.copy()
     n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128) if want_vectors else None
+    v = np.eye(n, dtype=np.complex128)
     if n == 1:
         return np.array([a[0, 0].real]), v
 
@@ -104,11 +105,10 @@ def _jacobi(mat: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.ndarray
                 a[p, p] = a[p, p].real
                 a[q, q] = a[q, q].real
 
-                if v is not None:
-                    vcol_p = v[:, p].copy()
-                    vcol_q = v[:, q].copy()
-                    v[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
-                    v[:, q] = s * phase * vcol_p + c * vcol_q
+                vcol_p = v[:, p].copy()
+                vcol_q = v[:, q].copy()
+                v[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
+                v[:, q] = s * phase * vcol_p + c * vcol_q
     else:
         raise NoConvergence(
             f"Jacobi sweeps exhausted with off-diagonal mass {_offdiag_norm(a):.3e}"
@@ -127,7 +127,7 @@ def hermitian_eig(mat: np.ndarray, tol: float = 1e-10) -> Spectrum:
     if defect > tol:
         raise NonHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
     sym = 0.5 * (arr + arr.conj().T)
-    w, v = _jacobi(sym, want_vectors=True)
+    w, v = _jacobi(sym)
     order = np.argsort(w, kind="stable")
     return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
 

@@ -16,7 +16,8 @@ jcm-photon     the same interaction viewed from the truncated field sector.
 ck             qubit dephasing with a cosine coherence revival.
 
 All times are nonnegative; rates are strictly positive.  Channel builders
-return plain KrausChannel objects with no pruning of zero operators.
+fill one (k, d, d) operator stack and return it as a plain KrausChannel,
+with no pruning of zero operators.
 """
 from __future__ import annotations
 
@@ -66,8 +67,12 @@ class ModelSpec:
     lag), BLP_GRID (dimensionless stop and point count of the revival grid),
     ABSCISSA (CLI name of the dimensionless time), FLAGS (CLI flag key ->
     field) and, for the dephasing families only, BLP_FAMILY (the field
-    perturbed for BLP pairs, drawn in [0, top] at least gap apart).
+    perturbed for BLP pairs, drawn in [0, top] at least gap apart).  t0 is
+    the start time, where the reference state rho(t0) is given; the default
+    grids are measured from it.
     """
+
+    t0 = 0.0
 
     def channel(self, t: float) -> KrausChannel:
         raise NotImplementedError
@@ -330,13 +335,17 @@ def ye_nonmarkov_decay(t: float, Gamma: float, gamma: float) -> DecayFunctions:
 # dephasing family, exponential branch
 
 
-def _dephase_kraus(c: float, s: float) -> tuple[np.ndarray, ...]:
-    # shared operator skeleton of both dephasing models, c^2 + s^2 = 1
-    k0 = np.diag([c * c, c, c, 1.0]).astype(np.complex128)
-    k1 = np.diag([c * s, 0.0, s, 0.0]).astype(np.complex128)
-    k2 = np.diag([c * s, s, 0.0, 0.0]).astype(np.complex128)
-    k3 = np.diag([s * s, 0.0, 0.0, 0.0]).astype(np.complex128)
-    return (k0, k1, k2, k3)
+def _dephase_kraus(c: float, s: float) -> np.ndarray:
+    # shared operator skeleton of both dephasing models, c^2 + s^2 = 1; all
+    # four operators are diagonal, row i holding the diagonal of K_i
+    ops = np.zeros((4, 4, 4), dtype=np.complex128)
+    ops[:, range(4), range(4)] = [
+        [c * c, c, c, 1.0],
+        [c * s, 0.0, s, 0.0],
+        [c * s, s, 0.0, 0.0],
+        [s * s, 0.0, 0.0, 0.0],
+    ]
+    return ops
 
 
 def _dephase_state(diag: tuple[float, float, float, float], coherence: float) -> np.ndarray:
@@ -463,23 +472,15 @@ def jcm_qubit_channel(t: float, spec: JCMQubit) -> KrausChannel:
     """
     t = _check_time(t)
     amps = coherent_amplitudes(spec.alpha_c, spec.cutoff)
-    g = spec.g
-    ops = []
-    for n in range(spec.cutoff + 1):
-        c_n = amps[n]
-        c_prev = amps[n - 1] if n >= 1 else 0.0
-        c_next = amps[n + 1] if n + 1 <= spec.cutoff else 0.0
-        theta_up = g * t * math.sqrt(n + 1)
-        theta_dn = g * t * math.sqrt(n)
-        k = np.array(
-            [
-                [c_n * math.cos(theta_up), -1j * c_next * math.sin(theta_up)],
-                [-1j * c_prev * math.sin(theta_dn), c_n * math.cos(theta_dn)],
-            ],
-            dtype=np.complex128,
-        )
-        ops.append(k)
-    return KrausChannel(tuple(ops), label="jcm-qubit")
+    n = np.arange(spec.cutoff + 1, dtype=float)
+    theta_up = spec.g * t * np.sqrt(n + 1.0)
+    theta_dn = spec.g * t * np.sqrt(n)
+    ops = np.zeros((spec.cutoff + 1, 2, 2), dtype=np.complex128)
+    ops[:, 0, 0] = amps * np.cos(theta_up)
+    ops[:-1, 0, 1] = -1j * amps[1:] * np.sin(theta_up[:-1])
+    ops[1:, 1, 0] = -1j * amps[:-1] * np.sin(theta_dn[1:])
+    ops[:, 1, 1] = amps * np.cos(theta_dn)
+    return KrausChannel(ops, label="jcm-qubit")
 
 
 def jcm_qubit_state(t: float, spec: JCMQubit) -> np.ndarray:
@@ -523,12 +524,9 @@ def jcm_photon_channel(t: float, g: float = 1.0, n_cut: int = 20) -> KrausChanne
     g = _check_rate(g, "g")
     if n_cut < 1:
         raise ParamOutOfRange(f"n_cut must be at least 1, got {n_cut!r}")
-    dim = n_cut + 2
-    levels = np.arange(dim, dtype=float)
-    stay = np.diag(np.cos(g * t * np.sqrt(levels + 1.0))).astype(np.complex128)
-    emit = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(dim - 1):
-        emit[n + 1, n] = -1j * math.sin(g * t * math.sqrt(n + 1.0))
+    theta = g * t * np.sqrt(np.arange(n_cut + 2) + 1.0)
+    stay = np.diag(np.cos(theta))
+    emit = np.diag(-1j * np.sin(theta[:-1]), k=-1)
     return KrausChannel((stay, emit), label="jcm-photon", valid_dim=n_cut + 1)
 
 
@@ -618,27 +616,6 @@ def model_closed_fidelity(spec: ModelSpec, t: float, tau: float) -> float | None
     callers then fall back to the generic eigenvalue route.
     """
     return spec.closed_fidelity(t, tau)
-
-
-def model_lindblad(spec: ModelSpec) -> LindbladSet | None:
-    """Constant-rate generator set where the model has one."""
-    return spec.lindblad()
-
-
-def model_rate(spec: ModelSpec) -> float:
-    """Rate that converts the model's dimensionless abscissa into raw time."""
-    return spec.rate
-
-
-def default_grid(spec: ModelSpec) -> tuple[float, float, float]:
-    """Dimensionless (start, stop, step) covering the model's interesting
-    window."""
-    return spec.GRID
-
-
-def default_tau(spec: ModelSpec) -> float:
-    """Dimensionless comparison lag used when the caller does not pick one."""
-    return spec.TAU
 
 
 def build_model(name: str, **params: object) -> ModelSpec:

@@ -1,9 +1,10 @@
 """Non-Markovianity witnesses built on state fidelity and trace distance.
 
 The fidelity witness compares the fidelity between rho(t) and rho(t + tau)
-against the same lag taken at the start of the evolution,
+against the same lag taken at the start t0 of the evolution (t0 = 0 for every
+model but a late-started revival model),
 
-    G(t, tau) = (F[rho(t), rho(t + tau)] - F[rho(0), rho(tau)]) / F[rho(0), rho(tau)].
+    G(t, tau) = (F[rho(t), rho(t + tau)] - F[rho(t0), rho(t0 + tau)]) / F[rho(t0), rho(t0 + tau)].
 
 A strictly negative dip certifies memory in the dynamics; the converse does
 not hold, so the verdict vocabulary only ever asserts the witnessed side.
@@ -106,13 +107,13 @@ def _fidelity(spec: ModelSpec, t: float, tau: float, closed: bool) -> float | No
 
 
 def _reference(spec: ModelSpec, tau: float, closed: bool = True) -> tuple[float, bool]:
-    """Reference fidelity F[rho(0), rho(tau)], at least 1e-12, and whether the
-    closed form gave it; the generic route serves when closed is unset or no
-    closed form exists."""
-    value = _fidelity(spec, 0.0, tau, closed)
+    """Reference fidelity F[rho(t0), rho(t0 + tau)], at least 1e-12, and
+    whether the closed form gave it; the generic route serves when closed is
+    unset or no closed form exists."""
+    value = _fidelity(spec, spec.t0, tau, closed)
     if value is None:
         closed = False
-        value = _fidelity(spec, 0.0, tau, closed)
+        value = _fidelity(spec, spec.t0, tau, closed)
     if value <= _DENOMINATOR_FLOOR:
         raise DegenerateDenominator(
             f"reference fidelity {value:.3e} at lag {tau!r} cannot normalize G"
@@ -121,17 +122,17 @@ def _reference(spec: ModelSpec, tau: float, closed: bool = True) -> tuple[float,
 
 
 def _G(spec: ModelSpec, t: float, tau: float, reference: float, closed: bool) -> float:
-    if t == 0.0:
+    if t == spec.t0:
         return 0.0
     return (_fidelity(spec, t, tau, closed) - reference) / reference
 
 
 def fidelity_difference(spec: ModelSpec, t: float, tau: float) -> float:
-    """Relative fidelity gap G(t, tau); exactly zero at t = 0.
+    """Relative fidelity gap G(t, tau); exactly zero at the start time t0.
 
-    Raises DegenerateDenominator when the reference fidelity F[rho(0),
-    rho(tau)] is at most 1e-12, which happens at lags where the reference
-    states become orthogonal.
+    Raises DegenerateDenominator when the reference fidelity F[rho(t0),
+    rho(t0 + tau)] is at most 1e-12, which happens at lags where the
+    reference states become orthogonal.
     """
     reference, closed = _reference(spec, tau)
     return _G(spec, t, tau, reference, closed)
@@ -142,18 +143,17 @@ def scan_G(
     t_grid: np.ndarray,
     tau: float,
     witness_tol: float = DEFAULT_WITNESS_TOL,
-    cross_check: bool = True,
 ) -> ScanResult:
     """Evaluate G(t, tau) over a grid, flagging any dip below -witness_tol.
 
-    Models with a closed-form fidelity use it for every point and, when
-    cross_check is set, recompute every tenth point through the generic
-    eigenvalue route; disagreement beyond 1e-9 raises OracleMismatch.
+    Models with a closed-form fidelity use it for every point and recompute
+    every tenth point through the generic eigenvalue route; disagreement
+    beyond 1e-9 raises OracleMismatch.
     """
     t_grid = _check_scan_grid(t_grid)
     reference, closed = _reference(spec, tau)
     values = np.array([_G(spec, float(t), tau, reference, closed) for t in t_grid])
-    if closed and cross_check:
+    if closed:
         generic_reference, _ = _reference(spec, tau, closed=False)
         for i in range(0, t_grid.size, _CROSS_CHECK_STRIDE):
             t = float(t_grid[i])
@@ -166,22 +166,14 @@ def scan_G(
 
 
 def memory_fidelity(spec: ModelSpec, t_grid: np.ndarray) -> ScanResult:
-    """Fidelity of rho(t) against the initial state over a grid."""
+    """Fidelity of rho(t) against the initial state rho(t0) over a grid."""
     t_grid = _check_scan_grid(t_grid)
+    t0 = spec.t0
     # the first point tells whether the model has a closed form
-    closed = _fidelity(spec, 0.0, float(t_grid[0]), True) is not None
-    values = np.array([_fidelity(spec, 0.0, float(t), closed) for t in t_grid])
-    imin = int(np.argmin(values))
-    return ScanResult(
-        abscissa=t_grid,
-        values=values,
-        min_value=float(values[imin]),
-        min_at=float(t_grid[imin]),
-        max_value=float(values.max()),
-        witness_triggered=False,
-        witness_tol=0.0,
-        label=f"F0[{spec.NAME}]",
-    )
+    closed = _fidelity(spec, t0, float(t_grid[0]) - t0, True) is not None
+    values = np.array([_fidelity(spec, t0, float(t) - t0, closed) for t in t_grid])
+    # fidelities are nonnegative, so a zero tolerance never fires
+    return _summarize(t_grid, values, 0.0, label=f"F0[{spec.NAME}]")
 
 
 def _check_scan_grid(t_grid: np.ndarray) -> np.ndarray:
@@ -220,7 +212,8 @@ def markovianity_verdict(
 
     Any lag whose scan dips below -witness_tol yields
     NonMarkovianWitnessed; otherwise the outcome is NoViolationFound, which
-    deliberately leaves the Markovian question open.
+    deliberately leaves the Markovian question open.  The default grid is
+    the model's GRID shifted to start at its start time t0.
     """
     rate = spec.rate
     if tau_list is None:
@@ -230,7 +223,7 @@ def markovianity_verdict(
         raise UsageError("the lag list tau_list is empty; give at least one lag")
     if t_grid is None:
         start, stop, step = spec.GRID
-        t_grid = make_grid(start / rate, stop / rate, step / rate)
+        t_grid = spec.t0 + make_grid(start / rate, stop / rate, step / rate)
     scans = tuple(scan_G(spec, t_grid, tau, witness_tol=witness_tol) for tau in tau_list)
     triggered = any(s.witness_triggered for s in scans)
     return Verdict(
@@ -335,8 +328,9 @@ def _embedded_coherent(alpha: complex, spec: JCMPhoton) -> np.ndarray:
 
 
 def default_blp_grid(spec: ModelSpec) -> np.ndarray:
-    """Uniform raw-time grid long enough to contain the model's revivals."""
-    return np.linspace(0.0, spec.BLP_GRID[0] / spec.rate, spec.BLP_GRID[1])
+    """Uniform raw-time grid from the start time t0, long enough to contain
+    the model's revivals."""
+    return spec.t0 + np.linspace(0.0, spec.BLP_GRID[0] / spec.rate, spec.BLP_GRID[1])
 
 
 def blp_measure(

@@ -10,6 +10,8 @@ from kraus_witness import (
     CKDephase,
     DimensionMismatch,
     InvalidChannel,
+    JCMPhoton,
+    JCMQubit,
     KrausChannel,
     LindbladSet,
     YEMarkov,
@@ -195,6 +197,66 @@ class TestLgksRhs:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             lgks_rhs(ck_lindblad(), np.eye(4, dtype=complex) / 4)
+
+
+# every model's channel, the coherent-field atom sector and the padded field
+# sector (complete on its leading block only) included
+STACK_SPECS = [YEMarkov(), YENonMarkov(), JCMQubit(), JCMQubit(alpha_c=1.0 + 0.5j),
+               JCMPhoton(), JCMPhoton(alpha_c=1.0), CKDephase(t0=0.5)]
+STACK_IDS = ["ye-markov", "ye-nonmarkov", "jcm-qubit", "jcm-qubit-coherent",
+             "jcm-photon", "jcm-photon-coherent", "ck-late-start"]
+
+
+def loop_sandwich(ops, rho):
+    out = np.zeros_like(rho, dtype=np.complex128)
+    for k in ops:
+        out += k @ rho @ k.conj().T
+    return out
+
+
+def loop_gram(ops):
+    out = np.zeros(ops[0].shape, dtype=np.complex128)
+    for k in ops:
+        out += k.conj().T @ k
+    return out
+
+
+class TestStackedMatchesLoop:
+    """The stacked matmuls against a per-operator loop, to 1e-15 absolute."""
+
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=STACK_IDS)
+    def test_channel_operations(self, spec, rng):
+        for t in spec.t0 + rng.uniform(0.0, 5.0, size=3):
+            channel = model_channel(spec, float(t))
+            ops = channel.operators
+            assert ops.dtype == np.complex128 and ops.ndim == 3
+            rho = model_state(spec, spec.t0)
+            np.testing.assert_allclose(
+                apply(channel, rho), loop_sandwich(ops, rho), rtol=0.0, atol=1e-15
+            )
+            block = channel.valid_dim or channel.dim
+            expected = np.max(np.abs(loop_gram(ops)[:block, :block] - np.eye(block)))
+            assert abs(channel_defect(channel) - expected) <= 1e-15
+
+            early = model_channel(spec, spec.t0 + 0.5 * (t - spec.t0))
+            composed = compose(channel, early)
+            products = [kl @ ke for kl in ops for ke in early.operators]
+            np.testing.assert_allclose(composed.operators, products, rtol=0.0, atol=1e-15)
+            assert composed.valid_dim == channel.valid_dim
+
+    def test_jcm_qubit_keeps_every_operator(self):
+        spec = JCMQubit()
+        assert model_channel(spec, 1.0).operators.shape == (spec.cutoff + 1, 2, 2)
+
+    @pytest.mark.parametrize("lset", [ye_markov_lindblad(2.0), ck_lindblad()],
+                             ids=["ye-markov", "ck"])
+    def test_lgks_rhs(self, lset, rng):
+        ops = lset.operators
+        assert ops.dtype == np.complex128 and ops.ndim == 3
+        rho = random_density(rng, lset.dim)
+        gram = loop_gram(ops)
+        expected = loop_sandwich(ops, rho) - 0.5 * (gram @ rho + rho @ gram)
+        np.testing.assert_allclose(lgks_rhs(lset, rho), expected, rtol=0.0, atol=1e-15)
 
 
 class TestSemigroupDefect:

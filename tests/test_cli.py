@@ -191,9 +191,10 @@ class TestUsageErrors:
             ["witness"],
             ["figure", "9"],
             ["witness", "--model", "ck", "--tau", "-1"],
+            ["witness", "--model", "ck", "--seed", "3"],
         ],
         ids=["zero-step", "inapplicable-param", "unknown-model", "missing-model", "bad-figure",
-             "negative-lag"],
+             "negative-lag", "seed-flag"],
     )
     def test_exit_code_one(self, argv, capsys):
         assert main(argv) == 1
@@ -233,6 +234,13 @@ class TestConfigFile:
         conf.write_text("model = ck\nbogus = 1\n")
         assert main(["witness", "--config", str(conf)]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    def test_seed_key_rejected(self, tmp_path, capsys):
+        # nothing on the command line is sampled, so there is no seed to set
+        conf = tmp_path / "w.conf"
+        conf.write_text("model = ck\nseed = 1\n")
+        assert main(["witness", "--config", str(conf)]) == 1
+        assert "unknown key 'seed'" in capsys.readouterr().err
 
     def test_malformed_value_rejected(self, tmp_path, capsys):
         conf = tmp_path / "w.conf"

@@ -26,8 +26,6 @@ from kraus_witness import (
     ck_map_state,
     coherent_amplitudes,
     default_fock_cutoff,
-    default_grid,
-    default_tau,
     jcm_photon_channel,
     jcm_photon_initial,
     jcm_photon_state,
@@ -36,8 +34,6 @@ from kraus_witness import (
     jcm_vacuum_fidelity,
     model_channel,
     model_closed_fidelity,
-    model_lindblad,
-    model_rate,
     model_state,
     validate_density,
     ye_markov_channel,
@@ -366,19 +362,19 @@ class TestDispatch:
         assert model_closed_fidelity(CKDephase(rho11=0.3, rho22=0.7, rho12=0.2), 0.1, 0.2) is None
 
     def test_lindblad_availability(self):
-        assert model_lindblad(YEMarkov()) is not None
-        assert model_lindblad(CKDephase()) is not None
-        assert model_lindblad(YENonMarkov()) is None
-        assert model_lindblad(JCMQubit()) is None
+        assert YEMarkov().lindblad() is not None
+        assert CKDephase().lindblad() is not None
+        assert YENonMarkov().lindblad() is None
+        assert JCMQubit().lindblad() is None
 
     def test_rates_and_grids(self):
-        assert model_rate(YEMarkov(Gamma=2.0)) == 2.0
-        assert model_rate(JCMQubit(g=3.0)) == 3.0
-        assert model_rate(CKDephase()) == 1.0
+        assert YEMarkov(Gamma=2.0).rate == 2.0
+        assert JCMQubit(g=3.0).rate == 3.0
+        assert CKDephase().rate == 1.0
         for spec in ALL_SPECS:
-            start, stop, step = default_grid(spec)
+            start, stop, step = spec.GRID
             assert start == 0.0 and stop > start and 0 < step < stop
-            assert default_tau(spec) > 0.0
+            assert spec.TAU > 0.0
 
     def test_build_model_rejects_bad_param(self):
         with pytest.raises((ParamOutOfRange, TypeError)):

@@ -15,6 +15,7 @@ from kraus_witness import (
     JCMQubit,
     NO_VIOLATION_FOUND,
     NON_MARKOVIAN_WITNESSED,
+    OracleMismatch,
     UsageError,
     YEMarkov,
     YENonMarkov,
@@ -22,13 +23,22 @@ from kraus_witness import (
     ck_fidelity,
     default_blp_grid,
     default_blp_pairs,
+    fidelity,
     fidelity_difference,
     make_grid,
     markovianity_verdict,
     memory_fidelity,
+    model_state,
     scan_G,
     validate_density,
 )
+
+
+class _SkewedCK(CKDephase):
+    """Default revival model whose closed form is 1e-6 off away from t = 0."""
+
+    def closed_fidelity(self, t, tau):
+        return super().closed_fidelity(t, tau) - (1e-6 if t > 0.0 else 0.0)
 
 
 class TestMakeGrid:
@@ -89,10 +99,22 @@ class TestScanG:
         assert result.max_value == pytest.approx(3.690393845e-7, rel=1e-6)
 
     def test_cross_check_agrees_with_generic(self):
+        spec, tau = CKDephase(), math.pi / 6.0
         grid = make_grid(0.0, 2.0 * math.pi, 0.05)
-        closed = scan_G(CKDephase(), grid, math.pi / 6.0, cross_check=True)
-        generic = scan_G(CKDephase(rho12=0.5 + 0j), grid, math.pi / 6.0)
-        np.testing.assert_allclose(closed.values, generic.values, atol=1e-10)
+        closed = scan_G(spec, grid, tau)
+        # G at every grid point from the generic eigenvalue route
+        reference = fidelity(model_state(spec, 0.0), model_state(spec, tau))
+        generic = [
+            (fidelity(model_state(spec, t), model_state(spec, t + tau)) - reference)
+            / reference
+            for t in grid
+        ]
+        np.testing.assert_allclose(closed.values, generic, atol=1e-10)
+
+    def test_cross_check_catches_skewed_closed_form(self):
+        grid = make_grid(0.0, 2.0 * math.pi, 0.05)
+        with pytest.raises(OracleMismatch, match="closed-form and generic G differ"):
+            scan_G(_SkewedCK(), grid, math.pi / 6.0)
 
     def test_trigger_threshold(self):
         grid = make_grid(0.0, 2.0 * math.pi, 0.05)
@@ -151,6 +173,37 @@ class TestMarkovianityVerdict:
     def test_empty_tau_list(self):
         with pytest.raises(UsageError, match="empty"):
             markovianity_verdict(YEMarkov(), tau_list=())
+
+    def test_late_start_default_grid(self):
+        # the default grid and the reference lag start at t0, not at 0
+        verdict = markovianity_verdict(CKDephase(t0=1.0))
+        assert verdict.outcome == NO_VIOLATION_FOUND
+        assert verdict.evidence.abscissa[0] == 1.0
+        assert verdict.evidence.values[0] == 0.0
+
+
+class TestStartTime:
+    """A model started at t0 = 1 is the t0 = 0 model shifted by one."""
+
+    entries = dict(rho11=0.9, rho22=0.1, rho12=0.1 + 0j)
+
+    def test_scan_is_shifted(self):
+        grid = make_grid(0.0, 2.0 * math.pi, 0.05)
+        tau = math.pi / 6.0
+        late = scan_G(CKDephase(t0=1.0, **self.entries), grid + 1.0, tau)
+        early = scan_G(CKDephase(**self.entries), grid, tau)
+        np.testing.assert_allclose(late.values, early.values, rtol=0.0, atol=1e-12)
+        assert fidelity_difference(CKDephase(t0=1.0, **self.entries), 1.0, tau) == 0.0
+
+    def test_memory_fidelity_is_shifted(self):
+        grid = make_grid(0.0, 2.0 * math.pi, 0.05)
+        late = memory_fidelity(CKDephase(t0=1.0, **self.entries), grid + 1.0)
+        early = memory_fidelity(CKDephase(**self.entries), grid)
+        np.testing.assert_allclose(late.values, early.values, rtol=0.0, atol=1e-12)
+
+    def test_blp_grid_starts_at_t0(self):
+        late = default_blp_grid(CKDephase(t0=1.0))
+        np.testing.assert_array_equal(late, 1.0 + default_blp_grid(CKDephase()))
 
 
 class TestBlpPairs:
