@@ -46,7 +46,7 @@ def _gram(ops: np.ndarray) -> np.ndarray:
     return (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
 
 
-@dataclass
+@dataclass(eq=False)
 class KrausChannel:
     """Kraus operator stack, shape (k, d, d), with a cached completeness defect.
 
@@ -71,7 +71,7 @@ class KrausChannel:
         return self.operators.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladSet:
     """Jump operators L_i and a common nonnegative rate.
 

@@ -13,9 +13,10 @@ conversion to raw model time happens here, not in the library.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,50 +47,57 @@ _ALL_PARAM_KEYS = ("Gamma", "lam", "gamma", "gamma2", "alpha_x", "g", "alpha",
 _FIGURE_MODEL = {1: "ye-markov", 2: "ye-nonmarkov", 3: "ye-nonmarkov",
                  4: "jcm-qubit", 5: "ck"}
 
+# one type per option, shared by the flags and the config file; a config
+# tau is a comma-separated list of them
+_CONVERTERS = {
+    "start": float, "stop": float, "step": float, "witness_tol": float,
+    "samples": int, "points": int, "n_cut": int,
+    "t_min": float, "t_max": float, "tau": float,
+    "Gamma": float, "lam": float, "gamma": float, "gamma2": float,
+    "alpha_x": float, "g": float, "rho11": float, "rho22": float,
+    "alpha": complex, "rho12": complex,
+    "model": str, "out": str,
+}
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters after flag/config/environment merging.
+# argparse keywords per option; the flag is _flag(key), the type _CONVERTERS[key]
+_OPTIONS = {
+    "model": dict(choices=sorted(MODEL_CLASSES), help="model name"),
+    "config": dict(help="flat key=value file; flags override it"),
+    "out": dict(help="CSV output path"),
+    "witness_tol": dict(help="negativity depth that fires the witness "
+                             "(default $KRAUS_WITNESS_TOL, else 1e-8)"),
+    "start": dict(help="grid start, dimensionless time"),
+    "stop": dict(help="grid stop, dimensionless time"),
+    "step": dict(help="grid step, dimensionless time"),
+    "tau": dict(action="append", help="comparison lag, dimensionless; repeatable"),
+    "t_min": dict(help="probe window start (raw model time)"),
+    "t_max": dict(help="probe window stop (raw model time)"),
+    "points": dict(help="probe window size, at least 6"),
+    "samples": dict(help="number of sampled times (default 50)"),
+    "Gamma": dict(help="dephasing rate"),
+    "gamma": dict(help="reservoir memory rate"),
+    "gamma2": dict(help="memory rate of the second curve (figure 3 only)"),
+    "lam": dict(help="initial coherence weight, 0 to 4"),
+    "alpha_x": dict(help="X-state population parameter, 0 to 1"),
+    "g": dict(help="atom-field coupling"),
+    "alpha": dict(help="coherent field amplitude, complex accepted"),
+    "n_cut": dict(help="Fock cutoff"),
+    "rho11": dict(help="upper population"),
+    "rho22": dict(help="lower population"),
+    "rho12": dict(help="initial coherence"),
+}
 
-    The grid is dimensionless and must satisfy stop > start >= 0,
-    step > 0, and step < (stop - start)/10.
-    """
-
-    model: ModelSpec
-    grid: tuple[float, float, float]
-    tau_list: tuple[float, ...]
-    output_path: str | None
-    witness_tol: float
-
-    def __post_init__(self) -> None:
-        if not self.tau_list:
-            raise UsageError("at least one lag is required, got an empty tau list")
-        if min(self.tau_list) < 0.0:
-            raise UsageError(f"lags must be nonnegative, got {list(self.tau_list)!r}")
-        start, stop, step = self.grid
-        if not (stop > start >= 0.0):
-            raise UsageError(
-                f"grid must satisfy stop > start >= 0, got start={start!r} stop={stop!r}"
-            )
-        if not step > 0.0:
-            raise UsageError(f"grid must satisfy step > 0, got step={step!r}")
-        if not step < (stop - start) / 10.0:
-            raise UsageError(
-                f"grid must satisfy step < (stop - start)/10, got step={step!r} "
-                f"over window {stop - start!r}"
-            )
-        if self.witness_tol < 0.0:
-            # negative tolerance flips the trigger; allowed, but say so
-            print(
-                f"note: witness tolerance {self.witness_tol!r} is negative; "
-                "the witness will fire on any scan",
-                file=sys.stderr,
-            )
+# numbers the CLI consumes itself; the models range-check their parameters
+_FINITE_KEYS = ("start", "stop", "step", "tau", "witness_tol", "t_min", "t_max")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
+
+
+def _flag(key: str) -> str:
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
 
 
 def _build_parser() -> _Parser:
@@ -98,54 +106,23 @@ def _build_parser() -> _Parser:
         description="Fidelity-difference witness of memory in open-system dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: _Parser) -> None:
-        p.add_argument("--config", help="flat key=value file; flags override it")
-        p.add_argument("--out", help="CSV output path")
-        p.add_argument("--witness-tol", dest="witness_tol", type=float,
-                       help="negativity depth that fires the witness (default 1e-8)")
-        p.add_argument("--start", type=float, help="grid start, dimensionless time")
-        p.add_argument("--stop", type=float, help="grid stop, dimensionless time")
-        p.add_argument("--step", type=float, help="grid step, dimensionless time")
-        p.add_argument("--tau", action="append", type=float,
-                       help="comparison lag, dimensionless; repeatable")
-        p.add_argument("--Gamma", type=float, help="dephasing rate")
-        p.add_argument("--gamma", type=float, help="reservoir memory rate")
-        p.add_argument("--gamma2", type=float,
-                       help="memory rate of the second curve (figure 3 only)")
-        p.add_argument("--lambda", dest="lam", type=float,
-                       help="initial coherence weight, 0 to 4")
-        p.add_argument("--alpha-x", dest="alpha_x", type=float,
-                       help="X-state population parameter, 0 to 1")
-        p.add_argument("--g", type=float, help="atom-field coupling")
-        p.add_argument("--alpha", type=complex,
-                       help="coherent field amplitude, complex accepted")
-        p.add_argument("--n-cut", dest="n_cut", type=int, help="Fock cutoff")
-        p.add_argument("--rho11", type=float, help="upper population")
-        p.add_argument("--rho22", type=float, help="lower population")
-        p.add_argument("--rho12", type=complex, help="initial coherence")
-
-    fig = sub.add_parser("figure", help="write one reference curve as CSV")
-    fig.add_argument("figure_id", type=int, choices=range(1, 6), metavar="1-5")
-    add_common(fig)
-
-    for name, text in (
-        ("witness", "scan the fidelity witness and print a verdict"),
-        ("probe", "fit small-time growth exponents of the Kraus operators"),
-        ("validate", "check channel completeness over a time window"),
+    # each subcommand declares only the options it reads
+    for name, text, run, keys in (
+        ("figure", "write one reference curve as CSV", cmd_figure,
+         ("config", "out", "start", "stop", "step", "tau")),
+        ("witness", "scan the fidelity witness and print a verdict", cmd_witness,
+         ("model", "config", "out", "witness_tol", "start", "stop", "step", "tau")),
+        ("probe", "fit small-time growth exponents of the Kraus operators", cmd_probe,
+         ("model", "config", "out", "t_min", "t_max", "points")),
+        ("validate", "check channel completeness over a time window", cmd_validate,
+         ("model", "config", "start", "stop", "samples")),
     ):
         p = sub.add_parser(name, help=text)
-        p.add_argument("--model", choices=sorted(MODEL_CLASSES), help="model name")
-        add_common(p)
-        if name == "probe":
-            p.add_argument("--t-min", dest="t_min", type=float,
-                           help="probe window start (raw model time)")
-            p.add_argument("--t-max", dest="t_max", type=float,
-                           help="probe window stop (raw model time)")
-            p.add_argument("--points", type=int, help="probe window size, at least 6")
-        if name == "validate":
-            p.add_argument("--samples", type=int,
-                           help="number of sampled times (default 50)")
+        p.set_defaults(run=run)
+        if name == "figure":
+            p.add_argument("figure_id", type=int, choices=range(1, 6), metavar="1-5")
+        for key in keys + _ALL_PARAM_KEYS:
+            p.add_argument(_flag(key), dest=key, type=_CONVERTERS.get(key), **_OPTIONS[key])
     return parser
 
 
@@ -160,72 +137,83 @@ def _load_config(path: str) -> dict[str, str]:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _CONVERTERS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value.strip()
     return values
 
 
-_CONVERTERS = {
-    "start": float, "stop": float, "step": float, "witness_tol": float,
-    "samples": int, "points": int, "n_cut": int,
-    "t_min": float, "t_max": float,
-    "Gamma": float, "lam": float, "gamma": float, "gamma2": float,
-    "alpha_x": float, "g": float, "rho11": float, "rho22": float,
-    "alpha": complex, "rho12": complex,
-    "model": str, "out": str,
-}
+def _merge_config(ns: argparse.Namespace) -> None:
+    """Fill each option the flags left unset from the --config file.
 
-_CONFIG_KEYS = {*_CONVERTERS, "tau"}
-
-
-def _resolve(ns: argparse.Namespace, key: str, config: dict[str, str]):
-    """Flag value if given, else config value, else None."""
-    flag_value = getattr(ns, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        raw = config[key]
+    A key the subcommand has no option for is skipped unconverted, so one
+    file can serve every subcommand.
+    """
+    if not ns.config:
+        return
+    for key, raw in _load_config(ns.config).items():
+        if key not in vars(ns) or getattr(ns, key) is not None:
+            continue
         if key == "tau":
             try:
-                return [float(part) for part in raw.split(",") if part.strip()]
+                value = [float(part) for part in raw.split(",") if part.strip()]
             except ValueError:
                 raise UsageError(f"config tau must be comma-separated floats, got {raw!r}")
-        converter = _CONVERTERS[key]
-        try:
-            return converter(raw)
-        except ValueError:
-            raise UsageError(f"config key {key!r} has malformed value {raw!r}")
-    return None
+        else:
+            try:
+                value = _CONVERTERS[key](raw)
+            except ValueError:
+                raise UsageError(f"config key {key!r} has malformed value {raw!r}")
+        setattr(ns, key, value)
 
 
-def _resolve_witness_tol(ns: argparse.Namespace, config: dict[str, str]) -> float:
-    value = _resolve(ns, "witness_tol", config)
-    if value is not None:
-        return float(value)
+def _check_finite(ns: argparse.Namespace) -> None:
+    for key in _FINITE_KEYS:
+        value = getattr(ns, key, None)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise UsageError(f"{_flag(key)} must be finite, got {value!r}")
+
+
+def _witness_tol(ns: argparse.Namespace) -> float:
+    """--witness-tol or config value, else KRAUS_WITNESS_TOL, else the default."""
+    if ns.witness_tol is not None:
+        return ns.witness_tol
     env = os.environ.get(_ENV_WITNESS_TOL)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise UsageError(f"{_ENV_WITNESS_TOL} must be a float, got {env!r}")
-    return DEFAULT_WITNESS_TOL
+    if env is None:
+        return DEFAULT_WITNESS_TOL
+    try:
+        value = float(env)
+    except ValueError:
+        raise UsageError(f"{_ENV_WITNESS_TOL} must be a float, got {env!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"{_ENV_WITNESS_TOL} must be finite, got {env!r}")
+    return value
 
 
-def _build_spec(name: str, ns: argparse.Namespace, config: dict[str, str],
+def _require_model(ns: argparse.Namespace) -> str:
+    name = ns.model
+    if name is None:
+        raise UsageError("--model is required (or provide model= in the config file)")
+    if name not in MODEL_CLASSES:
+        raise UsageError(
+            f"unknown model {name!r}; choose one of {', '.join(sorted(MODEL_CLASSES))}"
+        )
+    return name
+
+
+def _build_spec(name: str, ns: argparse.Namespace,
                 allow_extra: set[str] = frozenset()) -> ModelSpec:
     cls = MODEL_CLASSES[name]
     # a parameter left unset falls back to the dataclass default
     params = {}
     for key in _ALL_PARAM_KEYS:
-        value = _resolve(ns, key, config)
+        value = getattr(ns, key)
         if value is None:
             continue
         if key in cls.FLAGS:
             params[cls.FLAGS[key]] = value
         elif key not in allow_extra:
-            flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
-            raise UsageError(f"parameter {flag} does not apply to model {name!r}")
+            raise UsageError(f"parameter {_flag(key)} does not apply to model {name!r}")
     try:
         return cls(**params)
     except KrausWitnessError as err:
@@ -233,31 +221,40 @@ def _build_spec(name: str, ns: argparse.Namespace, config: dict[str, str],
         raise UsageError(str(err)) from err
 
 
-def _run_config(spec: ModelSpec, ns: argparse.Namespace, config: dict[str, str],
-                grid_default: tuple[float, float, float] | None = None) -> RunConfig:
-    d_start, d_stop, d_step = grid_default if grid_default is not None else spec.GRID
-    start = _resolve(ns, "start", config)
-    stop = _resolve(ns, "stop", config)
-    step = _resolve(ns, "step", config)
-    taus = _resolve(ns, "tau", config)
-    if taus is None:
-        taus = [spec.TAU]
-    return RunConfig(
-        model=spec,
-        grid=(
-            start if start is not None else d_start,
-            stop if stop is not None else d_stop,
-            step if step is not None else d_step,
-        ),
-        tau_list=tuple(float(t) for t in taus),
-        output_path=_resolve(ns, "out", config),
-        witness_tol=_resolve_witness_tol(ns, config),
-    )
+def _lags(ns: argparse.Namespace, spec: ModelSpec) -> list[float]:
+    taus = ns.tau if ns.tau is not None else [spec.TAU]
+    if not taus:
+        raise UsageError("at least one lag is required, got an empty tau list")
+    if min(taus) < 0.0:
+        raise UsageError(f"lags must be nonnegative, got {taus!r}")
+    return taus
 
 
-def _raw_grid(cfg: RunConfig) -> np.ndarray:
-    rate = cfg.model.rate
-    start, stop, step = cfg.grid
+def _window(ns: argparse.Namespace, default: tuple[float, ...]) -> tuple[float, float]:
+    """Dimensionless --start/--stop, which must satisfy stop > start >= 0."""
+    start = ns.start if ns.start is not None else default[0]
+    stop = ns.stop if ns.stop is not None else default[1]
+    if not (stop > start >= 0.0):
+        raise UsageError(
+            f"grid must satisfy stop > start >= 0, got start={start!r} stop={stop!r}"
+        )
+    return start, stop
+
+
+def _raw_grid(ns: argparse.Namespace, spec: ModelSpec,
+              default: tuple[float, float, float]) -> np.ndarray:
+    """Scan grid in raw model time from the dimensionless window and --step,
+    which must satisfy 0 < step < (stop - start)/10."""
+    start, stop = _window(ns, default)
+    step = ns.step if ns.step is not None else default[2]
+    if not step > 0.0:
+        raise UsageError(f"grid must satisfy step > 0, got step={step!r}")
+    if not step < (stop - start) / 10.0:
+        raise UsageError(
+            f"grid must satisfy step < (stop - start)/10, got step={step!r} "
+            f"over window {stop - start!r}"
+        )
+    rate = spec.rate
     return make_grid(start / rate, stop / rate, step / rate)
 
 
@@ -282,19 +279,16 @@ def _summarize_column(x: np.ndarray, y: np.ndarray, name: str, xname: str) -> st
 
 
 def cmd_figure(ns: argparse.Namespace) -> int:
-    config = _load_config(ns.config) if ns.config else {}
     fid = ns.figure_id
     model_name = _FIGURE_MODEL[fid]
     extra = {"gamma", "gamma2"} if fid == 3 else set()
-    spec = _build_spec(model_name, ns, config, allow_extra=extra)
+    spec = _build_spec(model_name, ns, allow_extra=extra)
+    tau_raw = _lags(ns, spec)[0] / spec.rate
     # figure 3 compares memory kernels over a shorter window than the model's
-    cfg = _run_config(spec, ns, config, grid_default=(0.0, 10.0, 0.02) if fid == 3 else None)
-    rate = spec.rate
-    grid = _raw_grid(cfg)
-    x = grid * rate
+    grid = _raw_grid(ns, spec, (0.0, 10.0, 0.02) if fid == 3 else spec.GRID)
+    x = grid * spec.rate
     xname = spec.ABSCISSA
-    out = cfg.output_path or f"fig{fid}.csv"
-    tau_raw = cfg.tau_list[0] / rate
+    out = ns.out or f"fig{fid}.csv"
 
     # CSV columns are the contract: the abscissa is always named t and holds
     # the dimensionless scaled time shown on the figure axes
@@ -304,17 +298,13 @@ def cmd_figure(ns: argparse.Namespace) -> int:
         print(f"figure 1: wrote {x.size} rows to {out}")
         print(_summarize_column(x, f_values, "F", xname))
     elif fid in (2, 4, 5):
-        scan = scan_G(spec, grid, tau_raw, witness_tol=cfg.witness_tol)
+        scan = scan_G(spec, grid, tau_raw)
         _write_csv(out, ["t", "G"], [x, scan.values])
         print(f"figure {fid}: wrote {x.size} rows to {out}")
         print(_summarize_column(x, scan.values, "G", xname))
     else:
-        gamma_nonmarkov = _resolve(ns, "gamma", config)
-        gamma_markov = _resolve(ns, "gamma2", config)
-        from dataclasses import replace
-
-        slow = replace(spec, gamma=gamma_nonmarkov if gamma_nonmarkov is not None else 0.01)
-        fast = replace(spec, gamma=gamma_markov if gamma_markov is not None else 10.0)
+        slow = replace(spec, gamma=ns.gamma if ns.gamma is not None else 0.01)
+        fast = replace(spec, gamma=ns.gamma2 if ns.gamma2 is not None else 10.0)
         scan_slow = memory_fidelity(slow, grid)
         scan_fast = memory_fidelity(fast, grid)
         _write_csv(
@@ -328,65 +318,55 @@ def cmd_figure(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _require_model(ns: argparse.Namespace, config: dict[str, str]) -> str:
-    name = _resolve(ns, "model", config)
-    if name is None:
-        raise UsageError("--model is required (or provide model= in the config file)")
-    if name not in MODEL_CLASSES:
-        raise UsageError(
-            f"unknown model {name!r}; choose one of {', '.join(sorted(MODEL_CLASSES))}"
-        )
-    return name
-
-
 def cmd_witness(ns: argparse.Namespace) -> int:
-    config = _load_config(ns.config) if ns.config else {}
-    name = _require_model(ns, config)
-    spec = _build_spec(name, ns, config)
-    cfg = _run_config(spec, ns, config)
+    name = _require_model(ns)
+    spec = _build_spec(name, ns)
+    witness_tol = _witness_tol(ns)
+    taus = _lags(ns, spec)
+    grid = _raw_grid(ns, spec, spec.GRID)
+    if witness_tol < 0.0:
+        # negative tolerance flips the trigger; allowed, but say so
+        print(
+            f"note: witness tolerance {witness_tol!r} is negative; "
+            "the witness will fire on any scan",
+            file=sys.stderr,
+        )
     rate = spec.rate
-    grid = _raw_grid(cfg)
     xname = spec.ABSCISSA
 
     verdict = markovianity_verdict(
         spec,
-        tau_list=tuple(tau / rate for tau in cfg.tau_list),
+        tau_list=tuple(tau / rate for tau in taus),
         t_grid=grid,
-        witness_tol=cfg.witness_tol,
+        witness_tol=witness_tol,
     )
     columns = [grid * rate]
     header = [xname]
-    for tau, scan in zip(cfg.tau_list, verdict.scans):
+    for tau, scan in zip(taus, verdict.scans):
         print(
             f"tau={tau:g}: min G = {scan.min_value:+.6e} at {xname} = "
             f"{scan.min_at * rate:.6g}, max G = {scan.max_value:+.6e}"
         )
         header.append(f"G_tau={tau:g}")
         columns.append(scan.values)
-    if cfg.output_path:
-        _write_csv(cfg.output_path, header, columns)
-        print(f"wrote {grid.size} rows to {cfg.output_path}")
+    if ns.out:
+        _write_csv(ns.out, header, columns)
+        print(f"wrote {grid.size} rows to {ns.out}")
     print(f"verdict: {verdict.outcome}")
     return 3 if verdict.outcome == NON_MARKOVIAN_WITNESSED else 0
 
 
 def cmd_probe(ns: argparse.Namespace) -> int:
-    config = _load_config(ns.config) if ns.config else {}
-    name = _require_model(ns, config)
-    spec = _build_spec(name, ns, config)
-    t_min = _resolve(ns, "t_min", config)
-    t_max = _resolve(ns, "t_max", config)
-    points = _resolve(ns, "points", config)
-    if any(v is not None for v in (t_min, t_max, points)):
-        lo = t_min if t_min is not None else 1e-4
-        hi = t_max if t_max is not None else 1e-2
-        count = points if points is not None else 12
-        if not (0.0 < lo < hi):
-            raise UsageError(f"probe window must satisfy 0 < t-min < t-max, got [{lo!r}, {hi!r}]")
-        window = np.geomspace(lo, hi, count)
-    else:
-        window = None
-    report = small_time_exponents(spec, window)
+    name = _require_model(ns)
+    spec = _build_spec(name, ns)
+    lo = ns.t_min if ns.t_min is not None else 1e-4
+    hi = ns.t_max if ns.t_max is not None else 1e-2
+    count = ns.points if ns.points is not None else 12
+    if not (0.0 < lo < hi):
+        raise UsageError(f"probe window must satisfy 0 < t-min < t-max, got [{lo!r}, {hi!r}]")
+    if count < 0:
+        raise UsageError(f"--points must be nonnegative, got {count!r}")
+    report = small_time_exponents(spec, np.geomspace(lo, hi, count))
     print(f"model {name}: window [{report.window[0]:g}, {report.window[-1]:g}] "
           f"({report.window.size} points)")
     print(f"{'op':>4} {'exponent':>10} {'residual':>10}  classification")
@@ -396,10 +376,9 @@ def cmd_probe(ns: argparse.Namespace) -> int:
         print(f"{fit.index:>3}{marker} {fit.exponent:>10.4f} {fit.residual:>10.2e}"
               f"  {fit.classification}{note}")
     print(f"family classification: {report.classification}")
-    out = _resolve(ns, "out", config)
-    if out:
+    if ns.out:
         _write_csv(
-            out,
+            ns.out,
             ["op", "exponent", "residual"],
             [
                 np.array([f.index for f in report.fits], dtype=float),
@@ -407,23 +386,20 @@ def cmd_probe(ns: argparse.Namespace) -> int:
                 np.array([f.residual for f in report.fits]),
             ],
         )
-        print(f"wrote {len(report.fits)} rows to {out}")
+        print(f"wrote {len(report.fits)} rows to {ns.out}")
     return 0
 
 
 def cmd_validate(ns: argparse.Namespace) -> int:
-    config = _load_config(ns.config) if ns.config else {}
-    name = _require_model(ns, config)
-    spec = _build_spec(name, ns, config)
-    cfg = _run_config(spec, ns, config)
-    samples = _resolve(ns, "samples", config)
-    samples = samples if samples is not None else 50
+    name = _require_model(ns)
+    spec = _build_spec(name, ns)
+    start, stop = _window(ns, spec.GRID)
+    samples = ns.samples if ns.samples is not None else 50
     if samples < 2:
         raise UsageError(f"--samples must be at least 2, got {samples!r}")
     # building the reference state exercises the cutoff certificate
     model_state(spec, 0.0)
     rate = spec.rate
-    start, stop, _ = cfg.grid
     times = np.linspace(start / rate, stop / rate, samples)
     from .channels import channel_defect
 
@@ -443,17 +419,10 @@ def cmd_validate(ns: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = _build_parser()
-        ns = parser.parse_args(argv)
-        if ns.command == "figure":
-            return cmd_figure(ns)
-        if ns.command == "witness":
-            return cmd_witness(ns)
-        if ns.command == "probe":
-            return cmd_probe(ns)
-        if ns.command == "validate":
-            return cmd_validate(ns)
-        raise UsageError(f"unknown command {ns.command!r}")
+        ns = _build_parser().parse_args(argv)
+        _merge_config(ns)
+        _check_finite(ns)
+        return ns.run(ns)
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if code is not None else 0

@@ -28,6 +28,11 @@ _PIVOT_SKIP = 1e-300
 _MAX_SWEEPS = 100
 _OFFDIAG_TARGET = 1e-14
 
+# largest max|M - M^dagger| hermitian_eig accepts
+_HERMITIAN_TOL = 1e-10
+# psd_sqrt clamps eigenvalues in [-_PSD_CLAMP, 0) to zero and rejects lower ones
+_PSD_CLAMP = 1e-10
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -116,32 +121,32 @@ def _jacobi(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(a).real.copy(), v
 
 
-def hermitian_eig(mat: np.ndarray, tol: float = 1e-10) -> Spectrum:
+def hermitian_eig(mat: np.ndarray) -> Spectrum:
     """Diagonalize a Hermitian matrix.
 
-    Raises NonHermitian if max|M - M^dagger| exceeds ``tol``; the iteration
+    Raises NonHermitian if max|M - M^dagger| exceeds 1e-10; the iteration
     then runs on the Hermitized average (M + M^dagger)/2.
     """
     arr = _as_square(mat)
     defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if defect > tol:
-        raise NonHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
+    if defect > _HERMITIAN_TOL:
+        raise NonHermitian(f"Hermiticity defect {defect:.3e} exceeds {_HERMITIAN_TOL:.1e}")
     sym = 0.5 * (arr + arr.conj().T)
     w, v = _jacobi(sym)
     order = np.argsort(w, kind="stable")
     return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
-def psd_sqrt(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Principal square root of a positive semidefinite Hermitian matrix.
 
-    Eigenvalues in [-tol, 0) are treated as rounding images of zero and
-    clamped; anything below -tol raises NotPSD.
+    Eigenvalues in [-1e-10, 0) are treated as rounding images of zero and
+    clamped; anything below -1e-10 raises NotPSD.
     """
-    spec = hermitian_eig(mat, tol=1e-10)
+    spec = hermitian_eig(mat)
     w = spec.eigenvalues
-    if w[0] < -tol:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below the -{tol:.1e} clamping window")
+    if w[0] < -_PSD_CLAMP:
+        raise NotPSD(f"eigenvalue {w[0]:.3e} below the -{_PSD_CLAMP:.1e} clamping window")
     w = np.clip(w, 0.0, None)
     v = spec.eigenvectors
     root = (v * np.sqrt(w)) @ v.conj().T

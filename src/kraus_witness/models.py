@@ -21,6 +21,7 @@ with no pruning of zero operators.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -180,6 +181,8 @@ class _JaynesCummings(ModelSpec):
 
     def __post_init__(self) -> None:
         _check_rate(self.g, "g")
+        if not cmath.isfinite(self.alpha_c):
+            raise ParamOutOfRange(f"alpha_c must be finite, got {self.alpha_c!r}")
         if self.n_max is not None and self.n_max < 1:
             raise ParamOutOfRange(f"n_max must be at least 1, got {self.n_max!r}")
 
@@ -278,6 +281,10 @@ MODEL_CLASSES: dict[str, type[ModelSpec]] = {
 
 
 def _validate_ck_entries(rho11: float, rho22: float, rho12: complex) -> None:
+    if not all(cmath.isfinite(v) for v in (rho11, rho22, rho12)):
+        raise InvalidInitialState(
+            f"entries must be finite, got ({rho11!r}, {rho22!r}, {rho12!r})"
+        )
     if rho11 < 0.0 or rho22 < 0.0:
         raise InvalidInitialState(
             f"populations must be nonnegative, got ({rho11!r}, {rho22!r})"

@@ -8,7 +8,6 @@ operator, then the family as a whole.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +117,7 @@ def small_time_exponents(
         family = lambda t: model_channel(model, t)  # noqa: E731
         label = model.NAME
 
-    base = family(0.0)
-    ops0 = base.operators
+    ops0 = family(0.0).operators
     norms0 = np.array([np.linalg.norm(k) for k in ops0])
     scale = max(1.0, float(norms0.max()))
     leading = int(np.argmax(norms0))
@@ -129,47 +127,22 @@ def small_time_exponents(
     fitted_nonleading = False
     for idx in range(len(ops0)):
         constant = norms0[idx] > 1e-12 * scale
-        if constant:
-            series = np.array(
-                [np.linalg.norm(ch.operators[idx] - ops0[idx]) for ch in channels]
-            )
-        else:
-            series = np.array([np.linalg.norm(ch.operators[idx]) for ch in channels])
+        base = ops0[idx] if constant else 0.0
+        series = np.array([np.linalg.norm(ch.operators[idx] - base) for ch in channels])
         zero_mask = series <= _ZERO_FLOOR
+        exponent = residual = 0.0
         if np.all(zero_mask):
-            fits.append(
-                OperatorFit(
-                    index=idx,
-                    exponent=0.0,
-                    residual=0.0,
-                    classification=UNCLASSIFIED,
-                    constant_at_zero=constant,
-                    leading=idx == leading,
-                    note="identically zero over the window",
-                )
-            )
-            continue
-        if np.any(zero_mask):
-            fits.append(
-                OperatorFit(
-                    index=idx,
-                    exponent=0.0,
-                    residual=0.0,
-                    classification=UNCLASSIFIED,
-                    constant_at_zero=constant,
-                    leading=idx == leading,
-                    note="vanishes inside the window, no power law",
-                )
-            )
-            continue
-        exponent, residual = _loglog_fit(t_grid, series)
-        if constant:
-            classification = CONST_IDENTITY_DEFICIT
-            note = "deficit fit against the t = 0 operator"
+            classification, note = UNCLASSIFIED, "identically zero over the window"
+        elif np.any(zero_mask):
+            classification, note = UNCLASSIFIED, "vanishes inside the window, no power law"
         else:
-            classification, note = _classify(exponent)
-        if idx != leading:
-            fitted_nonleading = True
+            exponent, residual = _loglog_fit(t_grid, series)
+            if constant:
+                classification = CONST_IDENTITY_DEFICIT
+                note = "deficit fit against the t = 0 operator"
+            else:
+                classification, note = _classify(exponent)
+            fitted_nonleading |= idx != leading
         fits.append(
             OperatorFit(
                 index=idx,

@@ -66,6 +66,15 @@ class TestKrausChannel:
         with pytest.raises(DimensionMismatch):
             KrausChannel((np.eye(2),), valid_dim=3)
 
+    def test_equality_is_identity(self):
+        ch = ye_markov_channel(1.0)
+        assert ch == ch
+        assert (ye_markov_channel(1.0) == ye_markov_channel(1.0)) is False
+        lset = ye_markov_lindblad()
+        assert lset == lset
+        assert (ye_markov_lindblad() == ye_markov_lindblad()) is False
+        assert len({lset, lset}) == 1
+
 
 class TestValidateCptp:
     def test_identity(self):

@@ -135,6 +135,18 @@ class TestWitnessCommand:
         assert main(["witness", "--model", "ye-markov", "--witness-tol", "1e-8"]) == 0
         capsys.readouterr()
 
+    def test_nonfinite_env_tolerance(self, monkeypatch, capsys):
+        monkeypatch.setenv("KRAUS_WITNESS_TOL", "nan")
+        assert main(["witness", "--model", "ck"]) == 1
+        assert "KRAUS_WITNESS_TOL must be finite" in capsys.readouterr().err
+
+    def test_env_read_by_witness_only(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("KRAUS_WITNESS_TOL", "abc")
+        assert main(["validate", "--model", "ck"]) == 0
+        assert main(["figure", "5", "--out", str(tmp_path / "f5.csv")]) == 0
+        assert main(["witness", "--model", "ck"]) == 1
+        capsys.readouterr()
+
 
 class TestProbeCommand:
     def test_sqrt_family(self, capsys):
@@ -180,6 +192,11 @@ class TestValidateCommand:
         assert main(["validate", "--model", "ck", "--samples", "1"]) == 1
         capsys.readouterr()
 
+    def test_narrow_window(self, capsys):
+        # validate samples its window and has no grid step to compare against
+        assert main(["validate", "--model", "ck", "--start", "0", "--stop", "0.01"]) == 0
+        assert "over 50 times" in capsys.readouterr().out
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -192,9 +209,25 @@ class TestUsageErrors:
             ["figure", "9"],
             ["witness", "--model", "ck", "--tau", "-1"],
             ["witness", "--model", "ck", "--seed", "3"],
+            ["figure", "2", "--witness-tol", "1e-8"],
+            ["probe", "--model", "ck", "--tau", "1"],
+            ["validate", "--model", "ck", "--out", "x.csv"],
+            ["witness", "--model", "ck", "--stop", "inf"],
+            ["witness", "--model", "ck", "--tau", "inf"],
+            ["witness", "--model", "ck", "--tau", "nan"],
+            ["witness", "--model", "ck", "--witness-tol", "nan"],
+            ["witness", "--model", "ck", "--rho11", "nan"],
+            ["witness", "--model", "ck", "--rho12", "nan"],
+            ["witness", "--model", "jcm-photon", "--alpha", "nan"],
+            ["witness", "--model", "jcm-photon", "--alpha", "inf"],
+            ["probe", "--model", "ck", "--t-max", "inf"],
+            ["probe", "--model", "ck", "--points", "-1"],
+            ["validate", "--model", "ck", "--stop", "inf"],
         ],
         ids=["zero-step", "inapplicable-param", "unknown-model", "missing-model", "bad-figure",
-             "negative-lag", "seed-flag"],
+             "negative-lag", "seed-flag", "figure-witness-tol", "probe-tau", "validate-out",
+             "inf-stop", "inf-lag", "nan-lag", "nan-witness-tol", "nan-rho11", "nan-rho12",
+             "nan-alpha", "inf-alpha", "inf-t-max", "negative-points", "validate-inf-stop"],
     )
     def test_exit_code_one(self, argv, capsys):
         assert main(argv) == 1
@@ -253,6 +286,29 @@ class TestConfigFile:
         conf.write_text("model = ck\ntau = ,\n")
         assert main(["witness", "--config", str(conf)]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_key_for_other_subcommand_ignored(self, tmp_path, capsys):
+        # witness has no --samples, so the value is never converted
+        conf = tmp_path / "w.conf"
+        conf.write_text("model = ck\nsamples = abc\n")
+        assert main(["witness", "--config", str(conf)]) == 0
+        capsys.readouterr()
+
+    def test_one_file_serves_every_subcommand(self, tmp_path, capsys):
+        conf = tmp_path / "all.conf"
+        conf.write_text("model = ck\nsamples = 5\ntau = 1, 2\npoints = 8\n")
+        assert main(["witness", "--config", str(conf)]) == 0
+        assert "tau=2" in capsys.readouterr().out
+        assert main(["validate", "--config", str(conf)]) == 0
+        assert "over 5 times" in capsys.readouterr().out
+        assert main(["probe", "--config", str(conf)]) == 0
+        assert "(8 points)" in capsys.readouterr().out
+
+    def test_nonfinite_value_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "w.conf"
+        conf.write_text("model = ck\nstop = inf\n")
+        assert main(["witness", "--config", str(conf)]) == 1
+        assert "--stop must be finite" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["witness", "--config", str(tmp_path / "absent.conf")]) in (1, 2)

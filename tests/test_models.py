@@ -110,6 +110,23 @@ class TestSpecValidation:
             # coherence above the positivity ceiling sqrt(rho11 rho22)
             CKDephase(rho11=0.5, rho22=0.5, rho12=0.8)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [dict(rho11=math.nan, rho22=0.5), dict(rho12=complex(math.nan, 0.0))],
+    )
+    def test_ck_nonfinite_entries(self, entries):
+        with pytest.raises(InvalidInitialState):
+            CKDephase(**entries)
+
+    @pytest.mark.parametrize("cls", [JCMQubit, JCMPhoton])
+    @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(math.inf, 0.0),
+                                       complex(0.0, -math.inf)])
+    def test_jcm_nonfinite_field(self, cls, alpha):
+        with pytest.raises(ParamOutOfRange):
+            cls(alpha_c=alpha)
+        with pytest.raises(ParamOutOfRange):
+            cls(alpha_c=alpha, n_max=10)
+
 
 class TestExponentialDephasing:
     def test_time_zero_is_identity(self):
