@@ -55,28 +55,18 @@ from .models import (
     YENonMarkov,
     build_model,
     ck_channel,
-    ck_fidelity,
-    ck_lindblad,
-    ck_map_state,
     coherent_amplitudes,
     default_fock_cutoff,
     jcm_photon_channel,
-    jcm_photon_initial,
-    jcm_photon_state,
     jcm_qubit_channel,
-    jcm_qubit_state,
-    jcm_vacuum_fidelity,
     model_channel,
     model_closed_fidelity,
     model_state,
     ye_markov_channel,
     ye_markov_fidelity,
     ye_markov_lindblad,
-    ye_markov_state,
     ye_nonmarkov_channel,
     ye_nonmarkov_decay,
-    ye_nonmarkov_fidelity,
-    ye_nonmarkov_state,
 )
 from .probes import (
     CONST_IDENTITY_DEFICIT,

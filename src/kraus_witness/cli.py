@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -202,7 +201,8 @@ def _require_model(ns: argparse.Namespace) -> str:
 
 
 def _build_spec(name: str, ns: argparse.Namespace,
-                allow_extra: set[str] = frozenset()) -> ModelSpec:
+                allow_extra: set[str] = frozenset(), **fixed: object) -> ModelSpec:
+    """Model spec from the parameter flags; ``fixed`` fields override them."""
     cls = MODEL_CLASSES[name]
     # a parameter left unset falls back to the dataclass default
     params = {}
@@ -214,6 +214,7 @@ def _build_spec(name: str, ns: argparse.Namespace,
             params[cls.FLAGS[key]] = value
         elif key not in allow_extra:
             raise UsageError(f"parameter {_flag(key)} does not apply to model {name!r}")
+    params.update(fixed)
     try:
         return cls(**params)
     except KrausWitnessError as err:
@@ -303,8 +304,10 @@ def cmd_figure(ns: argparse.Namespace) -> int:
         print(f"figure {fid}: wrote {x.size} rows to {out}")
         print(_summarize_column(x, scan.values, "G", xname))
     else:
-        slow = replace(spec, gamma=ns.gamma if ns.gamma is not None else 0.01)
-        fast = replace(spec, gamma=ns.gamma2 if ns.gamma2 is not None else 10.0)
+        slow = _build_spec(model_name, ns, allow_extra=extra,
+                           gamma=ns.gamma if ns.gamma is not None else 0.01)
+        fast = _build_spec(model_name, ns, allow_extra=extra,
+                           gamma=ns.gamma2 if ns.gamma2 is not None else 10.0)
         scan_slow = memory_fidelity(slow, grid)
         scan_fast = memory_fidelity(fast, grid)
         _write_csv(

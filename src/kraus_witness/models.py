@@ -2,8 +2,11 @@
 
 Four families, each exposing the same three faces: a Kraus channel at time t,
 the evolved reference state, and (where one exists) a closed-form fidelity
-between the states at two times.  The channel and closed-form routes are kept
-fully independent so the test suite can play them against each other.
+between the states at two times.  Each model class holds its own formulas;
+only the channel builders, ye_markov_fidelity and ye_markov_lindblad stay
+free functions, which the classes call.  The channel and closed-form routes
+are kept fully independent so the test suite can play them against each
+other.
 
 Models
 ------
@@ -119,7 +122,10 @@ class YEMarkov(ModelSpec):
         return ye_markov_channel(t, self.Gamma)
 
     def state(self, t: float) -> np.ndarray:
-        return ye_markov_state(t, self.Gamma, self.lam)
+        """Populations (1,4,4,0)/9, central coherence lam e^(-Gamma t)/9."""
+        t = _check_time(t)
+        coherence = self.lam * math.exp(-self.Gamma * t) / 9.0
+        return _dephase_state((1 / 9, 4 / 9, 4 / 9, 0.0), coherence)
 
     def closed_fidelity(self, t: float, tau: float) -> float:
         return ye_markov_fidelity(t, tau, self.Gamma, self.lam)
@@ -160,10 +166,24 @@ class YENonMarkov(ModelSpec):
         return ye_nonmarkov_channel(t, self.Gamma, self.gamma)
 
     def state(self, t: float) -> np.ndarray:
-        return ye_nonmarkov_state(t, self)
+        """X state: populations (alpha_x, 1, 1, 1 - alpha_x)/3, central
+        coherence p(t)^2/3."""
+        d = ye_nonmarkov_decay(t, self.Gamma, self.gamma)
+        a = self.alpha_x
+        return _dephase_state((a / 3, 1 / 3, 1 / 3, (1.0 - a) / 3), d.p_t ** 2 / 3.0)
 
     def closed_fidelity(self, t: float, tau: float) -> float:
-        return ye_nonmarkov_fidelity(t, tau, self)
+        t = _check_time(t)
+        tau = _check_time(tau)
+        d1 = ye_nonmarkov_decay(t, self.Gamma, self.gamma)
+        d2 = ye_nonmarkov_decay(t + tau, self.Gamma, self.gamma)
+        # 1 - p^2 = q^2 exactly through expm1, so the small-f branch keeps digits
+        value = (
+            1.0
+            + math.sqrt((1.0 + d1.p_t ** 2) * (1.0 + d2.p_t ** 2))
+            + d1.q_t * d2.q_t
+        ) ** 2 / 9.0
+        return min(value, 1.0)
 
 
 @dataclass(frozen=True)
@@ -209,12 +229,34 @@ class JCMQubit(_JaynesCummings):
         return jcm_qubit_channel(t, self)
 
     def state(self, t: float) -> np.ndarray:
-        return jcm_qubit_state(t, self)
+        """Reduced atom state at time t for an initially excited atom."""
+        t = _check_time(t)
+        amps = coherent_amplitudes(self.alpha_c, self.cutoff)
+        g = self.g
+        weights = np.abs(amps) ** 2
+        n_grid = np.arange(self.cutoff + 1)
+        theta_up = g * t * np.sqrt(n_grid + 1.0)
+        pop_up = float(np.sum(weights * np.cos(theta_up) ** 2))
+        theta_dn = g * t * np.sqrt(n_grid[1:].astype(float))
+        pop_dn = float(np.sum(weights[: self.cutoff] * np.sin(theta_dn) ** 2))
+        coherence = 1j * np.sum(
+            np.cos(theta_up[1:]) * np.sin(theta_dn) * amps[1:] * np.conj(amps[:-1])
+        )
+        return np.array(
+            [[pop_up, coherence], [np.conj(coherence), pop_dn]], dtype=np.complex128
+        )
 
     def closed_fidelity(self, t: float, tau: float) -> float | None:
-        if self.alpha_c == 0:
-            return jcm_vacuum_fidelity(t, tau, self.g)
-        return None
+        # the closed form covers the vacuum field only; pi/g periodic in t
+        if self.alpha_c != 0:
+            return None
+        t = _check_time(t)
+        tau = _check_time(tau)
+        g = self.g
+        c1, s1 = math.cos(g * t), math.sin(g * t)
+        c2, s2 = math.cos(g * (t + tau)), math.sin(g * (t + tau))
+        value = (abs(c1 * c2) + abs(s1 * s2)) ** 2
+        return min(value, 1.0)
 
 
 @dataclass(frozen=True)
@@ -233,7 +275,14 @@ class JCMPhoton(_JaynesCummings):
         return jcm_photon_channel(t, self.g, self.cutoff)
 
     def state(self, t: float) -> np.ndarray:
-        return jcm_photon_state(t, self)
+        """Field state at time t, starting from the truncated coherent
+        projector embedded in the padded field space."""
+        vec = np.zeros(self.dim, dtype=np.complex128)
+        vec[: self.cutoff + 1] = coherent_amplitudes(self.alpha_c, self.cutoff)
+        rho0 = np.outer(vec, vec.conj())
+        if t == 0.0:
+            return rho0
+        return apply(jcm_photon_channel(t, self.g, self.cutoff), rho0)
 
 
 @dataclass(frozen=True)
@@ -255,7 +304,22 @@ class CKDephase(ModelSpec):
     FLAGS = {"rho11": "rho11", "rho22": "rho22", "rho12": "rho12"}
 
     def __post_init__(self) -> None:
-        _validate_ck_entries(self.rho11, self.rho22, self.rho12)
+        rho11, rho22, rho12 = self.rho11, self.rho22, self.rho12
+        if not all(cmath.isfinite(v) for v in (rho11, rho22, rho12)):
+            raise InvalidInitialState(
+                f"entries must be finite, got ({rho11!r}, {rho22!r}, {rho12!r})"
+            )
+        if rho11 < 0.0 or rho22 < 0.0:
+            raise InvalidInitialState(
+                f"populations must be nonnegative, got ({rho11!r}, {rho22!r})"
+            )
+        if abs(rho11 + rho22 - 1.0) > 1e-12:
+            raise InvalidInitialState(f"populations must sum to 1, got {rho11 + rho22!r}")
+        det = rho11 * rho22 - abs(rho12) ** 2
+        if det < -1e-12:
+            raise InvalidInitialState(
+                f"coherence too large: rho11*rho22 - |rho12|^2 = {det:.3e}"
+            )
         if self.t0 < 0.0:
             raise ParamOutOfRange(f"t0 must be nonnegative, got {self.t0!r}")
 
@@ -263,41 +327,33 @@ class CKDephase(ModelSpec):
         return ck_channel(t, self.t0)
 
     def state(self, t: float) -> np.ndarray:
-        return ck_map_state(t, self)
+        """Populations frozen, coherence scaled by cos(t - t0); times before
+        t0 are refused, as by the channel."""
+        t = _check_start(t, self.t0)
+        off = self.rho12 * math.cos(t - self.t0)
+        return np.array(
+            [[self.rho11, off], [np.conj(off), self.rho22]], dtype=np.complex128
+        )
 
     def closed_fidelity(self, t: float, tau: float) -> float | None:
         # the closed form covers the default, maximally coherent start only
-        if (self.rho11, self.rho22, self.rho12, self.t0) == (0.5, 0.5, 0.5 + 0j, 0.0):
-            return ck_fidelity(t, tau)
-        return None
+        if (self.rho11, self.rho22, self.rho12, self.t0) != (0.5, 0.5, 0.5 + 0j, 0.0):
+            return None
+        t = _check_time(t)
+        tau = _check_time(tau)
+        c1, c2 = math.cos(t), math.cos(t + tau)
+        value = 0.5 * (1.0 + c1 * c2 + abs(math.sin(t) * math.sin(t + tau)))
+        return min(value, 1.0)
 
     def lindblad(self) -> LindbladSet:
-        return ck_lindblad()
+        """Memory-kernel operator set for the cosine-revival model."""
+        sz = np.diag([1.0, -1.0]).astype(np.complex128)
+        return LindbladSet((sz,), rate=0.5)
 
 
 MODEL_CLASSES: dict[str, type[ModelSpec]] = {
     cls.NAME: cls for cls in (YEMarkov, YENonMarkov, JCMQubit, JCMPhoton, CKDephase)
 }
-
-
-def _validate_ck_entries(rho11: float, rho22: float, rho12: complex) -> None:
-    if not all(cmath.isfinite(v) for v in (rho11, rho22, rho12)):
-        raise InvalidInitialState(
-            f"entries must be finite, got ({rho11!r}, {rho22!r}, {rho12!r})"
-        )
-    if rho11 < 0.0 or rho22 < 0.0:
-        raise InvalidInitialState(
-            f"populations must be nonnegative, got ({rho11!r}, {rho22!r})"
-        )
-    if abs(rho11 + rho22 - 1.0) > 1e-12:
-        raise InvalidInitialState(
-            f"populations must sum to 1, got {rho11 + rho22!r}"
-        )
-    det = rho11 * rho22 - abs(rho12) ** 2
-    if det < -1e-12:
-        raise InvalidInitialState(
-            f"coherence too large: rho11*rho22 - |rho12|^2 = {det:.3e}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +362,16 @@ def _validate_ck_entries(rho11: float, rho22: float, rho12: complex) -> None:
 
 @dataclass(frozen=True)
 class DecayFunctions:
-    """Scalar decay profile of the dephasing families at one instant.
+    """Scalar decay profile of the memory branch at one instant: p_t and q_t
+    with p^2 + q^2 = 1, and the integrated decay exponent f_t behind p_t."""
 
-    gamma_t/omega_t drive the semigroup branch, p_t/q_t the memory branch;
-    f_t is the integrated decay exponent behind p_t.
-    """
-
-    gamma_t: float
-    omega_t: float
     p_t: float
     q_t: float
     f_t: float
 
 
 def ye_nonmarkov_decay(t: float, Gamma: float, gamma: float) -> DecayFunctions:
-    """Evaluate all decay functions at time t.
+    """Evaluate the memory-branch decay functions at time t.
 
     f(t) = (Gamma/2) (t + (exp(-gamma t) - 1)/gamma) grows from ~Gamma gamma
     t^2/4 at small times to ~Gamma t/2 once t >> 1/gamma.  expm1 keeps both
@@ -331,11 +382,9 @@ def ye_nonmarkov_decay(t: float, Gamma: float, gamma: float) -> DecayFunctions:
     gamma = _check_rate(gamma, "gamma")
     f = 0.5 * Gamma * (t + math.expm1(-gamma * t) / gamma)
     f = max(f, 0.0)
-    gamma_t = math.exp(-0.5 * Gamma * t)
-    omega_t = math.sqrt(-math.expm1(-Gamma * t))
     p_t = math.exp(-f)
     q_t = math.sqrt(-math.expm1(-2.0 * f))
-    return DecayFunctions(gamma_t=gamma_t, omega_t=omega_t, p_t=p_t, q_t=q_t, f_t=f)
+    return DecayFunctions(p_t=p_t, q_t=q_t, f_t=f)
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +421,6 @@ def ye_markov_channel(t: float, Gamma: float = 1.0) -> KrausChannel:
     return KrausChannel(_dephase_kraus(c, s), label="ye-markov")
 
 
-def ye_markov_state(t: float, Gamma: float = 1.0, lam: float = 0.5) -> np.ndarray:
-    """Evolved reference state: populations (1,4,4,0)/9, central coherence
-    lam e^(-Gamma t)/9."""
-    t = _check_time(t)
-    Gamma = _check_rate(Gamma, "Gamma")
-    if not 0.0 <= lam <= 4.0:
-        raise ParamOutOfRange(f"lam must lie in [0, 4], got {lam!r}")
-    coherence = lam * math.exp(-Gamma * t) / 9.0
-    return _dephase_state((1 / 9, 4 / 9, 4 / 9, 0.0), coherence)
-
-
 def ye_markov_fidelity(t: float, tau: float, Gamma: float = 1.0, lam: float = 0.5) -> float:
     """Closed-form fidelity between the reference states at t and t + tau.
 
@@ -414,29 +452,6 @@ def ye_nonmarkov_channel(t: float, Gamma: float = 1.0, gamma: float = 1e-4) -> K
     the exponential pair."""
     d = ye_nonmarkov_decay(t, Gamma, gamma)
     return KrausChannel(_dephase_kraus(d.p_t, d.q_t), label="ye-nonmarkov")
-
-
-def ye_nonmarkov_state(t: float, spec: YENonMarkov) -> np.ndarray:
-    """Evolved X state: populations (alpha_x, 1, 1, 1 - alpha_x)/3, central
-    coherence p(t)^2/3."""
-    d = ye_nonmarkov_decay(t, spec.Gamma, spec.gamma)
-    a = spec.alpha_x
-    return _dephase_state((a / 3, 1 / 3, 1 / 3, (1.0 - a) / 3), d.p_t ** 2 / 3.0)
-
-
-def ye_nonmarkov_fidelity(t: float, tau: float, spec: YENonMarkov) -> float:
-    """Closed-form fidelity between the X states at t and t + tau."""
-    t = _check_time(t)
-    tau = _check_time(tau)
-    d1 = ye_nonmarkov_decay(t, spec.Gamma, spec.gamma)
-    d2 = ye_nonmarkov_decay(t + tau, spec.Gamma, spec.gamma)
-    # 1 - p^2 = q^2 exactly through expm1, so the small-f branch keeps digits
-    value = (
-        1.0
-        + math.sqrt((1.0 + d1.p_t ** 2) * (1.0 + d2.p_t ** 2))
-        + d1.q_t * d2.q_t
-    ) ** 2 / 9.0
-    return min(value, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,37 +505,6 @@ def jcm_qubit_channel(t: float, spec: JCMQubit) -> KrausChannel:
     return KrausChannel(ops, label="jcm-qubit")
 
 
-def jcm_qubit_state(t: float, spec: JCMQubit) -> np.ndarray:
-    """Reduced atom state at time t for an initially excited atom."""
-    t = _check_time(t)
-    amps = coherent_amplitudes(spec.alpha_c, spec.cutoff)
-    g = spec.g
-    weights = np.abs(amps) ** 2
-    n_grid = np.arange(spec.cutoff + 1)
-    theta_up = g * t * np.sqrt(n_grid + 1.0)
-    pop_up = float(np.sum(weights * np.cos(theta_up) ** 2))
-    theta_dn = g * t * np.sqrt(n_grid[1:].astype(float))
-    pop_dn = float(np.sum(weights[: spec.cutoff] * np.sin(theta_dn) ** 2))
-    coherence = 1j * np.sum(
-        np.cos(theta_up[1:]) * np.sin(theta_dn) * amps[1:] * np.conj(amps[:-1])
-    )
-    return np.array(
-        [[pop_up, coherence], [np.conj(coherence), pop_dn]], dtype=np.complex128
-    )
-
-
-def jcm_vacuum_fidelity(t: float, tau: float, g: float = 1.0) -> float:
-    """Closed-form fidelity between the vacuum-field atom states at t and
-    t + tau; pi/g periodic in t."""
-    t = _check_time(t)
-    tau = _check_time(tau)
-    g = _check_rate(g, "g")
-    c1, s1 = math.cos(g * t), math.sin(g * t)
-    c2, s2 = math.cos(g * (t + tau)), math.sin(g * (t + tau))
-    value = (abs(c1 * c2) + abs(s1 * s2)) ** 2
-    return min(value, 1.0)
-
-
 def jcm_photon_channel(t: float, g: float = 1.0, n_cut: int = 20) -> KrausChannel:
     """Field-sector channel on Fock levels 0..n_cut + 1.
 
@@ -535,22 +519,6 @@ def jcm_photon_channel(t: float, g: float = 1.0, n_cut: int = 20) -> KrausChanne
     stay = np.diag(np.cos(theta))
     emit = np.diag(-1j * np.sin(theta[:-1]), k=-1)
     return KrausChannel((stay, emit), label="jcm-photon", valid_dim=n_cut + 1)
-
-
-def jcm_photon_state(t: float, spec: JCMPhoton) -> np.ndarray:
-    """Field state at time t, starting from the truncated coherent state."""
-    rho0 = jcm_photon_initial(spec)
-    if t == 0.0:
-        return rho0
-    return apply(jcm_photon_channel(t, spec.g, spec.cutoff), rho0)
-
-
-def jcm_photon_initial(spec: JCMPhoton) -> np.ndarray:
-    """Truncated coherent projector embedded in the padded field space."""
-    amps = coherent_amplitudes(spec.alpha_c, spec.cutoff)
-    vec = np.zeros(spec.dim, dtype=np.complex128)
-    vec[: spec.cutoff + 1] = amps
-    return np.outer(vec, vec.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -571,34 +539,6 @@ def ck_channel(t: float, t0: float = 0.0) -> KrausChannel:
     k0 = math.cos(half) * np.eye(2, dtype=np.complex128)
     k1 = math.sin(half) * np.diag([1.0, -1.0]).astype(np.complex128)
     return KrausChannel((k0, k1), label="ck")
-
-
-def ck_map_state(t: float, spec: CKDephase) -> np.ndarray:
-    """Evolved state: populations frozen, coherence scaled by cos(t - t0);
-    times before t0 are refused, as by the channel."""
-    t = _check_start(t, spec.t0)
-    _validate_ck_entries(spec.rho11, spec.rho22, spec.rho12)
-    factor = math.cos(t - spec.t0)
-    off = spec.rho12 * factor
-    return np.array(
-        [[spec.rho11, off], [np.conj(off), spec.rho22]], dtype=np.complex128
-    )
-
-
-def ck_fidelity(t: float, tau: float) -> float:
-    """Closed-form fidelity between the maximally coherent states at t and
-    t + tau (populations 1/2, initial coherence 1/2)."""
-    t = _check_time(t)
-    tau = _check_time(tau)
-    c1, c2 = math.cos(t), math.cos(t + tau)
-    value = 0.5 * (1.0 + c1 * c2 + abs(math.sin(t) * math.sin(t + tau)))
-    return min(value, 1.0)
-
-
-def ck_lindblad() -> LindbladSet:
-    """Memory-kernel operator set for the cosine-revival model."""
-    sz = np.diag([1.0, -1.0]).astype(np.complex128)
-    return LindbladSet((sz,), rate=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ def small_time_exponents(
 ) -> ExponentReport:
     """Fit the growth exponent of every Kraus operator near t = 0.
 
-    ``model`` is either a model spec or a bare ``t -> KrausChannel`` family.
+    ``model`` is either a model spec, whose times are measured from its start
+    t0, or a bare ``t -> KrausChannel`` family.
     The grid must be strictly positive, ascending, and hold at least six
     points; the default spans [1e-4, 1e-2] geometrically.
     """
@@ -114,7 +115,7 @@ def small_time_exponents(
         family: EvolutionFamily = model
         label = getattr(model, "__name__", "family")
     else:
-        family = lambda t: model_channel(model, t)  # noqa: E731
+        family = lambda t: model_channel(model, model.t0 + t)  # noqa: E731
         label = model.NAME
 
     ops0 = family(0.0).operators
@@ -181,7 +182,7 @@ def lgks_residual(spec: ModelSpec, lset: LindbladSet, delta: float) -> float:
     """Frobenius gap between the true step and one Euler step of the
     constant-rate generator.
 
-    Returns ||rho(delta) - rho(0) - delta * rate * D[rho(0)]||_F.  For a
+    Returns ||rho(t0 + delta) - rho(t0) - delta * rate * D[rho(t0)]||_F.  For a
     family actually generated by the set this shrinks like delta^2, so
     halving delta divides the residual by about four.
     """
@@ -190,7 +191,7 @@ def lgks_residual(spec: ModelSpec, lset: LindbladSet, delta: float) -> float:
         raise NegativeTime(f"delta must be nonnegative, got {delta!r}")
     if delta == 0.0:
         return 0.0
-    rho0 = model_state(spec, 0.0)
-    rho_d = model_state(spec, delta)
+    rho0 = model_state(spec, spec.t0)
+    rho_d = model_state(spec, spec.t0 + delta)
     step = rho0 + delta * lset.rate * lgks_rhs(lset, rho0)
     return float(np.linalg.norm(rho_d - step))

@@ -24,7 +24,6 @@ from .linalg import fidelity, trace_distance
 from .models import (
     JCMPhoton,
     ModelSpec,
-    jcm_photon_initial,
     model_channel,
     model_closed_fidelity,
     model_state,
@@ -323,7 +322,7 @@ def default_blp_pairs(
 
 
 def _embedded_coherent(alpha: complex, spec: JCMPhoton) -> np.ndarray:
-    rho = jcm_photon_initial(replace(spec, alpha_c=alpha, n_max=spec.cutoff))
+    rho = replace(spec, alpha_c=alpha, n_max=spec.cutoff).state(0.0)
     return rho / np.trace(rho).real
 
 

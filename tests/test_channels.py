@@ -19,8 +19,6 @@ from kraus_witness import (
     apply,
     channel_defect,
     ck_channel,
-    ck_lindblad,
-    ck_map_state,
     compose,
     lgks_rhs,
     model_channel,
@@ -31,7 +29,6 @@ from kraus_witness import (
     validate_density,
     ye_markov_channel,
     ye_markov_lindblad,
-    ye_markov_state,
     ye_nonmarkov_channel,
 )
 
@@ -112,7 +109,7 @@ class TestApply:
 
     def test_reproduces_reference_states(self, rng):
         spec = YEMarkov()
-        rho0 = ye_markov_state(0.0)
+        rho0 = YEMarkov().state(0.0)
         for _ in range(20):
             t = float(rng.uniform(0.0, 10.0))
             direct = model_state(spec, t)
@@ -120,7 +117,7 @@ class TestApply:
             assert np.max(np.abs(direct - via_channel)) <= 1e-12
 
     def test_coherence_factor(self):
-        rho0 = ck_map_state(0.0, CKDephase())
+        rho0 = CKDephase().state(0.0)
         out = apply(ck_channel(2.0), rho0)
         assert out[0, 1] == pytest.approx(0.5 * math.cos(2.0), abs=1e-14)
 
@@ -156,7 +153,7 @@ class TestCompose:
         assert len(composed.operators) == 16
 
     def test_exponential_branch_is_semigroup(self, rng):
-        rho0 = ye_markov_state(0.0)
+        rho0 = YEMarkov().state(0.0)
         for _ in range(10):
             t1, t2 = rng.uniform(0.1, 5.0, size=2)
             sequential = apply(
@@ -170,8 +167,8 @@ class TestCompose:
         # two quarter revivals kill the coherence; one half revival flips it
         half = math.pi / 2.0
         composed = compose(ck_channel(half), ck_channel(half))
-        rho0 = ck_map_state(0.0, CKDephase())
-        gap = trace_distance(apply(composed, rho0), ck_map_state(math.pi, CKDephase()))
+        rho0 = CKDephase().state(0.0)
+        gap = trace_distance(apply(composed, rho0), CKDephase().state(math.pi))
         assert gap == pytest.approx(0.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
@@ -182,7 +179,7 @@ class TestCompose:
 class TestLgksRhs:
     def test_dephasing_pattern(self):
         lam = 0.5
-        rhs = lgks_rhs(ye_markov_lindblad(1.0), ye_markov_state(0.0, 1.0, lam))
+        rhs = lgks_rhs(ye_markov_lindblad(1.0), YEMarkov(1.0, lam).state(0.0))
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 2] = -lam / 9.0
         expected[2, 1] = -lam / 9.0
@@ -194,8 +191,8 @@ class TestLgksRhs:
 
     def test_sigma_z_kernel(self):
         # sigma_z rho sigma_z - rho doubles the sign flip on the coherence
-        rho = ck_map_state(0.0, CKDephase())
-        rhs = lgks_rhs(ck_lindblad(), rho)
+        rho = CKDephase().state(0.0)
+        rhs = lgks_rhs(CKDephase().lindblad(), rho)
         assert rhs[0, 1] == pytest.approx(-2.0 * 0.5, abs=1e-15)
         assert rhs[0, 0] == pytest.approx(0.0, abs=1e-15)
 
@@ -205,7 +202,7 @@ class TestLgksRhs:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            lgks_rhs(ck_lindblad(), np.eye(4, dtype=complex) / 4)
+            lgks_rhs(CKDephase().lindblad(), np.eye(4, dtype=complex) / 4)
 
 
 # every model's channel, the coherent-field atom sector and the padded field
@@ -257,7 +254,7 @@ class TestStackedMatchesLoop:
         spec = JCMQubit()
         assert model_channel(spec, 1.0).operators.shape == (spec.cutoff + 1, 2, 2)
 
-    @pytest.mark.parametrize("lset", [ye_markov_lindblad(2.0), ck_lindblad()],
+    @pytest.mark.parametrize("lset", [ye_markov_lindblad(2.0), CKDephase().lindblad()],
                              ids=["ye-markov", "ck"])
     def test_lgks_rhs(self, lset, rng):
         ops = lset.operators
@@ -271,7 +268,7 @@ class TestStackedMatchesLoop:
 class TestSemigroupDefect:
     def test_exponential_branch_tiny(self):
         family = lambda t: ye_markov_channel(t, 1.0)  # noqa: E731
-        rho0 = ye_markov_state(0.0)
+        rho0 = YEMarkov().state(0.0)
         grid = np.linspace(0.5, 5.0, 5)
         worst = max(
             semigroup_defect(family, rho0, float(t1), float(t2))
@@ -294,5 +291,5 @@ class TestSemigroupDefect:
 
     def test_revival_model_fails(self):
         family = lambda t: ck_channel(t)  # noqa: E731
-        rho0 = ck_map_state(0.0, CKDephase())
+        rho0 = CKDephase().state(0.0)
         assert semigroup_defect(family, rho0, 1.0, 1.5) > 1e-3

@@ -223,11 +223,14 @@ class TestUsageErrors:
             ["probe", "--model", "ck", "--t-max", "inf"],
             ["probe", "--model", "ck", "--points", "-1"],
             ["validate", "--model", "ck", "--stop", "inf"],
+            ["figure", "3", "--gamma2", "-1"],
+            ["figure", "3", "--gamma2", "nan"],
         ],
         ids=["zero-step", "inapplicable-param", "unknown-model", "missing-model", "bad-figure",
              "negative-lag", "seed-flag", "figure-witness-tol", "probe-tau", "validate-out",
              "inf-stop", "inf-lag", "nan-lag", "nan-witness-tol", "nan-rho11", "nan-rho12",
-             "nan-alpha", "inf-alpha", "inf-t-max", "negative-points", "validate-inf-stop"],
+             "nan-alpha", "inf-alpha", "inf-t-max", "negative-points", "validate-inf-stop",
+             "negative-gamma2", "nan-gamma2"],
     )
     def test_exit_code_one(self, argv, capsys):
         assert main(argv) == 1

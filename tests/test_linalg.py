@@ -10,12 +10,12 @@ from kraus_witness import (
     NotHermitian,
     NotPSD,
     TraceNotOne,
+    YEMarkov,
     fidelity,
     hermitian_eig,
     psd_sqrt,
     trace_distance,
     validate_density,
-    ye_markov_state,
 )
 
 from conftest import oracle_fidelity, random_density, random_hermitian
@@ -107,7 +107,7 @@ class TestFidelity:
 
     def test_identical_rank_deficient(self):
         # central block of the lam = 4 reference state has an exact zero eigenvalue
-        rho = ye_markov_state(0.0, 1.0, 4.0)
+        rho = YEMarkov(1.0, 4.0).state(0.0)
         assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
 
     def test_maximally_coherent_vs_mixed(self):
@@ -178,7 +178,7 @@ class TestValidateDensity:
 
     def test_accepts_boundary_rank(self):
         # lam = 4 puts one eigenvalue exactly at zero
-        validate_density(ye_markov_state(0.0, 1.0, 4.0))
+        validate_density(YEMarkov(1.0, 4.0).state(0.0))
 
     def test_rejects_non_hermitian(self):
         mat = np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex)

@@ -22,26 +22,17 @@ from kraus_witness import (
     build_model,
     channel_defect,
     ck_channel,
-    ck_fidelity,
-    ck_map_state,
     coherent_amplitudes,
     default_fock_cutoff,
     jcm_photon_channel,
-    jcm_photon_initial,
-    jcm_photon_state,
     jcm_qubit_channel,
-    jcm_qubit_state,
-    jcm_vacuum_fidelity,
     model_channel,
     model_closed_fidelity,
     model_state,
     validate_density,
     ye_markov_channel,
     ye_markov_fidelity,
-    ye_markov_state,
     ye_nonmarkov_decay,
-    ye_nonmarkov_fidelity,
-    ye_nonmarkov_state,
 )
 
 from conftest import oracle_fidelity
@@ -53,7 +44,6 @@ class TestDecayFunctions:
     def test_branch_normalization(self, rng):
         for t in rng.uniform(0.0, 20.0, size=30):
             d = ye_nonmarkov_decay(float(t), 1.0, 1e-4)
-            assert d.gamma_t**2 + d.omega_t**2 == pytest.approx(1.0, abs=1e-14)
             assert d.p_t**2 + d.q_t**2 == pytest.approx(1.0, abs=1e-14)
 
     def test_exponent_nonnegative_and_nondecreasing(self):
@@ -144,17 +134,17 @@ class TestExponentialDephasing:
         )
 
     def test_state_entries(self):
-        rho = ye_markov_state(1.0, 1.0, 0.5)
+        rho = YEMarkov(1.0, 0.5).state(1.0)
         np.testing.assert_allclose(
             np.diag(rho).real, np.array([1.0, 4.0, 4.0, 0.0]) / 9.0, atol=1e-15
         )
         assert rho[1, 2] == pytest.approx(0.5 * math.exp(-1.0) / 9.0, abs=1e-16)
 
     def test_channel_reproduces_state(self, rng):
-        rho0 = ye_markov_state(0.0)
+        rho0 = YEMarkov().state(0.0)
         for t in rng.uniform(0.0, 10.0, size=25):
             gap = np.max(
-                np.abs(apply(ye_markov_channel(float(t)), rho0) - ye_markov_state(float(t)))
+                np.abs(apply(ye_markov_channel(float(t)), rho0) - YEMarkov().state(float(t)))
             )
             assert gap <= 1e-12
 
@@ -177,7 +167,7 @@ class TestExponentialDephasing:
             t, tau = rng.uniform(0.0, 8.0, size=2)
             closed = ye_markov_fidelity(float(t), float(tau))
             generic = oracle_fidelity(
-                ye_markov_state(float(t)), ye_markov_state(float(t + tau))
+                YEMarkov().state(float(t)), YEMarkov().state(float(t + tau))
             )
             assert closed == pytest.approx(generic, abs=1e-9)
 
@@ -185,7 +175,7 @@ class TestExponentialDephasing:
 class TestMemoryDephasing:
     def test_state_entries(self):
         spec = YENonMarkov(alpha_x=0.5)
-        rho = ye_nonmarkov_state(2.0, spec)
+        rho = spec.state(2.0)
         np.testing.assert_allclose(
             np.diag(rho).real, np.array([0.5, 1.0, 1.0, 0.5]) / 3.0, atol=1e-15
         )
@@ -194,21 +184,21 @@ class TestMemoryDephasing:
 
     def test_channel_reproduces_state(self, rng):
         spec = YENonMarkov()
-        rho0 = ye_nonmarkov_state(0.0, spec)
+        rho0 = spec.state(0.0)
         from kraus_witness import ye_nonmarkov_channel
 
         for t in rng.uniform(0.0, 20.0, size=25):
             evolved = apply(ye_nonmarkov_channel(float(t), spec.Gamma, spec.gamma), rho0)
-            assert np.max(np.abs(evolved - ye_nonmarkov_state(float(t), spec))) <= 1e-12
+            assert np.max(np.abs(evolved - spec.state(float(t)))) <= 1e-12
 
     def test_fidelity_matches_oracle(self, rng):
         spec = YENonMarkov()
         for _ in range(20):
             t, tau = rng.uniform(0.0, 15.0, size=2)
-            closed = ye_nonmarkov_fidelity(float(t), float(tau), spec)
+            closed = spec.closed_fidelity(float(t), float(tau))
             generic = oracle_fidelity(
-                ye_nonmarkov_state(float(t), spec),
-                ye_nonmarkov_state(float(t + tau), spec),
+                spec.state(float(t)),
+                spec.state(float(t + tau)),
             )
             assert closed == pytest.approx(generic, abs=1e-9)
 
@@ -239,49 +229,49 @@ class TestAtomMode:
     def test_vacuum_populations(self, rng):
         spec = JCMQubit()
         for t in rng.uniform(0.0, 10.0, size=10):
-            rho = jcm_qubit_state(float(t), spec)
+            rho = spec.state(float(t))
             assert rho[0, 0].real == pytest.approx(math.cos(float(t)) ** 2, abs=1e-14)
             assert rho[1, 1].real == pytest.approx(math.sin(float(t)) ** 2, abs=1e-14)
             assert abs(rho[0, 1]) <= 1e-15
 
     def test_vacuum_period(self):
-        gap = np.max(np.abs(jcm_qubit_state(0.3, JCMQubit()) - jcm_qubit_state(0.3 + math.pi, JCMQubit())))
+        gap = np.max(np.abs(JCMQubit().state(0.3) - JCMQubit().state(0.3 + math.pi)))
         assert gap <= 1e-12
 
     def test_channel_reproduces_state(self, rng):
         for alpha in (0.0, 0.8 + 0.3j):
             spec = JCMQubit(alpha_c=alpha)
-            rho0 = jcm_qubit_state(0.0, spec)
+            rho0 = spec.state(0.0)
             for t in rng.uniform(0.0, 6.0, size=10):
                 evolved = apply(jcm_qubit_channel(float(t), spec), rho0)
-                assert np.max(np.abs(evolved - jcm_qubit_state(float(t), spec))) <= 1e-12
+                assert np.max(np.abs(evolved - spec.state(float(t)))) <= 1e-12
 
     def test_coherent_drive_creates_coherence(self):
-        rho = jcm_qubit_state(0.5, JCMQubit(alpha_c=1.0))
+        rho = JCMQubit(alpha_c=1.0).state(0.5)
         assert abs(rho[0, 1]) > 1e-3
         validate_density(rho)
 
     def test_cutoff_stability(self):
-        lo = jcm_qubit_state(1.0, JCMQubit(alpha_c=2.0, n_max=60))
-        hi = jcm_qubit_state(1.0, JCMQubit(alpha_c=2.0, n_max=80))
+        lo = JCMQubit(alpha_c=2.0, n_max=60).state(1.0)
+        hi = JCMQubit(alpha_c=2.0, n_max=80).state(1.0)
         assert np.max(np.abs(lo - hi)) <= 1e-10
 
     def test_cutoff_certificate(self):
         with pytest.raises(CutoffTooSmall):
-            jcm_qubit_state(1.0, JCMQubit(alpha_c=2.0, n_max=1))
+            JCMQubit(alpha_c=2.0, n_max=1).state(1.0)
 
     def test_vacuum_fidelity_pins(self):
-        assert jcm_vacuum_fidelity(0.0, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert JCMQubit().closed_fidelity(0.0, 0.0) == pytest.approx(1.0, abs=1e-14)
         # the second state hits the ground state at g(t+tau) = pi/2
-        assert jcm_vacuum_fidelity(math.pi / 4, math.pi / 4) == pytest.approx(0.5, abs=1e-12)
+        assert JCMQubit().closed_fidelity(math.pi / 4, math.pi / 4) == pytest.approx(0.5, abs=1e-12)
 
     def test_vacuum_fidelity_matches_oracle(self, rng):
         spec = JCMQubit()
         for _ in range(20):
             t, tau = rng.uniform(0.0, 8.0, size=2)
-            closed = jcm_vacuum_fidelity(float(t), float(tau))
+            closed = spec.closed_fidelity(float(t), float(tau))
             generic = oracle_fidelity(
-                jcm_qubit_state(float(t), spec), jcm_qubit_state(float(t + tau), spec)
+                spec.state(float(t)), spec.state(float(t + tau))
             )
             assert closed == pytest.approx(generic, abs=1e-9)
 
@@ -289,7 +279,7 @@ class TestAtomMode:
 class TestFieldMode:
     def test_initial_state(self):
         spec = JCMPhoton()
-        rho0 = jcm_photon_initial(spec)
+        rho0 = spec.state(0.0)
         assert rho0[0, 0] == pytest.approx(1.0)
         assert np.trace(rho0).real == pytest.approx(1.0, abs=1e-14)
 
@@ -299,53 +289,53 @@ class TestFieldMode:
 
     def test_full_transfer(self):
         # vacuum plus excited atom swaps into a single photon at g t = pi/2
-        rho = jcm_photon_state(math.pi / 2, JCMPhoton())
+        rho = JCMPhoton().state(math.pi / 2)
         assert rho[1, 1].real == pytest.approx(1.0, abs=1e-12)
         assert rho[0, 0].real == pytest.approx(0.0, abs=1e-12)
 
     def test_channel_reproduces_state(self, rng):
         spec = JCMPhoton()
-        rho0 = jcm_photon_initial(spec)
+        rho0 = spec.state(0.0)
         for t in rng.uniform(0.0, 8.0, size=10):
             evolved = apply(jcm_photon_channel(float(t), spec.g, spec.cutoff), rho0)
-            assert np.max(np.abs(evolved - jcm_photon_state(float(t), spec))) <= 1e-12
+            assert np.max(np.abs(evolved - spec.state(float(t)))) <= 1e-12
 
 
 class TestRevivalDephasing:
     def test_coherence_flip(self):
-        rho = ck_map_state(math.pi, CKDephase())
+        rho = CKDephase().state(math.pi)
         assert rho[0, 1] == pytest.approx(-0.5, abs=1e-14)
         np.testing.assert_allclose(np.diag(rho).real, [0.5, 0.5], atol=1e-15)
 
     def test_channel_reproduces_state(self, rng):
         spec = CKDephase()
-        rho0 = ck_map_state(0.0, spec)
+        rho0 = spec.state(0.0)
         for t in rng.uniform(0.0, 2.0 * math.pi, size=100):
             evolved = apply(ck_channel(float(t)), rho0)
-            assert np.max(np.abs(evolved - ck_map_state(float(t), spec))) <= 1e-12
+            assert np.max(np.abs(evolved - spec.state(float(t)))) <= 1e-12
 
     def test_fidelity_pin(self):
-        assert ck_fidelity(0.0, math.pi / 2) == pytest.approx(0.5, abs=1e-14)
+        assert CKDephase().closed_fidelity(0.0, math.pi / 2) == pytest.approx(0.5, abs=1e-14)
 
     def test_fidelity_matches_oracle(self, rng):
         spec = CKDephase()
         for _ in range(20):
             t, tau = rng.uniform(0.0, 2.0 * math.pi, size=2)
-            closed = ck_fidelity(float(t), float(tau))
+            closed = spec.closed_fidelity(float(t), float(tau))
             generic = oracle_fidelity(
-                ck_map_state(float(t), spec), ck_map_state(float(t + tau), spec)
+                spec.state(float(t)), spec.state(float(t + tau))
             )
             assert closed == pytest.approx(generic, abs=1e-9)
 
     def test_start_offset(self, rng):
         spec = CKDephase(t0=1.0)
         np.testing.assert_allclose(
-            ck_map_state(1.0, spec), ck_map_state(0.0, CKDephase()), atol=1e-15
+            spec.state(1.0), CKDephase().state(0.0), atol=1e-15
         )
         with pytest.raises(NegativeTime):
             ck_channel(0.5, t0=1.0)
         with pytest.raises(NegativeTime):
-            ck_map_state(0.5, spec)
+            spec.state(0.5)
         # the channel at t carries the state at t0 to the state at t
         rho_t0 = model_state(spec, spec.t0)
         for t in np.concatenate([[spec.t0], rng.uniform(spec.t0, 8.0, size=20)]):

@@ -116,6 +116,28 @@ class TestSmallTimeExponents:
             small_time_exponents(family)
 
 
+class TestStartTime:
+    """A late-started model is probed from its start t0, not from t = 0."""
+
+    EARLY = CKDephase(rho11=0.9, rho22=0.1, rho12=0.1)
+    LATE = CKDephase(rho11=0.9, rho22=0.1, rho12=0.1, t0=1.0)
+
+    def test_exponents_measured_from_start(self):
+        early = small_time_exponents(self.EARLY)
+        late = small_time_exponents(self.LATE)
+        assert late.classification == early.classification
+        assert len(late.fits) == len(early.fits)
+        for a, b in zip(early.fits, late.fits):
+            assert b.classification == a.classification
+            assert b.exponent == pytest.approx(a.exponent, abs=1e-9)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3])
+    def test_lgks_residual_measured_from_start(self, delta):
+        lset = self.LATE.lindblad()
+        early = lgks_residual(self.EARLY, lset, delta)
+        assert lgks_residual(self.LATE, lset, delta) == pytest.approx(early, abs=1e-12)
+
+
 class TestLgksResidual:
     def test_zero_step(self):
         assert lgks_residual(YEMarkov(), ye_markov_lindblad(), 0.0) == 0.0

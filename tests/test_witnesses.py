@@ -20,7 +20,6 @@ from kraus_witness import (
     YEMarkov,
     YENonMarkov,
     blp_measure,
-    ck_fidelity,
     default_blp_grid,
     default_blp_pairs,
     fidelity,
@@ -71,7 +70,8 @@ class TestFidelityDifference:
 
     def test_matches_manual_ratio(self):
         t, tau = 1.3, math.pi / 6.0
-        expected = (ck_fidelity(t, tau) - ck_fidelity(0.0, tau)) / ck_fidelity(0.0, tau)
+        closed = CKDephase().closed_fidelity
+        expected = (closed(t, tau) - closed(0.0, tau)) / closed(0.0, tau)
         assert fidelity_difference(CKDephase(), t, tau) == pytest.approx(
             expected, abs=1e-14
         )
