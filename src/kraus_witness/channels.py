@@ -109,7 +109,7 @@ def channel_defect(channel: KrausChannel) -> float:
 def validate_cptp(channel: KrausChannel, tol: float = 1e-10) -> float:
     """Completeness defect, raising InvalidChannel when it exceeds ``tol``."""
     defect = channel_defect(channel)
-    if defect > tol:
+    if not defect <= tol:
         raise InvalidChannel(
             f"completeness defect {defect:.3e} exceeds {tol:.1e}"
             + (f" for channel {channel.label!r}" if channel.label else "")
@@ -132,7 +132,7 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
         )
     if channel._defect is None:
         channel_defect(channel)
-    if channel._defect > _APPLY_DEFECT_CEILING:
+    if not channel._defect <= _APPLY_DEFECT_CEILING:
         raise InvalidChannel(
             f"refusing to apply channel with completeness defect {channel._defect:.3e}"
         )

@@ -27,7 +27,7 @@ from .models import (
     model_closed_fidelity,
     model_state,
 )
-from .probes import small_time_exponents
+from .probes import SMALL_TIME_WINDOW, small_time_exponents
 from .witnesses import (
     NON_MARKOVIAN_WITNESSED,
     DEFAULT_WITNESS_TOL,
@@ -259,16 +259,11 @@ def _raw_grid(ns: argparse.Namespace, spec: ModelSpec,
     return make_grid(start / rate, stop / rate, step / rate)
 
 
-def _format_row(values) -> str:
-    return ",".join(format(float(v), ".17g") for v in values)
-
-
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = [",".join(header)]
-    for i in range(len(columns[0])):
-        rows.append(_format_row(col[i] for col in columns))
+    # newline="" keeps "\n" line ends on every platform
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(rows) + "\n")
+        np.savetxt(handle, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="")
 
 
 def _summarize_column(x: np.ndarray, y: np.ndarray, name: str, xname: str) -> str:
@@ -362,9 +357,8 @@ def cmd_witness(ns: argparse.Namespace) -> int:
 def cmd_probe(ns: argparse.Namespace) -> int:
     name = _require_model(ns)
     spec = _build_spec(name, ns)
-    lo = ns.t_min if ns.t_min is not None else 1e-4
-    hi = ns.t_max if ns.t_max is not None else 1e-2
-    count = ns.points if ns.points is not None else 12
+    lo, hi, count = (default if value is None else value for value, default in
+                     zip((ns.t_min, ns.t_max, ns.points), SMALL_TIME_WINDOW))
     if not (0.0 < lo < hi):
         raise UsageError(f"probe window must satisfy 0 < t-min < t-max, got [{lo!r}, {hi!r}]")
     if count < 0:

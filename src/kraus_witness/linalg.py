@@ -71,9 +71,6 @@ def _jacobi(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = mat.copy()
     n = a.shape[0]
     v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-
     scale = max(1.0, float(np.linalg.norm(a)))
     target = _OFFDIAG_TARGET * scale
     for _ in range(_MAX_SWEEPS):
@@ -83,37 +80,23 @@ def _jacobi(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             for q in range(p + 1, n):
                 apq = a[p, q]
                 r = abs(apq)
-                if r <= _PIVOT_SKIP:
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                # the rotation annihilates the pivot exactly; drop the rounding residue
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
-                v[:, q] = s * phase * vcol_p + c * vcol_q
+                if r > _PIVOT_SKIP:
+                    phase = apq / r
+                    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
+                    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+                    c = 1.0 / math.hypot(1.0, t)
+                    s = t * c
+                    sp, spc = s * phase, s * np.conj(phase)
+                    # each pair of right-hand sides is evaluated before either
+                    # slice is written, so the old rows and columns need no copies
+                    a[p], a[q] = c * a[p] - sp * a[q], spc * a[p] + c * a[q]
+                    a[:, p], a[:, q] = c * a[:, p] - spc * a[:, q], sp * a[:, p] + c * a[:, q]
+                    a[p, p] = a[p, p].real
+                    a[q, q] = a[q, q].real
+                    v[:, p], v[:, q] = c * v[:, p] - spc * v[:, q], sp * v[:, p] + c * v[:, q]
+                # a rotation annihilates the pivot exactly and a skipped pivot is
+                # negligible; either way drop the residue
+                a[p, q] = a[q, p] = 0.0
     else:
         raise NoConvergence(
             f"Jacobi sweeps exhausted with off-diagonal mass {_offdiag_norm(a):.3e}"
@@ -129,7 +112,7 @@ def hermitian_eig(mat: np.ndarray) -> Spectrum:
     """
     arr = _as_square(mat)
     defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if defect > _HERMITIAN_TOL:
+    if not defect <= _HERMITIAN_TOL:
         raise NonHermitian(f"Hermiticity defect {defect:.3e} exceeds {_HERMITIAN_TOL:.1e}")
     sym = 0.5 * (arr + arr.conj().T)
     w, v = _jacobi(sym)
@@ -205,7 +188,7 @@ def validate_density(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     arr = _as_square(mat)
     tight = tol * 1e-2
     herm_defect = float(np.max(np.abs(arr - arr.conj().T)))
-    if herm_defect > tight:
+    if not herm_defect <= tight:
         raise NotHermitian(f"Hermiticity defect {herm_defect:.3e} exceeds {tight:.1e}")
     tr = complex(np.trace(arr))
     if abs(tr.real - 1.0) > tol:

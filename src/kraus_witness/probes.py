@@ -24,9 +24,8 @@ UNCLASSIFIED = "Unclassified"
 # half-width of the acceptance bands around the ideal exponents 1/2 and 1
 _BAND = 0.05
 
-_WINDOW_START = 1e-4
-_WINDOW_STOP = 1e-2
-_WINDOW_POINTS = 12
+# default probe window (start, stop, points), geometric in raw model time
+SMALL_TIME_WINDOW = (1e-4, 1e-2, 12)
 
 # norms below this are treated as exact zeros when deciding what to fit
 _ZERO_FLOOR = 1e-200
@@ -35,7 +34,7 @@ _ZERO_FLOOR = 1e-200
 def default_small_time_grid() -> np.ndarray:
     """Geometric window over which Kraus norms still follow their leading
     power law."""
-    return np.geomspace(_WINDOW_START, _WINDOW_STOP, _WINDOW_POINTS)
+    return np.geomspace(*SMALL_TIME_WINDOW)
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,10 @@ class TestValidateCptp:
         validate_cptp(channel)
         assert channel._defect is not None
 
+    def test_rejects_nan_channel(self):
+        with pytest.raises(InvalidChannel):
+            validate_cptp(KrausChannel(np.full((1, 2, 2), np.nan)))
+
 
 class TestApply:
     def test_identity_channel(self, rng):
@@ -137,6 +141,10 @@ class TestApply:
     def test_rejects_incomplete_channel(self, rng):
         with pytest.raises(InvalidChannel):
             apply(broken_dephasing_channel(1.0), random_density(rng, 4))
+
+    def test_rejects_nan_channel(self):
+        with pytest.raises(InvalidChannel):
+            apply(KrausChannel(np.full((1, 2, 2), np.nan)), np.eye(2, dtype=complex) / 2)
 
 
 class TestCompose:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from kraus_witness.cli import main
+from kraus_witness.probes import SMALL_TIME_WINDOW
 
 # sha256 of the closed-route CSVs, shared with the benchmark's output check
 REFERENCE_CSV = json.loads(
@@ -154,6 +155,8 @@ class TestProbeCommand:
         out = capsys.readouterr().out
         assert "family classification: SqrtT" in out
         assert "0*" in out
+        lo, hi, count = SMALL_TIME_WINDOW
+        assert f"window [{lo:g}, {hi:g}] ({count} points)" in out
 
     def test_linear_family_with_csv(self, tmp_path, capsys):
         out = tmp_path / "p.csv"

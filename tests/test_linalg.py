@@ -1,9 +1,14 @@
 """Linear algebra core: eigensolver, square root, fidelity, trace distance."""
 from __future__ import annotations
 
+import ast
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kraus_witness
 from kraus_witness import (
     DimensionMismatch,
     NonHermitian,
@@ -206,3 +211,79 @@ class TestValidateDensity:
         with pytest.raises(NotPSD):
             validate_density(mat)
         validate_density(mat, tol=1e-6)
+
+
+class TestNanRejected:
+    """NaN fails every comparison, so each guard is written to fail closed."""
+
+    @staticmethod
+    def _nan_state(dim):
+        bad = np.eye(dim, dtype=complex) / dim
+        bad[0, 1] = np.nan
+        return bad
+
+    @pytest.mark.parametrize("dim", [2, 33])
+    def test_eig_fidelity_trace_distance(self, dim):
+        bad, good = self._nan_state(dim), np.eye(dim, dtype=complex) / dim
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitian):
+                hermitian_eig(bad)
+            with pytest.raises(NonHermitian):
+                fidelity(bad, good)
+            with pytest.raises(NonHermitian):
+                fidelity(good, bad)
+            with pytest.raises(NonHermitian):
+                trace_distance(bad, good)
+
+    def test_validate_density(self):
+        with pytest.raises(NotHermitian):
+            validate_density(self._nan_state(2))
+
+
+def _lapack_uses(tree):
+    """Lines that reach numpy.linalg beyond norm, or import scipy."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr != "norm"
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            names = [f"numpy.linalg.{node.attr}"]
+        else:
+            continue
+        if any(n.startswith(("numpy.linalg", "scipy")) for n in names):
+            found.append(node.lineno)
+    return found
+
+
+class TestLapackFree:
+    """numpy.linalg is the tests' independent oracle, so the package itself
+    takes nothing from it but norms and imports no scipy."""
+
+    def test_package_modules(self):
+        root = Path(kraus_witness.__file__).parent
+        offenders = {
+            path.name: lines
+            for path in sorted(root.rglob("*.py"))
+            if (lines := _lapack_uses(ast.parse(path.read_text(encoding="utf-8"))))
+        }
+        assert not offenders
+
+    @pytest.mark.parametrize("source", [
+        "np.linalg.eigh(a)",
+        "numpy.linalg.svd(a)",
+        "from numpy.linalg import eigvalsh",
+        "from numpy import linalg",
+        "import numpy.linalg",
+        "import scipy.linalg",
+        "from scipy import linalg",
+    ])
+    def test_detector_flags(self, source):
+        assert _lapack_uses(ast.parse(source)) == [1]
+
+    def test_detector_allows_norm_and_relative_imports(self):
+        source = "import numpy as np\nfrom .linalg import fidelity\nnp.linalg.norm(a)"
+        assert _lapack_uses(ast.parse(source)) == []

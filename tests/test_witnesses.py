@@ -19,6 +19,7 @@ from kraus_witness import (
     UsageError,
     YEMarkov,
     YENonMarkov,
+    apply,
     blp_measure,
     default_blp_grid,
     default_blp_pairs,
@@ -27,8 +28,10 @@ from kraus_witness import (
     make_grid,
     markovianity_verdict,
     memory_fidelity,
+    model_channel,
     model_state,
     scan_G,
+    trace_distance,
     validate_density,
 )
 
@@ -61,6 +64,17 @@ class TestMakeGrid:
     def test_rejects_empty_window(self):
         with pytest.raises(GridTooCoarse):
             make_grid(1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, math.inf, 1.0),
+        (-math.inf, 0.0, 1.0),
+        (0.0, math.nan, 1.0),
+        (0.0, 1.0, math.nan),
+        (0.0, 1.0, math.inf),
+    ])
+    def test_rejects_non_finite(self, start, stop, step):
+        with pytest.raises(GridTooCoarse):
+            make_grid(start, stop, step)
 
 
 class TestFidelityDifference:
@@ -240,6 +254,31 @@ class TestBlpMeasure:
         estimate = blp_measure(CKDephase())
         assert 1.8 <= estimate.value <= 2.1
         assert estimate.best_pair.startswith("antipodal")
+
+    def test_matches_explicit_differences(self):
+        # the explicit loop formula: central differences inside, one-sided at
+        # the ends, rectangle rule; of two equal pairs the first is reported
+        spec = CKDephase()
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+        estimate = blp_measure(spec, pairs=[(plus, minus, "first"), (plus, minus, "second")])
+        grid = estimate.grid
+        h = grid[1] - grid[0]
+        d = np.array([
+            trace_distance(apply(model_channel(spec, t), plus), apply(model_channel(spec, t), minus))
+            for t in grid
+        ])
+        sigma = np.concatenate([
+            [(d[1] - d[0]) / h], (d[2:] - d[:-2]) / (2.0 * h), [(d[-1] - d[-2]) / h]
+        ])
+        expected = float(np.sum(np.clip(sigma, 0.0, None)) * h)
+        assert estimate.value == expected
+        assert estimate.value > 1.0
+        assert (estimate.pair_count, estimate.best_pair) == (2, "first")
+
+    def test_empty_pair_list(self):
+        estimate = blp_measure(YEMarkov(), pairs=[])
+        assert (estimate.value, estimate.pair_count, estimate.best_pair) == (0.0, 0, "")
 
     def test_grid_too_short(self):
         with pytest.raises(GridTooCoarse):
