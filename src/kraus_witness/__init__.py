@@ -13,6 +13,7 @@ from .channels import (
     compose,
     lgks_rhs,
     semigroup_defect,
+    transfer_matrix,
     validate_cptp,
 )
 from .errors import (
@@ -42,6 +43,7 @@ from .linalg import (
     hermitian_eig,
     psd_sqrt,
     trace_distance,
+    trace_norms,
     validate_density,
 )
 from .models import (

@@ -117,6 +117,18 @@ def validate_cptp(channel: KrausChannel, tol: float = 1e-10) -> float:
     return defect
 
 
+def _complete_operators(channel: KrausChannel) -> np.ndarray:
+    """The channel's operator stack, once its cached completeness defect is
+    known to be within the 1e-8 ceiling."""
+    if channel._defect is None:
+        channel_defect(channel)
+    if not channel._defect <= _APPLY_DEFECT_CEILING:
+        raise InvalidChannel(
+            f"refusing to apply channel with completeness defect {channel._defect:.3e}"
+        )
+    return channel.operators
+
+
 def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Evolve a density matrix through the channel.
 
@@ -130,13 +142,22 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"state shape {state.shape} does not match channel dimension {channel.dim}"
         )
-    if channel._defect is None:
-        channel_defect(channel)
-    if not channel._defect <= _APPLY_DEFECT_CEILING:
-        raise InvalidChannel(
-            f"refusing to apply channel with completeness defect {channel._defect:.3e}"
-        )
-    return _sandwich(channel.operators, state)
+    return _sandwich(_complete_operators(channel), state)
+
+
+def transfer_matrix(channel: KrausChannel) -> np.ndarray:
+    """The channel as the (d^2, d^2) matrix T = sum_i K_i (x) conj(K_i).
+
+    T acts on row-major vectorized operators, vec(Lambda(X)) = T vec(X), and
+    by linearity on any operator, not only on states.  The channel must be
+    complete within 1e-8, as for ``apply``.
+    """
+    ops = _complete_operators(channel)
+    d = channel.dim
+    # one product over the operator index: M[(i, a), (j, b)] = sum_k K_ia conj(K_jb)
+    flat = ops.transpose(1, 2, 0).reshape(d * d, -1)
+    pairs = (flat @ flat.conj().T).reshape(d, d, d, d)
+    return pairs.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def compose(late: KrausChannel, early: KrausChannel) -> KrausChannel:

@@ -104,17 +104,35 @@ def _jacobi(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(a).real.copy(), v
 
 
+def _require_finite(arr: np.ndarray, error: type[NonHermitian]) -> None:
+    if not np.isfinite(arr).all():
+        raise error("matrix has non-finite entries")
+
+
+def _hermitized(arr: np.ndarray, tol: float, error: type[NonHermitian]) -> np.ndarray:
+    """(M + M^dagger)/2 over the last two axes, raising ``error`` when an entry
+    is not finite or max|M - M^dagger| exceeds ``tol``.
+
+    Finiteness is checked first, so inf - inf never reaches the defect.
+    """
+    _require_finite(arr, error)
+    adjoint = arr.conj().swapaxes(-1, -2)
+    defect = float(np.max(np.abs(arr - adjoint))) if arr.size else 0.0
+    if not defect <= tol:
+        raise error(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
+    sym = arr + adjoint
+    sym *= 0.5
+    return sym
+
+
 def hermitian_eig(mat: np.ndarray) -> Spectrum:
     """Diagonalize a Hermitian matrix.
 
-    Raises NonHermitian if max|M - M^dagger| exceeds 1e-10; the iteration
-    then runs on the Hermitized average (M + M^dagger)/2.
+    Raises NonHermitian if an entry is not finite or max|M - M^dagger|
+    exceeds 1e-10; the iteration then runs on the Hermitized average
+    (M + M^dagger)/2.
     """
-    arr = _as_square(mat)
-    defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if not defect <= _HERMITIAN_TOL:
-        raise NonHermitian(f"Hermiticity defect {defect:.3e} exceeds {_HERMITIAN_TOL:.1e}")
-    sym = 0.5 * (arr + arr.conj().T)
+    sym = _hermitized(_as_square(mat), _HERMITIAN_TOL, NonHermitian)
     w, v = _jacobi(sym)
     order = np.argsort(w, kind="stable")
     return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
@@ -147,6 +165,8 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     b = _as_square(rho2)
     if a.shape != b.shape:
         raise DimensionMismatch(f"state shapes differ: {a.shape} vs {b.shape}")
+    # rho2 is only multiplied, and inf * 0 would warn before any check
+    _require_finite(b, NonHermitian)
     root = psd_sqrt(a)
     inner = root @ b @ root
     inner = 0.5 * (inner + inner.conj().T)
@@ -165,16 +185,92 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return value
 
 
+def _jacobi_eigvals(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each Hermitian matrix in a (B, d, d) stack, unordered.
+
+    The rotation of ``_jacobi`` applied to the whole stack at once, pivot by
+    pivot, without accumulating eigenvectors; ``stack`` is rotated in place.
+    A matrix leaves the batch as soon as its own off-diagonal mass meets the
+    target; a pivot at or below 1e-300 gets the identity rotation (c = 1,
+    s = 0) instead of a division.
+    """
+    n = stack.shape[1]
+    target = _OFFDIAG_TARGET * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    off_diagonal = ~np.eye(n, dtype=bool)
+    active = np.arange(stack.shape[0])
+    work = stack
+    for _ in range(_MAX_SWEEPS):
+        mass = np.linalg.norm(np.where(off_diagonal, work, 0.0), axis=(1, 2))
+        done = mass <= target[active]
+        if done.any():
+            # converged matrices go back to the stack and leave the batch
+            stack[active[done]] = work[done]
+            active, work = active[~done], work[~done]
+        if not active.size:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = work[:, p, q]
+                r = np.abs(apq)
+                rotate = r > _PIVOT_SKIP
+                r = np.where(rotate, r, 1.0)
+                phase = np.where(rotate, apq / r, 1.0)
+                tau = (work[:, q, q].real - work[:, p, p].real) / (2.0 * r)
+                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+                t = np.where(rotate, t, 0.0)
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                sp, spc = (s * phase)[:, None], (s * phase.conj())[:, None]
+                c = c[:, None]
+                row_p, row_q = work[:, p], work[:, q]
+                work[:, p], work[:, q] = c * row_p - sp * row_q, spc * row_p + c * row_q
+                col_p, col_q = work[:, :, p], work[:, :, q]
+                work[:, :, p], work[:, :, q] = c * col_p - spc * col_q, sp * col_p + c * col_q
+                work[:, p, p] = work[:, p, p].real
+                work[:, q, q] = work[:, q, q].real
+                work[:, p, q] = work[:, q, p] = 0.0
+    else:
+        raise NoConvergence(
+            f"Jacobi sweeps exhausted for batch index {int(active[0])} "
+            f"({active.size} of {stack.shape[0]} matrices unconverged)"
+        )
+    return np.diagonal(stack, axis1=1, axis2=2).real
+
+
+def trace_norms(stack: np.ndarray) -> np.ndarray:
+    """Trace norms ||X_b||_1 of a (B, d, d) stack of Hermitian matrices.
+
+    Raises NonHermitian if an entry is not finite or max|X - X^dagger|
+    exceeds 1e-10 anywhere in the stack; the norms are taken of the
+    Hermitized averages.  At d = 2 a matrix with trace s has eigenvalues
+    s/2 +- r, r = hypot((X00 - X11)/2, |X01|), so its norm is max(|s|, 2r)
+    with no eigensolve; larger matrices go through the batched
+    eigenvalues-only Jacobi iteration.
+    """
+    arr = np.asarray(stack, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise DimensionMismatch(f"expected a (B, d, d) stack, got shape {arr.shape}")
+    sym = _hermitized(arr, _HERMITIAN_TOL, NonHermitian)
+    if sym.shape[1] == 2:
+        x00, x11 = sym[:, 0, 0].real, sym[:, 1, 1].real
+        radius = np.hypot(0.5 * (x00 - x11), np.abs(sym[:, 0, 1]))
+        return np.maximum(np.abs(x00 + x11), 2.0 * radius)
+    return np.abs(_jacobi_eigvals(sym)).sum(axis=1)
+
+
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Trace distance (1/2)||rho1 - rho2||_1 for Hermitian operands."""
+    """Trace distance (1/2)||rho1 - rho2||_1 for Hermitian operands.
+
+    The difference goes through ``trace_norms`` and its checks.
+    """
     a = _as_square(rho1)
     b = _as_square(rho2)
     if a.shape != b.shape:
         raise DimensionMismatch(f"state shapes differ: {a.shape} vs {b.shape}")
-    diff = a - b
-    diff = 0.5 * (diff + diff.conj().T)
-    w = hermitian_eig(diff).eigenvalues
-    return 0.5 * float(np.sum(np.abs(w)))
+    # inf - inf would warn before trace_norms could name it
+    for operand in (a, b):
+        _require_finite(operand, NonHermitian)
+    return 0.5 * float(trace_norms((a - b)[None])[0])
 
 
 def validate_density(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -187,15 +283,12 @@ def validate_density(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """
     arr = _as_square(mat)
     tight = tol * 1e-2
-    herm_defect = float(np.max(np.abs(arr - arr.conj().T)))
-    if not herm_defect <= tight:
-        raise NotHermitian(f"Hermiticity defect {herm_defect:.3e} exceeds {tight:.1e}")
+    sym = _hermitized(arr, tight, NotHermitian)
     tr = complex(np.trace(arr))
     if abs(tr.real - 1.0) > tol:
         raise TraceNotOne(f"trace real part {tr.real!r} differs from 1 by {abs(tr.real - 1.0):.3e}")
     if abs(tr.imag) > tight:
         raise TraceNotOne(f"trace imaginary part {tr.imag:.3e} exceeds {tight:.1e}")
-    sym = 0.5 * (arr + arr.conj().T)
     w = hermitian_eig(sym).eigenvalues
     if w[0] < -tol:
         raise NotPSD(f"eigenvalue {w[0]:.3e} below -{tol:.1e}")

@@ -25,6 +25,7 @@ from kraus_witness import (
     model_state,
     semigroup_defect,
     trace_distance,
+    transfer_matrix,
     validate_cptp,
     validate_density,
     ye_markov_channel,
@@ -271,6 +272,35 @@ class TestStackedMatchesLoop:
         gram = loop_gram(ops)
         expected = loop_sandwich(ops, rho) - 0.5 * (gram @ rho + rho @ gram)
         np.testing.assert_allclose(lgks_rhs(lset, rho), expected, rtol=0.0, atol=1e-15)
+
+
+class TestTransferMatrix:
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=STACK_IDS)
+    def test_matches_operator_loop(self, spec, rng):
+        # linear on any operator, so a non-Hermitian one is evolved too
+        t = spec.t0 + float(rng.uniform(0.0, 5.0))
+        channel = model_channel(spec, t)
+        d = channel.dim
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        evolved = (transfer_matrix(channel) @ x.ravel()).reshape(d, d)
+        expected = loop_sandwich(channel.operators, x)
+        np.testing.assert_allclose(evolved, expected, rtol=0.0, atol=1e-13)
+
+    def test_kronecker_sum(self, rng):
+        # a random mixture of three unitaries is a complete set
+        raw = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+        ops = np.linalg.qr(raw)[0] / np.sqrt(3.0)
+        channel = KrausChannel(ops)
+        expected = sum(np.kron(k, k.conj()) for k in ops)
+        np.testing.assert_allclose(transfer_matrix(channel), expected, rtol=0.0, atol=1e-14)
+
+    def test_rejects_incomplete_channel(self):
+        with pytest.raises(InvalidChannel, match="completeness defect"):
+            transfer_matrix(broken_dephasing_channel(1.0))
+
+    def test_rejects_nan_channel(self):
+        with pytest.raises(InvalidChannel):
+            transfer_matrix(KrausChannel(np.full((1, 2, 2), np.nan)))
 
 
 class TestSemigroupDefect:

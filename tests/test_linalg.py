@@ -11,17 +11,21 @@ import pytest
 import kraus_witness
 from kraus_witness import (
     DimensionMismatch,
+    NoConvergence,
     NonHermitian,
     NotHermitian,
     NotPSD,
+    NumericalError,
     TraceNotOne,
     YEMarkov,
     fidelity,
     hermitian_eig,
     psd_sqrt,
     trace_distance,
+    trace_norms,
     validate_density,
 )
+from kraus_witness import linalg
 
 from conftest import oracle_fidelity, random_density, random_hermitian
 
@@ -239,6 +243,121 @@ class TestNanRejected:
     def test_validate_density(self):
         with pytest.raises(NotHermitian):
             validate_density(self._nan_state(2))
+
+
+class TestNonFinite:
+    """An inf or NaN entry is named as such, before any arithmetic on it can
+    warn (warnings are errors in this suite)."""
+
+    @staticmethod
+    def _bad(dim, where, value):
+        bad = np.eye(dim, dtype=complex) / dim
+        bad[where] = value
+        return bad
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_rejected_by_every_entry_point(self, dim, where, value):
+        bad, good = self._bad(dim, where, value), np.eye(dim, dtype=complex) / dim
+        calls = [
+            lambda: hermitian_eig(bad),
+            lambda: trace_distance(bad, good),
+            lambda: trace_distance(good, bad),
+            lambda: trace_distance(bad, bad),
+            lambda: trace_norms(bad[None]),
+            lambda: fidelity(bad, good),
+            lambda: fidelity(good, bad),
+            lambda: validate_density(bad),
+        ]
+        for call in calls:
+            with pytest.raises(NumericalError, match="non-finite"):
+                call()
+
+
+class TestTraceNorms:
+    """The batched route against numpy's LAPACK eigvalsh as the oracle."""
+
+    @staticmethod
+    def _oracle(stack):
+        return np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_matches_external_solver(self, rng, dim):
+        stack = np.array([random_hermitian(rng, dim) for _ in range(12)])
+        scale = np.linalg.norm(stack, axis=(1, 2))
+        assert np.all(np.abs(trace_norms(stack) - self._oracle(stack)) <= 1e-12 * scale)
+
+    def test_qubit_closed_form(self, rng):
+        stack = np.array([random_hermitian(rng, 2) for _ in range(50)])
+        scale = np.linalg.norm(stack, axis=(1, 2))
+        assert np.all(np.abs(trace_norms(stack) - self._oracle(stack)) <= 1e-12 * scale)
+
+    def test_qubit_trace_wins(self):
+        # both eigenvalues positive (0.7, 0.2): |s| = 0.9 beats 2r = 0.5
+        same_sign = np.diag([0.7, 0.2]).astype(complex)
+        # eigenvalues 0.5 +- sqrt(0.25 + 0.36): 2r beats |s| = 1
+        indefinite = np.array([[0.5, 0.6j], [-0.6j, 0.5]])
+        norms = trace_norms(np.array([same_sign, indefinite, -same_sign]))
+        assert norms[0] == norms[2] == 0.7 + 0.2
+        assert norms[1] == pytest.approx(1.2, abs=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 4, 7])
+    def test_zero_matrix(self, dim):
+        assert trace_norms(np.zeros((3, dim, dim), dtype=complex)).tolist() == [0.0] * 3
+
+    def test_diagonal_input_has_only_zero_pivots(self):
+        diagonals = np.array([[1.5, -2.0, 0.0, 0.25], [0.0, 0.0, 0.0, -1e-300]])
+        stack = np.array([np.diag(d).astype(complex) for d in diagonals])
+        assert trace_norms(stack).tolist() == np.abs(diagonals).sum(axis=1).tolist()
+
+    def test_degenerate_spectra(self, rng):
+        stack = []
+        for spectrum in ([1.0, 1.0, -1.0, -1.0, 2.0], [3.0, 3.0, 3.0, 0.0, 0.0]):
+            raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+            q, _ = np.linalg.qr(raw)
+            stack.append((q * spectrum) @ q.conj().T)
+        np.testing.assert_allclose(trace_norms(np.array(stack)), [6.0, 9.0], rtol=0.0, atol=1e-13)
+
+    def test_rank_one(self, rng):
+        vec = rng.normal(size=6) + 1j * rng.normal(size=6)
+        outer = -2.5 * np.outer(vec, vec.conj())
+        expected = 2.5 * float(np.vdot(vec, vec).real)
+        assert trace_norms(outer[None])[0] == pytest.approx(expected, rel=1e-13)
+
+    def test_mixed_convergence_in_one_batch(self, rng):
+        # a diagonal matrix converges before the first sweep, the random ones
+        # take several, and the zero matrix never needs a rotation
+        stack = np.array([
+            random_hermitian(rng, 6),
+            np.diag([1.0, -1.0, 2.0, 0.0, 0.5, 3.0]).astype(complex),
+            np.zeros((6, 6), dtype=complex),
+            random_hermitian(rng, 6),
+        ])
+        scale = max(1.0, float(np.linalg.norm(stack, axis=(1, 2)).max()))
+        expected = self._oracle(stack)
+        np.testing.assert_allclose(trace_norms(stack), expected, rtol=0.0, atol=1e-12 * scale)
+
+    def test_trace_distance_is_half_the_norm(self, rng):
+        rho1, rho2 = random_density(rng, 4), random_density(rng, 4)
+        assert trace_distance(rho1, rho2) == 0.5 * trace_norms((rho1 - rho2)[None])[0]
+
+    def test_no_convergence_names_batch_index(self, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        stack = np.array([np.eye(5, dtype=complex), random_hermitian(rng, 5)])
+        with pytest.raises(NoConvergence, match="batch index 1"):
+            trace_norms(stack)
+
+    def test_rejects_non_hermitian(self):
+        stack = np.zeros((2, 3, 3), dtype=complex)
+        stack[1, 0, 2] = 1e-9
+        with pytest.raises(NonHermitian):
+            trace_norms(stack)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 3), (1, 1, 2, 2)])
+    def test_rejects_bad_shape(self, shape):
+        with pytest.raises(DimensionMismatch):
+            trace_norms(np.zeros(shape, dtype=complex))
 
 
 def _lapack_uses(tree):

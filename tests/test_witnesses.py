@@ -10,12 +10,16 @@ import pytest
 from kraus_witness import (
     CKDephase,
     DegenerateDenominator,
+    DimensionMismatch,
     GridTooCoarse,
     JCMPhoton,
     JCMQubit,
     NO_VIOLATION_FOUND,
     NON_MARKOVIAN_WITNESSED,
+    NotHermitian,
+    NotPSD,
     OracleMismatch,
+    TraceNotOne,
     UsageError,
     YEMarkov,
     YENonMarkov,
@@ -25,6 +29,7 @@ from kraus_witness import (
     default_blp_pairs,
     fidelity,
     fidelity_difference,
+    hermitian_eig,
     make_grid,
     markovianity_verdict,
     memory_fidelity,
@@ -34,6 +39,7 @@ from kraus_witness import (
     trace_distance,
     validate_density,
 )
+from kraus_witness import linalg, witnesses
 
 
 class _SkewedCK(CKDephase):
@@ -294,3 +300,74 @@ class TestBlpMeasure:
         assert len(default_blp_grid(YENonMarkov())) == 401
         assert len(default_blp_grid(JCMQubit())) == 401
         assert len(default_blp_grid(CKDephase())) == 629
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.eye(3, dtype=complex) / 3, DimensionMismatch),
+        (np.array([[1, 1], [0, 0]], dtype=complex), NotHermitian),
+        (np.array([[2, 0], [0, 0]], dtype=complex), TraceNotOne),
+        (np.diag([1.5, -0.5]).astype(complex), NotPSD),
+    ], ids=["shape", "non-hermitian", "trace", "negative"])
+    def test_rejects_non_states_before_evolving(self, bad, error, monkeypatch):
+        def no_evolution(spec, t):
+            raise AssertionError("a channel was built before every state was checked")
+
+        monkeypatch.setattr(witnesses, "model_channel", no_evolution)
+        good = np.eye(2, dtype=complex) / 2
+        with pytest.raises(error):
+            blp_measure(CKDephase(), pairs=[(good, good, "fine"), (good, bad, "bad")])
+
+    def test_no_eigensolve_per_pair_and_time(self, monkeypatch):
+        # the 2 x 2 trace norms are closed-form, so the only Jacobi runs are
+        # the up-front checks of the 76 default pairs' states
+        calls = []
+        jacobi = linalg._jacobi
+        monkeypatch.setattr(linalg, "_jacobi", lambda mat: calls.append(mat.shape) or jacobi(mat))
+        blp_measure(CKDephase())
+        assert len(calls) == 2 * len(default_blp_pairs(CKDephase()))
+
+
+def _per_pair_distances(spec, grid, pairs):
+    """Trace distances the slow way: both states through apply, then the
+    eigenvalues of the difference."""
+    distances = np.empty((len(pairs), grid.size))
+    for j, t in enumerate(grid):
+        channel = model_channel(spec, float(t))
+        for i, (rho1, rho2, _) in enumerate(pairs):
+            w = hermitian_eig(apply(channel, rho1) - apply(channel, rho2)).eigenvalues
+            distances[i, j] = 0.5 * float(np.sum(np.abs(w)))
+    return distances
+
+
+class TestRevivalDistances:
+    """The transfer-matrix route against the per-pair route, at 1e-13."""
+
+    @pytest.mark.parametrize("spec, stride", [
+        (CKDephase(), 37),
+        (CKDephase(t0=1.0), 37),
+        (JCMQubit(), 23),
+        (YEMarkov(), 11),
+        (YENonMarkov(), 23),
+    ], ids=["ck", "ck-late-start", "jcm-qubit", "ye-markov", "ye-nonmarkov"])
+    def test_matches_per_pair_route(self, spec, stride):
+        grid = default_blp_grid(spec)[::stride]
+        pairs = default_blp_pairs(spec)
+        fast = witnesses._revival_distances(spec, grid, pairs)
+        slow = _per_pair_distances(spec, grid, pairs)
+        np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-13)
+
+    def test_matches_per_pair_route_in_the_field_sector(self):
+        spec = JCMPhoton()
+        grid = default_blp_grid(spec)[[0, 57, 200]]
+        pairs = default_blp_pairs(spec)[::3]
+        fast = witnesses._revival_distances(spec, grid, pairs)
+        slow = _per_pair_distances(spec, grid, pairs)
+        np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-13)
+
+    def test_chunking_changes_nothing(self, monkeypatch):
+        spec = YENonMarkov()
+        grid = default_blp_grid(spec)[:25]
+        pairs = default_blp_pairs(spec)
+        whole = witnesses._revival_distances(spec, grid, pairs)
+        # a chunk of 7 times per trace_norms call, the last one short
+        monkeypatch.setattr(witnesses, "_TRACE_NORM_CHUNK", 7 * len(pairs))
+        np.testing.assert_array_equal(witnesses._revival_distances(spec, grid, pairs), whole)
