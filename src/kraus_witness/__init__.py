@@ -11,6 +11,7 @@ from .channels import (
     apply,
     channel_defect,
     compose,
+    kraus_columns,
     lgks_rhs,
     semigroup_defect,
     transfer_matrix,
@@ -39,6 +40,7 @@ from .errors import (
 )
 from .linalg import (
     Spectrum,
+    factor_fidelity,
     fidelity,
     hermitian_eig,
     psd_sqrt,

@@ -177,7 +177,33 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     # zeros; taking their square roots would inject ~1e-7 noise into the trace
     floor = 1e-13 * max(1.0, float(w[-1]))
     w = np.where(w < floor, 0.0, w)
-    value = float(np.sum(np.sqrt(w)) ** 2)
+    return _clamp_overshoot(float(np.sum(np.sqrt(w)) ** 2))
+
+
+def factor_fidelity(v1: np.ndarray, v2: np.ndarray) -> float:
+    """Fidelity of rho1 = V1 V1^dagger and rho2 = V2 V2^dagger from their
+    (d, 2) factors.
+
+    By Uhlmann's theorem F = ||M||_1^2 with M = V1^dagger V2, and for a 2x2
+    M with singular values s1, s2 that is (s1 + s2)^2 = ||M||_F^2 + 2|det M|.
+    No eigensolve is needed.  Overshoot is handled as by ``fidelity``.
+    """
+    a = np.asarray(v1, dtype=np.complex128)
+    b = np.asarray(v2, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[1] != 2 or a.shape != b.shape:
+        raise DimensionMismatch(f"expected two (d, 2) factors, got {a.shape} and {b.shape}")
+    for operand in (a, b):
+        _require_finite(operand, NonHermitian)
+    m = a.conj().T @ b
+    # det M from its entries: near rank 1, sqrt(det(M^dagger M)) would turn
+    # 1e-16 rounding into ~1e-8
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return _clamp_overshoot(float(np.sum(np.abs(m) ** 2) + 2.0 * abs(det)))
+
+
+def _clamp_overshoot(value: float) -> float:
+    """A fidelity, with rounding overshoot in (1, 1 + 1e-9] clamped to 1;
+    a larger overshoot raises FidelityOvershoot."""
     if value > 1.0:
         if value <= 1.0 + 1e-9:
             return 1.0

@@ -2,7 +2,8 @@
 
 Four families, each exposing the same three faces: a Kraus channel at time t,
 the evolved reference state, and (where one exists) a closed-form fidelity
-between the states at two times.  Each model class holds its own formulas;
+between the states at two times.  The field sector also gives its state as
+a Kraus factor V, rho = V V^dagger.  Each model class holds its own formulas;
 only the channel builders, ye_markov_fidelity and ye_markov_lindblad stay
 free functions, which the classes call.  The channel and closed-form routes
 are kept fully independent so the test suite can play them against each
@@ -31,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import KrausChannel, LindbladSet, apply
+from .channels import KrausChannel, LindbladSet, kraus_columns
 from .errors import (
     CutoffTooSmall,
     InvalidInitialState,
@@ -83,6 +84,11 @@ class ModelSpec:
 
     def state(self, t: float) -> np.ndarray:
         raise NotImplementedError
+
+    def factor(self, t: float) -> np.ndarray | None:
+        """A (dim, r) factor V with rho(t) = V V^dagger, or None where the
+        model offers none."""
+        return None
 
     def closed_fidelity(self, t: float, tau: float) -> float | None:
         """Closed-form F[rho(t), rho(t + tau)], or None where none is known."""
@@ -274,15 +280,18 @@ class JCMPhoton(_JaynesCummings):
     def channel(self, t: float) -> KrausChannel:
         return jcm_photon_channel(t, self.g, self.cutoff)
 
-    def state(self, t: float) -> np.ndarray:
-        """Field state at time t, starting from the truncated coherent
-        projector embedded in the padded field space."""
+    def factor(self, t: float) -> np.ndarray:
+        """(dim, 2) Kraus factor [K_0 psi, K_1 psi] of the field state at time
+        t, psi the truncated coherent vector embedded in the padded field
+        space; at t = 0 it is [psi, 0]."""
         vec = np.zeros(self.dim, dtype=np.complex128)
         vec[: self.cutoff + 1] = coherent_amplitudes(self.alpha_c, self.cutoff)
-        rho0 = np.outer(vec, vec.conj())
-        if t == 0.0:
-            return rho0
-        return apply(jcm_photon_channel(t, self.g, self.cutoff), rho0)
+        return kraus_columns(jcm_photon_channel(t, self.g, self.cutoff), vec)
+
+    def state(self, t: float) -> np.ndarray:
+        """Field state V V^dagger at time t, V = ``factor(t)``."""
+        v = self.factor(t)
+        return v @ v.conj().T
 
 
 @dataclass(frozen=True)

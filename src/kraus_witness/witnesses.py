@@ -26,7 +26,7 @@ from .errors import (
     OracleMismatch,
     UsageError,
 )
-from .linalg import fidelity, trace_norms, validate_density
+from .linalg import factor_fidelity, fidelity, trace_norms, validate_density
 from .models import (
     JCMPhoton,
     ModelSpec,
@@ -108,33 +108,43 @@ def make_grid(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def _fidelity(spec: ModelSpec, t: float, tau: float, closed: bool) -> float | None:
-    """F[rho(t), rho(t + tau)]: the closed form when closed is set (None where
-    the model has none), else the generic eigenvalue route."""
-    if closed:
+# fidelity routes, in order of preference
+_CLOSED, _FACTOR, _GENERIC = "closed", "factor", "generic"
+
+
+def _route(spec: ModelSpec, tau: float) -> str:
+    """The model's closed form where it has one, else its Kraus factors where
+    it has them, else the generic eigenvalue route."""
+    if model_closed_fidelity(spec, spec.t0, tau) is not None:
+        return _CLOSED
+    if spec.factor(spec.t0) is not None:
+        return _FACTOR
+    return _GENERIC
+
+
+def _fidelity(spec: ModelSpec, t: float, tau: float, route: str) -> float:
+    """F[rho(t), rho(t + tau)] through the given route."""
+    if route == _CLOSED:
         return model_closed_fidelity(spec, t, tau)
+    if route == _FACTOR:
+        return factor_fidelity(spec.factor(t), spec.factor(t + tau))
     return fidelity(model_state(spec, t), model_state(spec, t + tau))
 
 
-def _reference(spec: ModelSpec, tau: float, closed: bool = True) -> tuple[float, bool]:
-    """Reference fidelity F[rho(t0), rho(t0 + tau)], at least 1e-12, and
-    whether the closed form gave it; the generic route serves when closed is
-    unset or no closed form exists."""
-    value = _fidelity(spec, spec.t0, tau, closed)
-    if value is None:
-        closed = False
-        value = _fidelity(spec, spec.t0, tau, closed)
+def _reference(spec: ModelSpec, tau: float, route: str) -> float:
+    """Reference fidelity F[rho(t0), rho(t0 + tau)], at least 1e-12."""
+    value = _fidelity(spec, spec.t0, tau, route)
     if value <= _DENOMINATOR_FLOOR:
         raise DegenerateDenominator(
             f"reference fidelity {value:.3e} at lag {tau!r} cannot normalize G"
         )
-    return value, closed
+    return value
 
 
-def _G(spec: ModelSpec, t: float, tau: float, reference: float, closed: bool) -> float:
+def _G(spec: ModelSpec, t: float, tau: float, reference: float, route: str) -> float:
     if t == spec.t0:
         return 0.0
-    return (_fidelity(spec, t, tau, closed) - reference) / reference
+    return (_fidelity(spec, t, tau, route) - reference) / reference
 
 
 def fidelity_difference(spec: ModelSpec, t: float, tau: float) -> float:
@@ -144,8 +154,8 @@ def fidelity_difference(spec: ModelSpec, t: float, tau: float) -> float:
     rho(t0 + tau)] is at most 1e-12, which happens at lags where the
     reference states become orthogonal.
     """
-    reference, closed = _reference(spec, tau)
-    return _G(spec, t, tau, reference, closed)
+    route = _route(spec, tau)
+    return _G(spec, t, tau, _reference(spec, tau, route), route)
 
 
 def scan_G(
@@ -156,18 +166,20 @@ def scan_G(
 ) -> ScanResult:
     """Evaluate G(t, tau) over a grid, flagging any dip below -witness_tol.
 
-    Models with a closed-form fidelity use it for every point and recompute
-    every tenth point through the generic eigenvalue route; disagreement
-    beyond 1e-9 raises OracleMismatch.
+    Each point goes through the model's closed form where it has one, else
+    through its Kraus factors, else through the generic eigenvalue route.
+    A closed-form scan recomputes every tenth point through the generic
+    route; disagreement beyond 1e-9 raises OracleMismatch.
     """
     t_grid = _check_scan_grid(t_grid)
-    reference, closed = _reference(spec, tau)
-    values = np.array([_G(spec, float(t), tau, reference, closed) for t in t_grid])
-    if closed:
-        generic_reference, _ = _reference(spec, tau, closed=False)
+    route = _route(spec, tau)
+    reference = _reference(spec, tau, route)
+    values = np.array([_G(spec, float(t), tau, reference, route) for t in t_grid])
+    if route == _CLOSED:
+        generic_reference = _reference(spec, tau, _GENERIC)
         for i in range(0, t_grid.size, _CROSS_CHECK_STRIDE):
             t = float(t_grid[i])
-            gap = abs(_G(spec, t, tau, generic_reference, False) - values[i])
+            gap = abs(_G(spec, t, tau, generic_reference, _GENERIC) - values[i])
             if gap > _CROSS_CHECK_TOL:
                 raise OracleMismatch(
                     f"closed-form and generic G differ by {gap:.3e} at t = {t!r}"
@@ -179,9 +191,8 @@ def memory_fidelity(spec: ModelSpec, t_grid: np.ndarray) -> ScanResult:
     """Fidelity of rho(t) against the initial state rho(t0) over a grid."""
     t_grid = _check_scan_grid(t_grid)
     t0 = spec.t0
-    # the first point tells whether the model has a closed form
-    closed = _fidelity(spec, t0, float(t_grid[0]) - t0, True) is not None
-    values = np.array([_fidelity(spec, t0, float(t) - t0, closed) for t in t_grid])
+    route = _route(spec, float(t_grid[0]) - t0)
+    values = np.array([_fidelity(spec, t0, float(t) - t0, route) for t in t_grid])
     # fidelities are nonnegative, so a zero tolerance never fires
     return _summarize(t_grid, values, 0.0, label=f"F0[{spec.NAME}]")
 

@@ -2,7 +2,11 @@
 
 oracle_fidelity is the independent route: it goes through numpy's LAPACK
 eigensolver and never touches the package's Jacobi implementation, so any
-agreement between the two is meaningful.
+agreement between the two is meaningful.  It zeroes eigenvalues of
+sqrt(rho1) rho2 sqrt(rho1) below 1e-13 of the leading one, as the package
+and bench/oracle.py do: on rank-deficient states their square roots are
+rounding noise worth up to ~1e-8 of fidelity, and test_referee.py checks the
+floored value against a 40-digit computation.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ def oracle_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     inner = root @ rho2 @ root
     inner = 0.5 * (inner + inner.conj().T)
     lam = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    lam = np.where(lam < 1e-13 * max(1.0, lam[-1]), 0.0, lam)
     return float(np.sum(np.sqrt(lam)) ** 2)
 
 

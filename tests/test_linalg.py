@@ -11,6 +11,8 @@ import pytest
 import kraus_witness
 from kraus_witness import (
     DimensionMismatch,
+    FidelityOvershoot,
+    JCMPhoton,
     NoConvergence,
     NonHermitian,
     NotHermitian,
@@ -18,6 +20,7 @@ from kraus_witness import (
     NumericalError,
     TraceNotOne,
     YEMarkov,
+    factor_fidelity,
     fidelity,
     hermitian_eig,
     psd_sqrt,
@@ -358,6 +361,60 @@ class TestTraceNorms:
     def test_rejects_bad_shape(self, shape):
         with pytest.raises(DimensionMismatch):
             trace_norms(np.zeros(shape, dtype=complex))
+
+
+def _rho(v):
+    return v @ v.conj().T
+
+
+class TestFactorFidelity:
+    """The 2 x 2 Uhlmann overlap against the generic eigenvalue route."""
+
+    @pytest.mark.parametrize("spec", [JCMPhoton(), JCMPhoton(alpha_c=1, n_max=31)],
+                             ids=["vacuum", "coherent"])
+    @pytest.mark.parametrize("t, t2", [(0.0, 1.0), (1.0, 2.0), (2.5, 3.5)])
+    def test_matches_generic_route(self, spec, t, t2):
+        v1, v2 = spec.factor(t), spec.factor(t2)
+        assert factor_fidelity(v1, v2) == pytest.approx(fidelity(_rho(v1), _rho(v2)), abs=1e-12)
+
+    def test_ignores_the_choice_of_factor(self, rng):
+        # V U gives the same state for any 2 x 2 unitary U
+        v1, v2 = JCMPhoton(alpha_c=1, n_max=31).factor(1.0), JCMPhoton(alpha_c=1j, n_max=31).factor(0.4)
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        assert factor_fidelity(v1 @ q, v2) == pytest.approx(factor_fidelity(v1, v2), abs=1e-14)
+
+    def test_pure_states(self, rng):
+        # a factor [psi, 0] is the pure state psi, so F = |<psi1|psi2>|^2
+        vecs = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        v1, v2 = (np.stack([vec, np.zeros(5)], axis=1) for vec in vecs)
+        assert factor_fidelity(v1, v2) == pytest.approx(abs(np.vdot(*vecs)) ** 2, abs=1e-15)
+
+    def test_clamps_rounding_overshoot(self):
+        v = JCMPhoton(alpha_c=1, n_max=31).factor(1.0) * (1.0 + 1e-11) ** 0.25
+        assert factor_fidelity(v, v) == 1.0
+
+    def test_rejects_overshoot(self):
+        # F(V, V) = (Tr V V^dagger)^2, so this scaling gives F = 1 + 1e-6
+        v = JCMPhoton(alpha_c=1, n_max=31).factor(1.0) * (1.0 + 1e-6) ** 0.25
+        with pytest.raises(FidelityOvershoot):
+            factor_fidelity(v, v)
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_rejects_nan(self, slot):
+        factors = [JCMPhoton().factor(1.0), JCMPhoton().factor(2.0)]
+        factors[slot][3, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitian, match="non-finite"):
+                factor_fidelity(*factors)
+
+    @pytest.mark.parametrize("shape1, shape2", [
+        ((22, 3), (22, 3)), ((22, 2), (21, 2)), ((22, 2), (22, 3)), ((22,), (22,)),
+    ])
+    def test_rejects_bad_shapes(self, shape1, shape2):
+        with pytest.raises(DimensionMismatch):
+            factor_fidelity(np.ones(shape1), np.ones(shape2))
 
 
 def _lapack_uses(tree):

@@ -293,6 +293,19 @@ class TestFieldMode:
         assert rho[1, 1].real == pytest.approx(1.0, abs=1e-12)
         assert rho[0, 0].real == pytest.approx(0.0, abs=1e-12)
 
+    def test_factor_at_start(self):
+        spec = JCMPhoton(alpha_c=0.5 - 0.5j)
+        v = spec.factor(0.0)
+        assert v.shape == (spec.dim, 2)
+        amps = coherent_amplitudes(0.5 - 0.5j, spec.cutoff)
+        assert v[: spec.cutoff + 1, 0].tolist() == amps.tolist()
+        assert not v[spec.cutoff + 1:, 0].any() and not v[:, 1].any()
+
+    @pytest.mark.parametrize("spec", [YEMarkov(), YENonMarkov(), JCMQubit(), CKDephase()],
+                             ids=lambda spec: spec.NAME)
+    def test_only_the_field_sector_has_a_factor(self, spec):
+        assert spec.factor(1.0) is None
+
     def test_channel_reproduces_state(self, rng):
         spec = JCMPhoton()
         rho0 = spec.state(0.0)

@@ -49,6 +49,13 @@ class _SkewedCK(CKDephase):
         return super().closed_fidelity(t, tau) - (1e-6 if t > 0.0 else 0.0)
 
 
+def _forbid_eigensolves(monkeypatch):
+    def no_eigensolve(mat):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(linalg, "_jacobi", no_eigensolve)
+
+
 class TestMakeGrid:
     def test_inclusive_endpoints(self):
         grid = make_grid(0.0, 10.0, 0.02)
@@ -136,6 +143,23 @@ class TestScanG:
         with pytest.raises(OracleMismatch, match="closed-form and generic G differ"):
             scan_G(_SkewedCK(), grid, math.pi / 6.0)
 
+    def test_factor_route_matches_generic(self):
+        spec, tau = JCMPhoton(alpha_c=1j, n_max=31), 1.0
+        grid = np.array([0.0, 1.0, 2.5])
+        reference = fidelity(model_state(spec, 0.0), model_state(spec, tau))
+        generic = [
+            (fidelity(model_state(spec, t), model_state(spec, t + tau)) - reference)
+            / reference
+            for t in grid[1:]
+        ]
+        np.testing.assert_allclose(scan_G(spec, grid, tau).values, [0.0] + generic,
+                                   rtol=0.0, atol=1e-12)
+
+    def test_factor_route_needs_no_eigensolve(self, monkeypatch):
+        _forbid_eigensolves(monkeypatch)
+        scan = scan_G(JCMPhoton(alpha_c=1, n_max=31), make_grid(0.0, 10.0, 0.05), 1.0)
+        assert scan.values.size == 201
+
     def test_trigger_threshold(self):
         grid = make_grid(0.0, 2.0 * math.pi, 0.05)
         relaxed = scan_G(CKDephase(), grid, math.pi / 6.0)
@@ -146,6 +170,13 @@ class TestScanG:
 
 
 class TestMemoryFidelity:
+    def test_factor_route(self, monkeypatch):
+        spec, grid = JCMPhoton(alpha_c=1, n_max=31), np.array([0.0, 0.5, 3.0])
+        expected = [fidelity(model_state(spec, 0.0), model_state(spec, t)) for t in grid]
+        _forbid_eigensolves(monkeypatch)
+        np.testing.assert_allclose(memory_fidelity(spec, grid).values, expected,
+                                   rtol=0.0, atol=1e-12)
+
     def test_starts_at_one(self):
         grid = make_grid(0.0, 10.0, 0.1)
         result = memory_fidelity(YEMarkov(), grid)
