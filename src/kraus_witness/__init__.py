@@ -41,6 +41,7 @@ from .errors import (
 from .linalg import (
     Spectrum,
     factor_fidelity,
+    fidelities,
     fidelity,
     hermitian_eig,
     psd_sqrt,

@@ -157,16 +157,126 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Uhlmann-Jozsa fidelity of two density matrices.
 
-    Computed as (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2.  Values in
-    (1, 1 + 1e-9] are clamped to 1; a larger overshoot raises
-    FidelityOvershoot.
+    Computed as (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 by ``fidelities``
+    on a stack of one pair, with its checks, floor and clamp.
     """
     a = _as_square(rho1)
     b = _as_square(rho2)
     if a.shape != b.shape:
         raise DimensionMismatch(f"state shapes differ: {a.shape} vs {b.shape}")
+    return float(fidelities(a[None], b[None])[0])
+
+
+def fidelities(rho1_stack: np.ndarray, rho2_stack: np.ndarray) -> np.ndarray:
+    """Fidelities of the pairs of two (B, d, d) stacks of density matrices.
+
+    F = (Tr sqrt(M))^2 with M = sqrt(rho1) rho2 sqrt(rho1).  Raises
+    NonHermitian if an entry is not finite or rho1 is not Hermitian within
+    1e-10, and NotPSD if rho1 or M has an eigenvalue below -1e-10; rho1's
+    eigenvalues in [-1e-10, 0) are clamped to zero, as by ``psd_sqrt``.
+    Eigenvalues of M below 1e-13 of its leading one are zeroed.  Values in
+    (1, 1 + 1e-9] are clamped to 1; a larger overshoot raises
+    FidelityOvershoot.
+
+    At d = 2 the closed form F = Tr(rho1 rho2) + 2 sqrt(det rho1 det rho2)
+    needs no eigensolve; larger matrices take two Jacobi eigensolves each.
+    """
+    a = np.asarray(rho1_stack, dtype=np.complex128)
+    b = np.asarray(rho2_stack, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape != b.shape:
+        raise DimensionMismatch(f"expected two equal (B, d, d) stacks, got {a.shape} and {b.shape}")
     # rho2 is only multiplied, and inf * 0 would warn before any check
     _require_finite(b, NonHermitian)
+    if a.shape[1] == 2:
+        values = _qubit_fidelities(_hermitized(a, _HERMITIAN_TOL, NonHermitian), b)
+    else:
+        values = np.array([_fidelity_jacobi(x, y) for x, y in zip(a, b)])
+    return _clamp_overshoot(values)
+
+
+def _qubit_fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unclamped fidelities of a Hermitian and a finite (B, 2, 2) stack.
+
+    The eigenvalues of M sum to T = Tr(rho1 rho2) and multiply to
+    D = det rho1 det rho2.  The larger one comes from the quadratic and the
+    smaller as D over it, which keeps its digits where it is tiny; they
+    decide the PSD check and the floor.  Where both survive the floor,
+    F = (sqrt(l+) + sqrt(l-))^2 = T + 2 sqrt(D); where only l+ does,
+    F = l+ = T - l-.
+    """
+    # M depends on rho2 only through its Hermitian part
+    b = 0.5 * (b + b.conj().swapaxes(1, 2))
+    a00, a11, a01 = a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1]
+    b00, b11, b01 = b[:, 0, 0].real, b[:, 1, 1].real, b[:, 0, 1]
+    # rho1 has eigenvalues s/2 +- r
+    half_trace, half_gap = 0.5 * (a00 + a11), 0.5 * (a00 - a11)
+    r = np.hypot(half_gap, np.abs(a01))
+    smallest = half_trace - r
+    if np.any(smallest < -_PSD_CLAMP):
+        raise NotPSD(f"eigenvalue {np.min(smallest):.3e} below the -{_PSD_CLAMP:.1e} clamping window")
+    coupling = 2.0 * (a01 * b01.conj()).real
+    trace = a00 * b00 + a11 * b11 + coupling
+    # psd_sqrt's clamp makes rho1 max(s/2 + r, 0) (I + X/r)/2, X = rho1 - s/2
+    clamped = smallest < 0.0
+    along = r * (b00 + b11) + half_gap * (b00 - b11) + coupling
+    kept = np.maximum(half_trace + r, 0.0) * along / np.where(r > 0.0, 2.0 * r, 1.0)
+    trace = np.where(clamped, kept, trace)
+    det1 = np.where(clamped, 0.0, _hermitian_det(a00, a11, a01))
+    product = det1 * _hermitian_det(b00, b11, b01)
+    high = 0.5 * trace + np.sqrt(np.clip(0.25 * trace ** 2 - product, 0.0, None))
+    positive = high > 0.0
+    low = np.where(positive, product / np.where(positive, high, 1.0), trace - high)
+    if np.any(low < -1e-10):
+        raise NotPSD(f"inner product matrix has eigenvalue {np.min(low):.3e}")
+    floor = 1e-13 * np.maximum(1.0, high)
+    both = low >= floor
+    return np.where(
+        both,
+        trace + 2.0 * np.sqrt(np.where(both, product, 0.0)),
+        np.where(high >= floor, trace - low, 0.0),
+    )
+
+
+# Veltkamp's splitter 2^27 + 1 cuts a double into two 26-bit halves
+_SPLIT = 134217729.0
+
+
+def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = fl(x y) and its rounding error e, x y = p + e exactly (Dekker)."""
+    p = x * y
+    cx, cy = _SPLIT * x, _SPLIT * y
+    xh, yh = cx - (cx - x), cy - (cy - y)
+    xl, yl = x - xh, y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _two_sum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = fl(x + y) and its rounding error e, x + y = s + e exactly (Knuth)."""
+    s = x + y
+    yv = s - x
+    return s, (x - (s - yv)) + (y - yv)
+
+
+def _hermitian_det(m00: np.ndarray, m11: np.ndarray, m01: np.ndarray) -> np.ndarray:
+    """m00 m11 - |m01|^2 for real m00, m11, to a few ulps of the result.
+
+    On near-pure states the three products cancel in their leading digits,
+    and sqrt(D) would lift the rounding left over to ~1e-11 in F; so each
+    product is split exactly into its rounded value and error, and the
+    errors are summed back in.
+    """
+    p0, e0 = _two_product(m00, m11)
+    p1, e1 = _two_product(m01.real, m01.real)
+    p2, e2 = _two_product(m01.imag, m01.imag)
+    s1, t1 = _two_sum(p0, -p1)
+    s2, t2 = _two_sum(s1, -p2)
+    return s2 + (t1 + t2 + (e0 - e1 - e2))
+
+
+def _fidelity_jacobi(a: np.ndarray, b: np.ndarray) -> float:
+    """Unclamped fidelity of a (d, d) state and a finite one through two
+    Jacobi eigensolves: the square root of a, then the eigenvalues of the
+    inner matrix."""
     root = psd_sqrt(a)
     inner = root @ b @ root
     inner = 0.5 * (inner + inner.conj().T)
@@ -177,7 +287,7 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     # zeros; taking their square roots would inject ~1e-7 noise into the trace
     floor = 1e-13 * max(1.0, float(w[-1]))
     w = np.where(w < floor, 0.0, w)
-    return _clamp_overshoot(float(np.sum(np.sqrt(w)) ** 2))
+    return float(np.sum(np.sqrt(w)) ** 2)
 
 
 def factor_fidelity(v1: np.ndarray, v2: np.ndarray) -> float:
@@ -198,17 +308,17 @@ def factor_fidelity(v1: np.ndarray, v2: np.ndarray) -> float:
     # det M from its entries: near rank 1, sqrt(det(M^dagger M)) would turn
     # 1e-16 rounding into ~1e-8
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return _clamp_overshoot(float(np.sum(np.abs(m) ** 2) + 2.0 * abs(det)))
+    return float(_clamp_overshoot(np.sum(np.abs(m) ** 2) + 2.0 * abs(det)))
 
 
-def _clamp_overshoot(value: float) -> float:
-    """A fidelity, with rounding overshoot in (1, 1 + 1e-9] clamped to 1;
+def _clamp_overshoot(values: np.ndarray) -> np.ndarray:
+    """Fidelities, with rounding overshoot in (1, 1 + 1e-9] clamped to 1;
     a larger overshoot raises FidelityOvershoot."""
-    if value > 1.0:
-        if value <= 1.0 + 1e-9:
-            return 1.0
+    over = values > 1.0 + 1e-9
+    if np.any(over):
+        value = float(np.asarray(values)[over].flat[0])
         raise FidelityOvershoot(f"fidelity {value!r} exceeds 1 beyond the 1e-9 window")
-    return value
+    return np.minimum(values, 1.0)
 
 
 def _jacobi_eigvals(stack: np.ndarray) -> np.ndarray:

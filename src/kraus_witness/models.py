@@ -85,6 +85,10 @@ class ModelSpec:
     def state(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        """(T, dim, dim) stack of the states at the times ts."""
+        return np.array([self.state(float(t)) for t in ts])
+
     def factor(self, t: float) -> np.ndarray | None:
         """A (dim, r) factor V with rho(t) = V V^dagger, or None where the
         model offers none."""
@@ -236,21 +240,29 @@ class JCMQubit(_JaynesCummings):
 
     def state(self, t: float) -> np.ndarray:
         """Reduced atom state at time t for an initially excited atom."""
-        t = _check_time(t)
+        return self.states(np.array([_check_time(t)]))[0]
+
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        """Reduced atom states at the times ts, one (T, cutoff) array of
+        Rabi phases per sum."""
+        ts = np.asarray(ts, dtype=float)
+        if np.any(ts < 0.0):
+            _check_time(ts[ts < 0.0][0])
         amps = coherent_amplitudes(self.alpha_c, self.cutoff)
-        g = self.g
         weights = np.abs(amps) ** 2
         n_grid = np.arange(self.cutoff + 1)
-        theta_up = g * t * np.sqrt(n_grid + 1.0)
-        pop_up = float(np.sum(weights * np.cos(theta_up) ** 2))
-        theta_dn = g * t * np.sqrt(n_grid[1:].astype(float))
-        pop_dn = float(np.sum(weights[: self.cutoff] * np.sin(theta_dn) ** 2))
+        gt = self.g * ts[:, None]
+        theta_up = gt * np.sqrt(n_grid + 1.0)
+        theta_dn = gt * np.sqrt(n_grid[1:].astype(float))
+        out = np.empty((ts.size, 2, 2), dtype=np.complex128)
+        out[:, 0, 0] = np.sum(weights * np.cos(theta_up) ** 2, axis=1)
+        out[:, 1, 1] = np.sum(weights[: self.cutoff] * np.sin(theta_dn) ** 2, axis=1)
         coherence = 1j * np.sum(
-            np.cos(theta_up[1:]) * np.sin(theta_dn) * amps[1:] * np.conj(amps[:-1])
+            np.cos(theta_up[:, 1:]) * np.sin(theta_dn) * amps[1:] * np.conj(amps[:-1]), axis=1
         )
-        return np.array(
-            [[pop_up, coherence], [np.conj(coherence), pop_dn]], dtype=np.complex128
-        )
+        out[:, 0, 1] = coherence
+        out[:, 1, 0] = np.conj(coherence)
+        return out
 
     def closed_fidelity(self, t: float, tau: float) -> float | None:
         # the closed form covers the vacuum field only; pi/g periodic in t

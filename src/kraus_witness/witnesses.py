@@ -26,7 +26,7 @@ from .errors import (
     OracleMismatch,
     UsageError,
 )
-from .linalg import factor_fidelity, fidelity, trace_norms, validate_density
+from .linalg import factor_fidelity, fidelities, trace_norms, validate_density
 from .models import (
     JCMPhoton,
     ModelSpec,
@@ -112,28 +112,36 @@ def make_grid(start: float, stop: float, step: float) -> np.ndarray:
 _CLOSED, _FACTOR, _GENERIC = "closed", "factor", "generic"
 
 
-def _route(spec: ModelSpec, tau: float) -> str:
-    """The model's closed form where it has one, else its Kraus factors where
-    it has them, else the generic eigenvalue route."""
-    if model_closed_fidelity(spec, spec.t0, tau) is not None:
-        return _CLOSED
-    if spec.factor(spec.t0) is not None:
-        return _FACTOR
-    return _GENERIC
+def _route(spec: ModelSpec, tau: float) -> tuple[str, float | None]:
+    """The fidelity route for lag tau and F[rho(t0), rho(t0 + tau)] as found
+    while choosing it: the model's closed form where it has one, else its
+    Kraus factors where it has them, else the generic route, whose value
+    (None here) comes out of the batched call of ``_generic_G``."""
+    t0 = spec.t0
+    value = model_closed_fidelity(spec, t0, tau)
+    if value is not None:
+        return _CLOSED, value
+    v0 = spec.factor(t0)
+    if v0 is not None:
+        return _FACTOR, factor_fidelity(v0, spec.factor(t0 + tau))
+    return _GENERIC, None
 
 
 def _fidelity(spec: ModelSpec, t: float, tau: float, route: str) -> float:
-    """F[rho(t), rho(t + tau)] through the given route."""
+    """F[rho(t), rho(t + tau)] through the closed or the factor route."""
     if route == _CLOSED:
         return model_closed_fidelity(spec, t, tau)
-    if route == _FACTOR:
-        return factor_fidelity(spec.factor(t), spec.factor(t + tau))
-    return fidelity(model_state(spec, t), model_state(spec, t + tau))
+    return factor_fidelity(spec.factor(t), spec.factor(t + tau))
 
 
-def _reference(spec: ModelSpec, tau: float, route: str) -> float:
-    """Reference fidelity F[rho(t0), rho(t0 + tau)], at least 1e-12."""
-    value = _fidelity(spec, spec.t0, tau, route)
+def _generic_fidelities(spec: ModelSpec, ts: np.ndarray, tau: np.ndarray | float) -> np.ndarray:
+    """F[rho(t), rho(t + tau)] over ts and tau broadcast together, in one
+    ``fidelities`` call."""
+    return fidelities(*np.broadcast_arrays(spec.states(ts), spec.states(ts + tau)))
+
+
+def _reference(value: float, tau: float) -> float:
+    """The reference fidelity F[rho(t0), rho(t0 + tau)], at least 1e-12."""
     if value <= _DENOMINATOR_FLOOR:
         raise DegenerateDenominator(
             f"reference fidelity {value:.3e} at lag {tau!r} cannot normalize G"
@@ -147,6 +155,15 @@ def _G(spec: ModelSpec, t: float, tau: float, reference: float, route: str) -> f
     return (_fidelity(spec, t, tau, route) - reference) / reference
 
 
+def _generic_G(spec: ModelSpec, ts: np.ndarray, tau: float) -> np.ndarray:
+    """G at each t of ts through the generic route, with the reference in
+    the same batch (ts's first entry where that is t0); exactly zero at t0."""
+    times = ts if ts[0] == spec.t0 else np.concatenate(([spec.t0], ts))
+    values = _generic_fidelities(spec, times, tau)
+    reference = _reference(values[0], tau)
+    return np.where(ts == spec.t0, 0.0, (values[-ts.size:] - reference) / reference)
+
+
 def fidelity_difference(spec: ModelSpec, t: float, tau: float) -> float:
     """Relative fidelity gap G(t, tau); exactly zero at the start time t0.
 
@@ -154,8 +171,10 @@ def fidelity_difference(spec: ModelSpec, t: float, tau: float) -> float:
     rho(t0 + tau)] is at most 1e-12, which happens at lags where the
     reference states become orthogonal.
     """
-    route = _route(spec, tau)
-    return _G(spec, t, tau, _reference(spec, tau, route), route)
+    route, value = _route(spec, tau)
+    if route == _GENERIC:
+        return float(_generic_G(spec, np.array([float(t)]), tau)[0])
+    return _G(spec, t, tau, _reference(value, tau), route)
 
 
 def scan_G(
@@ -167,23 +186,27 @@ def scan_G(
     """Evaluate G(t, tau) over a grid, flagging any dip below -witness_tol.
 
     Each point goes through the model's closed form where it has one, else
-    through its Kraus factors, else through the generic eigenvalue route.
-    A closed-form scan recomputes every tenth point through the generic
-    route; disagreement beyond 1e-9 raises OracleMismatch.
+    through its Kraus factors, else through the generic route, which takes
+    the whole grid in one batch.  A closed-form scan recomputes every tenth
+    point through the generic route; disagreement beyond 1e-9 raises
+    OracleMismatch at the first such point.
     """
     t_grid = _check_scan_grid(t_grid)
-    route = _route(spec, tau)
-    reference = _reference(spec, tau, route)
-    values = np.array([_G(spec, float(t), tau, reference, route) for t in t_grid])
+    route, value = _route(spec, tau)
+    if route == _GENERIC:
+        values = _generic_G(spec, t_grid, tau)
+    else:
+        reference = _reference(value, tau)
+        values = np.array([_G(spec, float(t), tau, reference, route) for t in t_grid])
     if route == _CLOSED:
-        generic_reference = _reference(spec, tau, _GENERIC)
-        for i in range(0, t_grid.size, _CROSS_CHECK_STRIDE):
-            t = float(t_grid[i])
-            gap = abs(_G(spec, t, tau, generic_reference, _GENERIC) - values[i])
-            if gap > _CROSS_CHECK_TOL:
-                raise OracleMismatch(
-                    f"closed-form and generic G differ by {gap:.3e} at t = {t!r}"
-                )
+        checked = t_grid[::_CROSS_CHECK_STRIDE]
+        gaps = np.abs(_generic_G(spec, checked, tau) - values[::_CROSS_CHECK_STRIDE])
+        failing = np.flatnonzero(gaps > _CROSS_CHECK_TOL)
+        if failing.size:
+            i = int(failing[0])
+            raise OracleMismatch(
+                f"closed-form and generic G differ by {gaps[i]:.3e} at t = {float(checked[i])!r}"
+            )
     return _summarize(t_grid, values, witness_tol, label=f"G[{spec.NAME}] tau={tau!r}")
 
 
@@ -191,8 +214,12 @@ def memory_fidelity(spec: ModelSpec, t_grid: np.ndarray) -> ScanResult:
     """Fidelity of rho(t) against the initial state rho(t0) over a grid."""
     t_grid = _check_scan_grid(t_grid)
     t0 = spec.t0
-    route = _route(spec, float(t_grid[0]) - t0)
-    values = np.array([_fidelity(spec, t0, float(t) - t0, route) for t in t_grid])
+    lags = t_grid - t0
+    route, _ = _route(spec, float(lags[0]))
+    if route == _GENERIC:
+        values = _generic_fidelities(spec, np.array([t0]), lags)
+    else:
+        values = np.array([_fidelity(spec, t0, float(lag), route) for lag in lags])
     # fidelities are nonnegative, so a zero tolerance never fires
     return _summarize(t_grid, values, 0.0, label=f"F0[{spec.NAME}]")
 

@@ -21,6 +21,7 @@ from kraus_witness import (
     TraceNotOne,
     YEMarkov,
     factor_fidelity,
+    fidelities,
     fidelity,
     hermitian_eig,
     psd_sqrt,
@@ -415,6 +416,136 @@ class TestFactorFidelity:
     def test_rejects_bad_shapes(self, shape1, shape2):
         with pytest.raises(DimensionMismatch):
             factor_fidelity(np.ones(shape1), np.ones(shape2))
+
+
+def _pure(vec):
+    vec = vec / np.linalg.norm(vec)
+    return np.outer(vec, vec.conj())
+
+
+def _random_pures(rng, count):
+    return np.array([_pure(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(count)])
+
+
+def _no_warning(error, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
+
+
+def _bad_qubit_pairs():
+    good = np.diag([0.6, 0.4]).astype(complex)
+    pairs = {}
+    for name, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
+        bad = good.copy()
+        bad[0, 1] = value
+        pairs[f"{name}-rho1"] = (NonHermitian, bad, good)
+        pairs[f"{name}-rho2"] = (NonHermitian, good, bad)
+    negative = np.diag([1.5, -0.5]).astype(complex)
+    # F(rho, rho) = (Tr rho)^2, so this scaling gives F = 1 + 1e-6
+    over = good * (1.0 + 1e-6) ** 0.5
+    pairs.update({
+        "non-hermitian-rho1": (NonHermitian, np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex), good),
+        "negative-rho1": (NotPSD, negative, good),
+        "negative-rho2": (NotPSD, good, negative),
+        "overshoot": (FidelityOvershoot, over, over),
+    })
+    return pairs
+
+
+_BAD_QUBIT_PAIRS = _bad_qubit_pairs()
+
+
+class TestFidelities:
+    """The qubit closed form against the two-Jacobi route and the LAPACK
+    oracle; larger stacks against the scalar function."""
+
+    def test_matches_jacobi_and_oracle(self, rng):
+        a = np.array([random_density(rng, 2) for _ in range(200)])
+        b = np.array([random_density(rng, 2) for _ in range(200)])
+        batched = fidelities(a, b)
+        for x, y, value in zip(a, b, batched):
+            assert value == pytest.approx(fidelity(x, y), abs=1e-12)
+            assert value == pytest.approx(linalg._fidelity_jacobi(x, y), abs=1e-12)
+            assert value == pytest.approx(oracle_fidelity(x, y), abs=1e-12)
+
+    def test_pure_states(self, rng):
+        pures, others = _random_pures(rng, 50), _random_pures(rng, 50)
+        mixed = np.array([random_density(rng, 2) for _ in range(50)])
+        overlaps = np.einsum("bij,bji->b", pures, others).real
+        expectations = np.einsum("bij,bji->b", pures, mixed).real
+        np.testing.assert_allclose(fidelities(pures, others), overlaps, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(fidelities(pures, mixed), expectations, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(fidelities(mixed, pures), expectations, rtol=0.0, atol=1e-14)
+
+    def test_maximally_mixed(self, rng):
+        half = np.broadcast_to(np.eye(2, dtype=complex) / 2, (20, 2, 2))
+        rho = np.array([random_density(rng, 2) for _ in range(20)])
+        # F(I/2, rho) = (sqrt(p1) + sqrt(p2))^2 / 2 over rho's eigenvalues
+        expected = (np.sqrt(np.clip(np.linalg.eigvalsh(rho), 0.0, None)).sum(axis=1)) ** 2 / 2
+        np.testing.assert_allclose(fidelities(half, rho), expected, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(fidelities(rho, half), expected, rtol=0.0, atol=1e-14)
+        assert fidelities(half[:1], half[:1]).tolist() == [1.0]
+
+    def test_identical_states(self, rng):
+        exact = np.array([
+            np.diag([0.75, 0.25]), np.diag([1.0, 0.0]), np.full((2, 2), 0.5),
+            [[0.5, 0.5j], [-0.5j, 0.5]], [[0.625, 0.25 + 0.125j], [0.25 - 0.125j, 0.375]],
+        ], dtype=complex)
+        assert fidelities(exact, exact).tolist() == [1.0] * len(exact)
+        rho = np.array([random_density(rng, 2) for _ in range(50)])
+        values = fidelities(rho, rho)
+        assert np.all(values <= 1.0) and np.all(values >= 1.0 - 1e-15)
+
+    def test_orthogonal_pure_states(self, rng):
+        pures = _random_pures(rng, 50)
+        complements = np.eye(2) - pures
+        assert fidelities(pures, complements).tolist() == [0.0] * 50
+        assert fidelities(complements, pures).tolist() == [0.0] * 50
+
+    def test_mixed_batch(self, rng):
+        pure, mixed = _random_pures(rng, 1)[0], random_density(rng, 2)
+        half = np.eye(2, dtype=complex) / 2
+        pairs = [(pure, mixed), (mixed, pure), (half, mixed), (mixed, mixed),
+                 (pure, np.eye(2) - pure), (pure, pure), (half, half)]
+        a, b = (np.array(side) for side in zip(*pairs))
+        one_by_one = [fidelities(x[None], y[None])[0] for x, y in pairs]
+        assert fidelities(a, b).tolist() == one_by_one
+
+    def test_clamps_eigenvalues_of_rho1_in_window(self, rng):
+        # rho1 = U diag(1 + 5e-11, -5e-11) U^dagger is clamped to its
+        # positive part, as psd_sqrt does
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        rho1 = (q * [1.0 + 5e-11, -5e-11]) @ q.conj().T
+        rho2 = random_density(rng, 2)
+        assert fidelity(rho1, rho2) == pytest.approx(linalg._fidelity_jacobi(rho1, rho2), abs=1e-14)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_larger_stacks_match_scalar_bit_for_bit(self, rng, dim):
+        a = np.array([random_density(rng, dim) for _ in range(6)])
+        b = np.array([random_density(rng, dim) for _ in range(6)])
+        assert fidelities(a, b).tolist() == [fidelity(x, y) for x, y in zip(a, b)]
+
+    @pytest.mark.parametrize("case", _BAD_QUBIT_PAIRS)
+    @pytest.mark.parametrize("dim", [2, 3], ids=["closed-form", "jacobi"])
+    def test_error_parity(self, case, dim):
+        # the d = 3 embedding (a zero last row and column) takes the
+        # two-Jacobi route and must raise the same error
+        error, rho1, rho2 = _BAD_QUBIT_PAIRS[case]
+        a, b = (np.pad(m, (0, dim - 2))[None] for m in (rho1, rho2))
+        _no_warning(error, lambda: fidelities(a, b))
+        _no_warning(error, lambda: fidelity(a[0], b[0]))
+
+    def test_clamps_rounding_overshoot(self):
+        rho = np.diag([0.6, 0.4]).astype(complex) * (1.0 + 1e-11) ** 0.5
+        assert fidelities(rho[None], rho[None]).tolist() == [1.0]
+
+    @pytest.mark.parametrize("shape1, shape2", [
+        ((2, 2, 2), (3, 2, 2)), ((2, 2, 2), (2, 3, 3)), ((2, 2), (2, 2)), ((1, 2, 3), (1, 2, 3)),
+    ])
+    def test_rejects_bad_shapes(self, shape1, shape2):
+        _no_warning(DimensionMismatch, lambda: fidelities(np.ones(shape1), np.ones(shape2)))
 
 
 def _lapack_uses(tree):

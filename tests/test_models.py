@@ -373,6 +373,20 @@ class TestDispatch:
             evolved = apply(model_channel(spec, t), rho0)
             assert np.max(np.abs(evolved - model_state(spec, t))) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "spec", ALL_SPECS + [JCMQubit(alpha_c=1, n_max=31)], ids=lambda s: s.NAME
+    )
+    def test_states_stack_the_states(self, spec):
+        ts = np.array([0.0, 0.37, 1.0, 2.5, 9.99])
+        stack = spec.states(ts)
+        assert stack.shape == (ts.size, spec.dim, spec.dim)
+        for t, rho in zip(ts, stack):
+            np.testing.assert_array_equal(rho, spec.state(float(t)))
+
+    def test_states_reject_negative_times(self):
+        with pytest.raises(NegativeTime, match="-0.5"):
+            JCMQubit(alpha_c=1, n_max=31).states(np.array([0.0, -0.5, 1.0]))
+
     def test_closed_fidelity_availability(self):
         assert model_closed_fidelity(YEMarkov(), 0.1, 0.2) is not None
         assert model_closed_fidelity(JCMQubit(), 0.1, 0.2) is not None

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from kraus_witness import JCMPhoton, JCMQubit, YEMarkov, factor_fidelity, fidelity
+from kraus_witness import linalg
 
 from conftest import oracle_fidelity
 
@@ -33,9 +34,12 @@ PAIRS = {
 
 @functools.cache
 def referee(name: str) -> float:
+    return exact_fidelity(*PAIRS[name]())
+
+
+def exact_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """(Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 at 40 digits, negative
     eigenvalues (rounding images of zero) clipped at both square roots."""
-    rho1, rho2 = PAIRS[name]()
     with mpmath.workdps(40):
         a, b = mpmath.matrix(rho1.tolist()), mpmath.matrix(rho2.tolist())
         w, v = mpmath.eighe((a + a.H) / 2)
@@ -59,3 +63,28 @@ def test_factor_route():
     assert factor_fidelity(FIELD.factor(1.0), FIELD.factor(2.0)) == pytest.approx(
         referee("field-rank-2"), abs=1e-12
     )
+
+
+# smaller eigenvalues of the near-pure qubits: exactly pure through mixed
+NEAR_PURE = (0.0, 1e-15, 1e-12, 1e-9, 1e-6, 0.3)
+
+
+def _qubit(rng: np.random.Generator, smaller: float) -> np.ndarray:
+    """Exactly Hermitian U diag(1 - smaller, smaller) U^dagger, U random."""
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    m = (q * [1.0 - smaller, smaller]) @ q.conj().T
+    return np.array([[m[0, 0].real, m[0, 1]], [m[0, 1].conjugate(), m[1, 1].real]])
+
+
+@pytest.mark.parametrize("smaller1", NEAR_PURE)
+def test_qubit_closed_form_near_pure(smaller1):
+    """Near-pure pairs are ill-conditioned: below the eigenvalue floor both
+    routes drop sqrt(l-), up to ~6e-8 of F.  The closed form must be no
+    further from the referee than the two-Jacobi route is."""
+    rng = np.random.default_rng(NEAR_PURE.index(smaller1))
+    for smaller2 in NEAR_PURE:
+        rho1, rho2 = _qubit(rng, smaller1), _qubit(rng, smaller2)
+        exact = exact_fidelity(rho1, rho2)
+        closed, jacobi = fidelity(rho1, rho2), linalg._fidelity_jacobi(rho1, rho2)
+        assert abs(closed - exact) <= abs(jacobi - exact) + 1e-15, (smaller2, closed, jacobi, exact)
+        assert abs(closed - jacobi) <= 1e-9

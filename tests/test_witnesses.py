@@ -56,6 +56,16 @@ def _forbid_eigensolves(monkeypatch):
     monkeypatch.setattr(linalg, "_jacobi", no_eigensolve)
 
 
+# qubit models without a closed form, so their scans take the generic route
+_GENERIC_QUBIT_SCANS = [
+    (CKDephase(rho11=0.9, rho22=0.1, rho12=0.1), math.pi / 6.0, make_grid(0.0, 2.0 * math.pi, 0.05)),
+    (CKDephase(rho11=0.9, rho22=0.1, rho12=0.1, t0=1.0), math.pi / 6.0,
+     1.0 + make_grid(0.0, 2.0 * math.pi, 0.05)),
+    (JCMQubit(alpha_c=1, n_max=31), 3.0, make_grid(0.0, 10.0, 0.05)),
+]
+_GENERIC_QUBIT_IDS = ["ck-mixed", "ck-mixed-late-start", "jcm-qubit-coherent"]
+
+
 class TestMakeGrid:
     def test_inclusive_endpoints(self):
         grid = make_grid(0.0, 10.0, 0.02)
@@ -143,6 +153,13 @@ class TestScanG:
         with pytest.raises(OracleMismatch, match="closed-form and generic G differ"):
             scan_G(_SkewedCK(), grid, math.pi / 6.0)
 
+    def test_cross_check_names_the_first_failing_point(self):
+        # the skew starts after t = 0, so the first checked point that fails
+        # is the second one, grid[10] = 0.5
+        grid = make_grid(0.0, 2.0 * math.pi, 0.05)
+        with pytest.raises(OracleMismatch, match=r"at t = 0\.5$"):
+            scan_G(_SkewedCK(), grid, math.pi / 6.0)
+
     def test_factor_route_matches_generic(self):
         spec, tau = JCMPhoton(alpha_c=1j, n_max=31), 1.0
         grid = np.array([0.0, 1.0, 2.5])
@@ -160,6 +177,31 @@ class TestScanG:
         scan = scan_G(JCMPhoton(alpha_c=1, n_max=31), make_grid(0.0, 10.0, 0.05), 1.0)
         assert scan.values.size == 201
 
+    @pytest.mark.parametrize("spec, tau, grid", _GENERIC_QUBIT_SCANS, ids=_GENERIC_QUBIT_IDS)
+    def test_generic_qubit_route_needs_no_eigensolve(self, spec, tau, grid, monkeypatch):
+        _forbid_eigensolves(monkeypatch)
+        assert scan_G(spec, grid, tau).values.size == grid.size
+
+    def test_closed_route_cross_check_needs_no_eigensolve(self, monkeypatch):
+        _forbid_eigensolves(monkeypatch)
+        grid = make_grid(0.0, 2.0 * math.pi, 0.005)
+        assert scan_G(CKDephase(), grid, math.pi / 6.0).values.size == grid.size
+
+    @pytest.mark.parametrize("spec, tau, grid", _GENERIC_QUBIT_SCANS, ids=_GENERIC_QUBIT_IDS)
+    def test_batched_generic_route_matches_per_point(self, spec, tau, grid):
+        reference = fidelity(model_state(spec, spec.t0), model_state(spec, spec.t0 + tau))
+        per_point = [
+            0.0 if t == spec.t0 else
+            (fidelity(model_state(spec, t), model_state(spec, t + tau)) - reference) / reference
+            for t in grid
+        ]
+        values = scan_G(spec, grid, tau).values
+        assert values[0] == 0.0
+        np.testing.assert_allclose(values, per_point, rtol=0.0, atol=1e-12)
+        assert fidelity_difference(spec, float(grid[7]), tau) == pytest.approx(
+            per_point[7], abs=1e-12
+        )
+
     def test_trigger_threshold(self):
         grid = make_grid(0.0, 2.0 * math.pi, 0.05)
         relaxed = scan_G(CKDephase(), grid, math.pi / 6.0)
@@ -174,6 +216,12 @@ class TestMemoryFidelity:
         spec, grid = JCMPhoton(alpha_c=1, n_max=31), np.array([0.0, 0.5, 3.0])
         expected = [fidelity(model_state(spec, 0.0), model_state(spec, t)) for t in grid]
         _forbid_eigensolves(monkeypatch)
+        np.testing.assert_allclose(memory_fidelity(spec, grid).values, expected,
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec, tau, grid", _GENERIC_QUBIT_SCANS, ids=_GENERIC_QUBIT_IDS)
+    def test_generic_route_matches_per_point(self, spec, tau, grid):
+        expected = [fidelity(model_state(spec, spec.t0), model_state(spec, t)) for t in grid]
         np.testing.assert_allclose(memory_fidelity(spec, grid).values, expected,
                                    rtol=0.0, atol=1e-12)
 
