@@ -3,11 +3,14 @@
 Everything here works on complex128 arrays and is deliberately self-contained:
 the eigensolver is a cyclic Jacobi iteration rather than a LAPACK call, so the
 fidelity and trace-distance results can be cross-checked against an external
-library in the test suite without sharing a code path with it.
+library in the test suite without sharing a code path with it.  There is one
+Jacobi kernel, ``_jacobi``, and it works on (B, n, n) stacks: the stack
+functions (``fidelities``, ``trace_norms``, ``validate_densities``) make one
+or two calls for a whole stack, and the single-matrix ones pass a stack of
+one.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,55 +56,70 @@ def _as_square(mat: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    # summed entrywise rather than as total - diagonal, which cancels badly
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Cyclic Jacobi diagonalization of each Hermitian matrix in a (B, n, n)
+    stack: the (B, n) eigenvalues, unordered, and with ``vectors`` the
+    (B, n, n) eigenvector matrices, else None.
 
-
-def _jacobi(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Sweeps all upper-triangle pivots in row order, each time applying a
-    complex plane rotation that zeroes the pivot and accumulating the
-    rotations into the eigenvector matrix.  Converged when the
-    off-diagonal Frobenius mass falls below 1e-14 (scaled by the matrix norm
-    for inputs larger than unit size).
+    Sweeps all upper-triangle pivots in row order, each time applying to the
+    whole stack the complex plane rotation that zeroes that pivot.  A matrix
+    leaves the batch as soon as its own off-diagonal Frobenius mass is at
+    most 1e-14 (scaled by its norm when that exceeds 1), so its result does
+    not depend on the rest of the stack.  A pivot at or below 1e-300 gets
+    the identity rotation (c = 1, s = 0) instead of a division.  The input
+    is copied, never rotated.
     """
-    a = mat.copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    target = _OFFDIAG_TARGET * scale
+    a = np.array(stack, dtype=np.complex128)
+    n = a.shape[1]
+    target = _OFFDIAG_TARGET * np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)))
+    if vectors:
+        # the identity rides below each matrix as n more rows, so every
+        # column rotation also accumulates into the eigenvectors
+        a = np.concatenate([a, np.broadcast_to(np.eye(n), a.shape)], axis=1)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    active = np.arange(a.shape[0])
+    work = a
     for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(a) <= target:
+        # summed entrywise rather than as total - diagonal, which cancels badly
+        mass = np.linalg.norm(np.where(off_diagonal, work[:, :n], 0.0), axis=(1, 2))
+        done = mass <= target[active]
+        if done.any():
+            # converged matrices go back to the stack and leave the batch
+            a[active[done]] = work[done]
+            active, work = active[~done], work[~done]
+        if not active.size:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r > _PIVOT_SKIP:
-                    phase = apq / r
-                    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                    c = 1.0 / math.hypot(1.0, t)
-                    s = t * c
-                    sp, spc = s * phase, s * np.conj(phase)
-                    # each pair of right-hand sides is evaluated before either
-                    # slice is written, so the old rows and columns need no copies
-                    a[p], a[q] = c * a[p] - sp * a[q], spc * a[p] + c * a[q]
-                    a[:, p], a[:, q] = c * a[:, p] - spc * a[:, q], sp * a[:, p] + c * a[:, q]
-                    a[p, p] = a[p, p].real
-                    a[q, q] = a[q, q].real
-                    v[:, p], v[:, q] = c * v[:, p] - spc * v[:, q], sp * v[:, p] + c * v[:, q]
-                # a rotation annihilates the pivot exactly and a skipped pivot is
-                # negligible; either way drop the residue
-                a[p, q] = a[q, p] = 0.0
+                apq = work[:, p, q]
+                r = np.abs(apq)
+                rotate = r > _PIVOT_SKIP
+                r = np.where(rotate, r, 1.0)
+                phase = np.where(rotate, apq / r, 1.0)
+                tau = (work[:, q, q].real - work[:, p, p].real) / (2.0 * r)
+                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+                t = np.where(rotate, t, 0.0)
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                sp, spc = (s * phase)[:, None], (s * phase.conj())[:, None]
+                c = c[:, None]
+                # each pair of right-hand sides is evaluated before either
+                # slice is written, so the old rows and columns need no copies
+                row_p, row_q = work[:, p], work[:, q]
+                work[:, p], work[:, q] = c * row_p - sp * row_q, spc * row_p + c * row_q
+                col_p, col_q = work[:, :, p], work[:, :, q]
+                work[:, :, p], work[:, :, q] = c * col_p - spc * col_q, sp * col_p + c * col_q
+                work[:, p, p] = work[:, p, p].real
+                work[:, q, q] = work[:, q, q].real
+                # the rotation annihilates the pivot exactly and a skipped
+                # pivot is negligible; either way drop the residue
+                work[:, p, q] = work[:, q, p] = 0.0
     else:
         raise NoConvergence(
-            f"Jacobi sweeps exhausted with off-diagonal mass {_offdiag_norm(a):.3e}"
+            f"Jacobi sweeps exhausted for batch index {int(active[0])} "
+            f"({active.size} of {a.shape[0]} matrices unconverged)"
         )
-    return np.diag(a).real.copy(), v
+    return np.diagonal(a[:, :n], axis1=1, axis2=2).real.copy(), (a[:, n:] if vectors else None)
 
 
 def _require_finite(arr: np.ndarray, error: type[NonHermitian]) -> None:
@@ -133,25 +151,30 @@ def hermitian_eig(mat: np.ndarray) -> Spectrum:
     (M + M^dagger)/2.
     """
     sym = _hermitized(_as_square(mat), _HERMITIAN_TOL, NonHermitian)
-    w, v = _jacobi(sym)
-    order = np.argsort(w, kind="stable")
-    return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
+    w, v = _jacobi(sym[None], vectors=True)
+    order = np.argsort(w[0], kind="stable")
+    return Spectrum(eigenvalues=w[0, order], eigenvectors=v[0][:, order])
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Principal square root of a positive semidefinite Hermitian matrix.
 
     Eigenvalues in [-1e-10, 0) are treated as rounding images of zero and
-    clamped; anything below -1e-10 raises NotPSD.
+    clamped; anything below -1e-10 raises NotPSD.  Raises NonHermitian as
+    ``hermitian_eig`` does.
     """
-    spec = hermitian_eig(mat)
-    w = spec.eigenvalues
-    if w[0] < -_PSD_CLAMP:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below the -{_PSD_CLAMP:.1e} clamping window")
-    w = np.clip(w, 0.0, None)
-    v = spec.eigenvectors
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
+    return _psd_sqrts(_hermitized(_as_square(mat), _HERMITIAN_TOL, NonHermitian)[None])[0]
+
+
+def _psd_sqrts(stack: np.ndarray) -> np.ndarray:
+    """Principal square roots of a Hermitian (B, d, d) stack, with the clamp
+    and the NotPSD check of ``psd_sqrt``, from one kernel call."""
+    w, v = _jacobi(stack, vectors=True)
+    smallest = w.min(axis=1)
+    if np.any(smallest < -_PSD_CLAMP):
+        raise NotPSD(f"eigenvalue {np.min(smallest):.3e} below the -{_PSD_CLAMP:.1e} clamping window")
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return 0.5 * (root + root.conj().swapaxes(1, 2))
 
 
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -179,7 +202,7 @@ def fidelities(rho1_stack: np.ndarray, rho2_stack: np.ndarray) -> np.ndarray:
     FidelityOvershoot.
 
     At d = 2 the closed form F = Tr(rho1 rho2) + 2 sqrt(det rho1 det rho2)
-    needs no eigensolve; larger matrices take two Jacobi eigensolves each.
+    needs no eigensolve; larger stacks take two Jacobi kernel calls in all.
     """
     a = np.asarray(rho1_stack, dtype=np.complex128)
     b = np.asarray(rho2_stack, dtype=np.complex128)
@@ -187,10 +210,8 @@ def fidelities(rho1_stack: np.ndarray, rho2_stack: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"expected two equal (B, d, d) stacks, got {a.shape} and {b.shape}")
     # rho2 is only multiplied, and inf * 0 would warn before any check
     _require_finite(b, NonHermitian)
-    if a.shape[1] == 2:
-        values = _qubit_fidelities(_hermitized(a, _HERMITIAN_TOL, NonHermitian), b)
-    else:
-        values = np.array([_fidelity_jacobi(x, y) for x, y in zip(a, b)])
+    a = _hermitized(a, _HERMITIAN_TOL, NonHermitian)
+    values = _qubit_fidelities(a, b) if a.shape[1] == 2 else _fidelity_jacobi(a, b)
     return _clamp_overshoot(values)
 
 
@@ -273,21 +294,22 @@ def _hermitian_det(m00: np.ndarray, m11: np.ndarray, m01: np.ndarray) -> np.ndar
     return s2 + (t1 + t2 + (e0 - e1 - e2))
 
 
-def _fidelity_jacobi(a: np.ndarray, b: np.ndarray) -> float:
-    """Unclamped fidelity of a (d, d) state and a finite one through two
-    Jacobi eigensolves: the square root of a, then the eigenvalues of the
-    inner matrix."""
-    root = psd_sqrt(a)
+def _fidelity_jacobi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unclamped fidelities of a Hermitian (B, d, d) stack and a finite one
+    through two kernel calls: the square roots of a, then the eigenvalues
+    of the inner matrices."""
+    root = _psd_sqrts(a)
     inner = root @ b @ root
-    inner = 0.5 * (inner + inner.conj().T)
-    w = hermitian_eig(inner).eigenvalues
-    if w[0] < -1e-10:
-        raise NotPSD(f"inner product matrix has eigenvalue {w[0]:.3e}")
+    inner = 0.5 * (inner + inner.conj().swapaxes(1, 2))
+    # ascending, so the square roots are summed in a fixed order
+    w = np.sort(_jacobi(inner)[0], axis=1)
+    if np.any(w[:, 0] < -1e-10):
+        raise NotPSD(f"inner product matrix has eigenvalue {np.min(w[:, 0]):.3e}")
     # eigenvalues this far below the leading one are rounding images of exact
     # zeros; taking their square roots would inject ~1e-7 noise into the trace
-    floor = 1e-13 * max(1.0, float(w[-1]))
+    floor = 1e-13 * np.maximum(1.0, w[:, -1:])
     w = np.where(w < floor, 0.0, w)
-    return float(np.sum(np.sqrt(w)) ** 2)
+    return np.sum(np.sqrt(w), axis=1) ** 2
 
 
 def factor_fidelity(v1: np.ndarray, v2: np.ndarray) -> float:
@@ -321,58 +343,6 @@ def _clamp_overshoot(values: np.ndarray) -> np.ndarray:
     return np.minimum(values, 1.0)
 
 
-def _jacobi_eigvals(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each Hermitian matrix in a (B, d, d) stack, unordered.
-
-    The rotation of ``_jacobi`` applied to the whole stack at once, pivot by
-    pivot, without accumulating eigenvectors; ``stack`` is rotated in place.
-    A matrix leaves the batch as soon as its own off-diagonal mass meets the
-    target; a pivot at or below 1e-300 gets the identity rotation (c = 1,
-    s = 0) instead of a division.
-    """
-    n = stack.shape[1]
-    target = _OFFDIAG_TARGET * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
-    off_diagonal = ~np.eye(n, dtype=bool)
-    active = np.arange(stack.shape[0])
-    work = stack
-    for _ in range(_MAX_SWEEPS):
-        mass = np.linalg.norm(np.where(off_diagonal, work, 0.0), axis=(1, 2))
-        done = mass <= target[active]
-        if done.any():
-            # converged matrices go back to the stack and leave the batch
-            stack[active[done]] = work[done]
-            active, work = active[~done], work[~done]
-        if not active.size:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[:, p, q]
-                r = np.abs(apq)
-                rotate = r > _PIVOT_SKIP
-                r = np.where(rotate, r, 1.0)
-                phase = np.where(rotate, apq / r, 1.0)
-                tau = (work[:, q, q].real - work[:, p, p].real) / (2.0 * r)
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-                t = np.where(rotate, t, 0.0)
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                sp, spc = (s * phase)[:, None], (s * phase.conj())[:, None]
-                c = c[:, None]
-                row_p, row_q = work[:, p], work[:, q]
-                work[:, p], work[:, q] = c * row_p - sp * row_q, spc * row_p + c * row_q
-                col_p, col_q = work[:, :, p], work[:, :, q]
-                work[:, :, p], work[:, :, q] = c * col_p - spc * col_q, sp * col_p + c * col_q
-                work[:, p, p] = work[:, p, p].real
-                work[:, q, q] = work[:, q, q].real
-                work[:, p, q] = work[:, q, p] = 0.0
-    else:
-        raise NoConvergence(
-            f"Jacobi sweeps exhausted for batch index {int(active[0])} "
-            f"({active.size} of {stack.shape[0]} matrices unconverged)"
-        )
-    return np.diagonal(stack, axis1=1, axis2=2).real
-
-
 def trace_norms(stack: np.ndarray) -> np.ndarray:
     """Trace norms ||X_b||_1 of a (B, d, d) stack of Hermitian matrices.
 
@@ -380,8 +350,7 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     exceeds 1e-10 anywhere in the stack; the norms are taken of the
     Hermitized averages.  At d = 2 a matrix with trace s has eigenvalues
     s/2 +- r, r = hypot((X00 - X11)/2, |X01|), so its norm is max(|s|, 2r)
-    with no eigensolve; larger matrices go through the batched
-    eigenvalues-only Jacobi iteration.
+    with no eigensolve; larger stacks take one eigenvalues-only kernel call.
     """
     arr = np.asarray(stack, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -391,7 +360,7 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
         x00, x11 = sym[:, 0, 0].real, sym[:, 1, 1].real
         radius = np.hypot(0.5 * (x00 - x11), np.abs(sym[:, 0, 1]))
         return np.maximum(np.abs(x00 + x11), 2.0 * radius)
-    return np.abs(_jacobi_eigvals(sym)).sum(axis=1)
+    return np.abs(_jacobi(sym)[0]).sum(axis=1)
 
 
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -415,17 +384,33 @@ def validate_density(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     With the default tolerance the checks are: Hermiticity defect at most
     1e-12, real trace within 1e-10 of 1 with imaginary part at most 1e-12,
     and eigenvalues at least -1e-10.  Passing a different ``tol`` rescales
-    all three windows together.
+    all three windows together.  The checks are those of
+    ``validate_densities`` on a stack of one.
     """
-    arr = _as_square(mat)
+    return validate_densities(_as_square(mat)[None], tol)[0]
+
+
+def validate_densities(stack: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """``validate_density`` over a (B, d, d) stack, with one kernel call.
+
+    Each check runs over the whole stack before the next, so on a stack
+    with one bad matrix the error is the one ``validate_density`` raises on
+    that matrix alone.
+    """
+    arr = np.asarray(stack, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise DimensionMismatch(f"expected a (B, d, d) stack, got shape {arr.shape}")
     tight = tol * 1e-2
     sym = _hermitized(arr, tight, NotHermitian)
-    tr = complex(np.trace(arr))
-    if abs(tr.real - 1.0) > tol:
-        raise TraceNotOne(f"trace real part {tr.real!r} differs from 1 by {abs(tr.real - 1.0):.3e}")
-    if abs(tr.imag) > tight:
-        raise TraceNotOne(f"trace imaginary part {tr.imag:.3e} exceeds {tight:.1e}")
-    w = hermitian_eig(sym).eigenvalues
-    if w[0] < -tol:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{tol:.1e}")
+    tr = np.trace(arr, axis1=1, axis2=2)
+    bad = np.flatnonzero(np.abs(tr.real - 1.0) > tol)
+    if bad.size:
+        real = float(tr[bad[0]].real)
+        raise TraceNotOne(f"trace real part {real!r} differs from 1 by {abs(real - 1.0):.3e}")
+    bad = np.flatnonzero(np.abs(tr.imag) > tight)
+    if bad.size:
+        raise TraceNotOne(f"trace imaginary part {tr[bad[0]].imag:.3e} exceeds {tight:.1e}")
+    smallest = _jacobi(sym)[0].min(axis=1)
+    if np.any(smallest < -tol):
+        raise NotPSD(f"eigenvalue {np.min(smallest):.3e} below -{tol:.1e}")
     return sym

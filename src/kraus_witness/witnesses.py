@@ -26,7 +26,7 @@ from .errors import (
     OracleMismatch,
     UsageError,
 )
-from .linalg import factor_fidelity, fidelities, trace_norms, validate_density
+from .linalg import factor_fidelity, fidelities, trace_norms, validate_densities
 from .models import (
     JCMPhoton,
     ModelSpec,
@@ -387,7 +387,7 @@ def _pair_state(rho: np.ndarray, dim: int, label: str) -> np.ndarray:
         raise DimensionMismatch(
             f"pair {label!r}: state shape {state.shape} does not match model dimension {dim}"
         )
-    return validate_density(state)
+    return state
 
 
 def _revival_distances(
@@ -395,16 +395,16 @@ def _revival_distances(
 ) -> np.ndarray:
     """(pairs x times) trace distances D = (1/2)||Lambda_t(rho1 - rho2)||_1.
 
-    Every state is checked first.  The channel is linear, so each pair is
-    evolved once, as its difference, and at each time one product with the
-    transfer matrix evolves all differences; ``trace_norms`` then takes the
-    norms a chunk of times at a time.
+    Every state is checked first, all in one stack.  The channel is linear,
+    so each pair is evolved once, as its difference, and at each time one
+    product with the transfer matrix evolves all differences;
+    ``trace_norms`` then takes the norms a chunk of times at a time.
     """
     dim = spec.dim
-    differences = np.array([
-        (_pair_state(rho1, dim, label) - _pair_state(rho2, dim, label)).ravel()
-        for rho1, rho2, label in pairs
-    ])
+    states = validate_densities(np.array([
+        _pair_state(rho, dim, label) for rho1, rho2, label in pairs for rho in (rho1, rho2)
+    ]))
+    differences = (states[0::2] - states[1::2]).reshape(len(pairs), dim * dim)
     distances = np.empty((len(pairs), grid.size))
     times_per_chunk = max(1, _TRACE_NORM_CHUNK // len(pairs))
     for start in range(0, grid.size, times_per_chunk):

@@ -29,6 +29,7 @@ from kraus_witness import (
     trace_norms,
     validate_density,
 )
+from kraus_witness.linalg import validate_densities
 from kraus_witness import linalg
 
 from conftest import oracle_fidelity, random_density, random_hermitian
@@ -221,6 +222,67 @@ class TestValidateDensity:
         validate_density(mat, tol=1e-6)
 
 
+def _off_trace(dim):
+    return np.diag([0.6] * dim).astype(complex)
+
+
+def _imaginary_trace(dim):
+    # small imaginary diagonal parts inside the Hermiticity window whose sum
+    # crosses the trace window, which takes at least three of them
+    return np.diag([1 / dim + 4.9e-13j] * dim)
+
+
+def _non_hermitian(dim):
+    mat = np.eye(dim, dtype=complex) / dim
+    mat[0, 1] = 0.1
+    return mat
+
+
+def _negative(dim):
+    return np.diag([1.5, -0.5] + [0.0] * (dim - 2)).astype(complex)
+
+
+def _nan(dim):
+    mat = np.eye(dim, dtype=complex) / dim
+    mat[0, 1] = np.nan
+    return mat
+
+
+_BAD_STATES = [
+    (make_bad, dim)
+    for make_bad in (_non_hermitian, _off_trace, _imaginary_trace, _negative, _nan)
+    for dim in (2, 3, 4)
+    if (make_bad, dim) != (_imaginary_trace, 2)
+]
+
+
+class TestValidateDensities:
+    """The stack checker against ``validate_density`` one matrix at a time."""
+
+    @pytest.mark.parametrize("make_bad, dim", _BAD_STATES,
+                             ids=[f"{f.__name__[1:]}-{d}" for f, d in _BAD_STATES])
+    def test_bad_state_at_index_3_raises_as_alone(self, rng, make_bad, dim):
+        bad = make_bad(dim)
+        with pytest.raises(NumericalError) as alone:
+            validate_density(bad)
+        stack = np.array([random_density(rng, dim) for _ in range(6)])
+        stack[3] = bad
+        with pytest.raises(NumericalError) as stacked:
+            validate_densities(stack)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_returns_the_hermitized_stack(self, rng):
+        stack = np.array([random_density(rng, 4) for _ in range(5)])
+        one_by_one = np.array([validate_density(rho) for rho in stack])
+        np.testing.assert_array_equal(validate_densities(stack), one_by_one)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 3)])
+    def test_rejects_bad_shape(self, shape):
+        with pytest.raises(DimensionMismatch):
+            validate_densities(np.zeros(shape, dtype=complex))
+
+
 class TestNanRejected:
     """NaN fails every comparison, so each guard is written to fail closed."""
 
@@ -364,6 +426,73 @@ class TestTraceNorms:
             trace_norms(np.zeros(shape, dtype=complex))
 
 
+def _kernel_stack(rng, dim):
+    """Random Hermitian matrices mixed with the kernel's edge cases: a
+    diagonal and a zero matrix that converge before any sweep, a degenerate
+    spectrum, a block-diagonal matrix whose cross-block pivots are exactly
+    zero, and a rank-1 matrix."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    block = np.zeros((dim, dim), dtype=complex)
+    half = dim // 2
+    block[:half, :half] = random_hermitian(rng, half)
+    block[half:, half:] = random_hermitian(rng, dim - half)
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return np.array([
+        np.diag(rng.normal(size=dim)).astype(complex),
+        np.zeros((dim, dim), dtype=complex),
+        random_hermitian(rng, dim),
+        (q * np.resize([1.0, 1.0, 2.0, 2.0], dim)) @ q.conj().T,
+        block,
+        -2.5 * np.outer(vec, vec.conj()),
+        random_hermitian(rng, dim),
+    ])
+
+
+class TestJacobiKernel:
+    """``linalg._jacobi`` on mixed stacks against single-matrix calls and the
+    LAPACK oracle."""
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_stack_matches_single_calls_bit_for_bit(self, rng, dim):
+        stack = _kernel_stack(rng, dim)
+        w, v = linalg._jacobi(stack, vectors=True)
+        for i, mat in enumerate(stack):
+            wi, vi = linalg._jacobi(mat[None], vectors=True)
+            assert w[i].tolist() == wi[0].tolist()
+            assert v[i].tolist() == vi[0].tolist()
+        # the eigenvectors ride along and leave the eigenvalues alone
+        eigenvalues, none = linalg._jacobi(stack)
+        assert none is None
+        assert eigenvalues.tolist() == w.tolist()
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_unitary_reconstructs_and_matches_oracle(self, rng, dim):
+        stack = _kernel_stack(rng, dim)
+        w, v = linalg._jacobi(stack, vectors=True)
+        for mat, wi, vi in zip(stack, w, v):
+            bound = 1e-12 * max(1.0, np.linalg.norm(mat))
+            assert np.max(np.abs(vi.conj().T @ vi - np.eye(dim))) <= 1e-12
+            assert np.max(np.abs((vi * wi) @ vi.conj().T - mat)) <= bound
+            assert np.max(np.abs(np.sort(wi) - np.linalg.eigvalsh(mat))) <= bound
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_leaves_its_input_alone(self, rng, vectors):
+        stack = _kernel_stack(rng, 5)
+        before = stack.copy()
+        linalg._jacobi(stack, vectors=vectors)
+        linalg._jacobi(stack[2][None], vectors=vectors)
+        np.testing.assert_array_equal(stack, before)
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_no_convergence_names_batch_index(self, rng, dim, vectors, monkeypatch):
+        # the diagonal and the zero matrix leave before the only sweep, so
+        # the random matrix at index 2 is the first one still in the batch
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        with pytest.raises(NoConvergence, match=r"batch index 2 \("):
+            linalg._jacobi(_kernel_stack(rng, dim), vectors=vectors)
+
+
 def _rho(v):
     return v @ v.conj().T
 
@@ -467,7 +596,7 @@ class TestFidelities:
         batched = fidelities(a, b)
         for x, y, value in zip(a, b, batched):
             assert value == pytest.approx(fidelity(x, y), abs=1e-12)
-            assert value == pytest.approx(linalg._fidelity_jacobi(x, y), abs=1e-12)
+            assert value == pytest.approx(linalg._fidelity_jacobi(x[None], y[None])[0], abs=1e-12)
             assert value == pytest.approx(oracle_fidelity(x, y), abs=1e-12)
 
     def test_pure_states(self, rng):
@@ -519,7 +648,8 @@ class TestFidelities:
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         rho1 = (q * [1.0 + 5e-11, -5e-11]) @ q.conj().T
         rho2 = random_density(rng, 2)
-        assert fidelity(rho1, rho2) == pytest.approx(linalg._fidelity_jacobi(rho1, rho2), abs=1e-14)
+        jacobi = linalg._fidelity_jacobi(rho1[None], rho2[None])[0]
+        assert fidelity(rho1, rho2) == pytest.approx(jacobi, abs=1e-14)
 
     @pytest.mark.parametrize("dim", [3, 4, 5])
     def test_larger_stacks_match_scalar_bit_for_bit(self, rng, dim):

@@ -85,6 +85,6 @@ def test_qubit_closed_form_near_pure(smaller1):
     for smaller2 in NEAR_PURE:
         rho1, rho2 = _qubit(rng, smaller1), _qubit(rng, smaller2)
         exact = exact_fidelity(rho1, rho2)
-        closed, jacobi = fidelity(rho1, rho2), linalg._fidelity_jacobi(rho1, rho2)
+        closed, jacobi = fidelity(rho1, rho2), linalg._fidelity_jacobi(rho1[None], rho2[None])[0]
         assert abs(closed - exact) <= abs(jacobi - exact) + 1e-15, (smaller2, closed, jacobi, exact)
         assert abs(closed - jacobi) <= 1e-9

@@ -50,10 +50,23 @@ class _SkewedCK(CKDephase):
 
 
 def _forbid_eigensolves(monkeypatch):
-    def no_eigensolve(mat):
+    def no_eigensolve(stack, vectors=False):
         raise AssertionError("an eigensolve ran")
 
     monkeypatch.setattr(linalg, "_jacobi", no_eigensolve)
+
+
+def _record_kernel_calls(monkeypatch):
+    """(stack shape, vectors) of every Jacobi kernel call, in order."""
+    calls = []
+    jacobi = linalg._jacobi
+
+    def recorded(stack, vectors=False):
+        calls.append((stack.shape, vectors))
+        return jacobi(stack, vectors)
+
+    monkeypatch.setattr(linalg, "_jacobi", recorded)
+    return calls
 
 
 # qubit models without a closed form, so their scans take the generic route
@@ -186,6 +199,17 @@ class TestScanG:
         _forbid_eigensolves(monkeypatch)
         grid = make_grid(0.0, 2.0 * math.pi, 0.005)
         assert scan_G(CKDephase(), grid, math.pi / 6.0).values.size == grid.size
+
+    @pytest.mark.parametrize("spec", [YEMarkov(), YENonMarkov()], ids=["ye-markov", "ye-nonmarkov"])
+    @pytest.mark.parametrize("step, points", [(0.02, 501), (0.0025, 4001)])
+    def test_d4_cross_check_makes_two_kernel_calls(self, spec, step, points, monkeypatch):
+        # every tenth point is checked, all in one stack: square roots with
+        # eigenvectors, then the inner eigenvalues
+        calls = _record_kernel_calls(monkeypatch)
+        grid = make_grid(0.0, 10.0, step)
+        assert scan_G(spec, grid, 1.0).values.size == grid.size == points
+        checked = (grid[::10].size, 4, 4)
+        assert calls == [(checked, True), (checked, False)]
 
     @pytest.mark.parametrize("spec, tau, grid", _GENERIC_QUBIT_SCANS, ids=_GENERIC_QUBIT_IDS)
     def test_batched_generic_route_matches_per_point(self, spec, tau, grid):
@@ -396,13 +420,21 @@ class TestBlpMeasure:
             blp_measure(CKDephase(), pairs=[(good, good, "fine"), (good, bad, "bad")])
 
     def test_no_eigensolve_per_pair_and_time(self, monkeypatch):
-        # the 2 x 2 trace norms are closed-form, so the only Jacobi runs are
-        # the up-front checks of the 76 default pairs' states
-        calls = []
-        jacobi = linalg._jacobi
-        monkeypatch.setattr(linalg, "_jacobi", lambda mat: calls.append(mat.shape) or jacobi(mat))
+        # the 2 x 2 trace norms are closed-form, so the only Jacobi run is
+        # the up-front check of the 76 default pairs' 152 states, in one stack
+        calls = _record_kernel_calls(monkeypatch)
         blp_measure(CKDephase())
-        assert len(calls) == 2 * len(default_blp_pairs(CKDephase()))
+        assert calls == [((2 * len(default_blp_pairs(CKDephase())), 2, 2), False)]
+
+    def test_states_are_checked_in_one_kernel_call(self, monkeypatch):
+        # the 20 default pairs' 40 states in one call; every later call takes
+        # trace norms, which over the whole grid number pairs x times
+        calls = _record_kernel_calls(monkeypatch)
+        spec = YENonMarkov()
+        blp_measure(spec)
+        assert calls[0] == ((40, 4, 4), False)
+        assert all(shape[1:] == (4, 4) and not vectors for shape, vectors in calls[1:])
+        assert sum(shape[0] for shape, _ in calls[1:]) == 20 * default_blp_grid(spec).size
 
 
 def _per_pair_distances(spec, grid, pairs):
