@@ -3,11 +3,13 @@
 Four families, each exposing the same three faces: a Kraus channel at time t,
 the evolved reference state, and (where one exists) a closed-form fidelity
 between the states at two times.  The field sector also gives its state as
-a Kraus factor V, rho = V V^dagger.  Each model class holds its own formulas;
-only the channel builders, ye_markov_fidelity and ye_markov_lindblad stay
-free functions, which the classes call.  The channel and closed-form routes
-are kept fully independent so the test suite can play them against each
-other.
+a Kraus factor V, rho = V V^dagger.  Each model class holds its own formulas.
+The free functions are the channel builders, ye_markov_fidelity,
+ye_markov_lindblad, ye_nonmarkov_decay and coherent_amplitudes, which the
+classes call; default_fock_cutoff, which picks the Jaynes-Cummings cutoff;
+the model_* dispatchers; and build_model, which builds a model from its
+registry name.  The channel and closed-form routes are kept fully
+independent so the test suite can play them against each other.
 
 Models
 ------
@@ -581,7 +583,8 @@ def model_closed_fidelity(spec: ModelSpec, t: float, tau: float) -> float | None
 
     Returns None for configurations without a closed form (coherent-field
     atom sector, the field sector, or non-default revival initial states);
-    callers then fall back to the generic eigenvalue route.
+    callers then fall back to the Kraus-factor route where the model has
+    one, else to the generic route, which at d = 2 runs no eigensolve.
     """
     return spec.closed_fidelity(t, tau)
 

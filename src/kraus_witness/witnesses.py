@@ -112,55 +112,42 @@ def make_grid(start: float, stop: float, step: float) -> np.ndarray:
 _CLOSED, _FACTOR, _GENERIC = "closed", "factor", "generic"
 
 
-def _route(spec: ModelSpec, tau: float) -> tuple[str, float | None]:
-    """The fidelity route for lag tau and F[rho(t0), rho(t0 + tau)] as found
-    while choosing it: the model's closed form where it has one, else its
-    Kraus factors where it has them, else the generic route, whose value
-    (None here) comes out of the batched call of ``_generic_G``."""
-    t0 = spec.t0
-    value = model_closed_fidelity(spec, t0, tau)
-    if value is not None:
-        return _CLOSED, value
-    v0 = spec.factor(t0)
-    if v0 is not None:
-        return _FACTOR, factor_fidelity(v0, spec.factor(t0 + tau))
-    return _GENERIC, None
+def _route(spec: ModelSpec) -> str:
+    """The model's fidelity route: its closed form where it has one, else
+    its Kraus factors where its class gives them, else the generic route.
+    No factor is built to decide."""
+    if model_closed_fidelity(spec, spec.t0, 0.0) is not None:
+        return _CLOSED
+    if type(spec).factor is not ModelSpec.factor:
+        return _FACTOR
+    return _GENERIC
 
 
-def _fidelity(spec: ModelSpec, t: float, tau: float, route: str) -> float:
-    """F[rho(t), rho(t + tau)] through the closed or the factor route."""
+def _fidelities(
+    spec: ModelSpec, ts: np.ndarray, lags: np.ndarray | float, route: str
+) -> np.ndarray:
+    """F[rho(t), rho(t + lag)] over ts and lags broadcast together: one
+    ``fidelities`` call on the generic route, one scalar call per pair on
+    the others."""
+    if route == _GENERIC:
+        return fidelities(*np.broadcast_arrays(spec.states(ts), spec.states(ts + lags)))
+    pairs = [(float(t), float(lag)) for t, lag in np.broadcast(ts, lags)]
     if route == _CLOSED:
-        return model_closed_fidelity(spec, t, tau)
-    return factor_fidelity(spec.factor(t), spec.factor(t + tau))
+        return np.array([model_closed_fidelity(spec, t, lag) for t, lag in pairs])
+    return np.array([factor_fidelity(spec.factor(t), spec.factor(t + lag)) for t, lag in pairs])
 
 
-def _generic_fidelities(spec: ModelSpec, ts: np.ndarray, tau: np.ndarray | float) -> np.ndarray:
-    """F[rho(t), rho(t + tau)] over ts and tau broadcast together, in one
-    ``fidelities`` call."""
-    return fidelities(*np.broadcast_arrays(spec.states(ts), spec.states(ts + tau)))
-
-
-def _reference(value: float, tau: float) -> float:
-    """The reference fidelity F[rho(t0), rho(t0 + tau)], at least 1e-12."""
-    if value <= _DENOMINATOR_FLOOR:
-        raise DegenerateDenominator(
-            f"reference fidelity {value:.3e} at lag {tau!r} cannot normalize G"
-        )
-    return value
-
-
-def _G(spec: ModelSpec, t: float, tau: float, reference: float, route: str) -> float:
-    if t == spec.t0:
-        return 0.0
-    return (_fidelity(spec, t, tau, route) - reference) / reference
-
-
-def _generic_G(spec: ModelSpec, ts: np.ndarray, tau: float) -> np.ndarray:
-    """G at each t of ts through the generic route, with the reference in
-    the same batch (ts's first entry where that is t0); exactly zero at t0."""
+def _G(spec: ModelSpec, ts: np.ndarray, tau: float, route: str) -> np.ndarray:
+    """G at each t of ts, with the reference F[rho(t0), rho(t0 + tau)] taken
+    from the same batch (ts's first entry where that is t0); exactly zero
+    at t0.  A reference of at most 1e-12 raises DegenerateDenominator."""
     times = ts if ts[0] == spec.t0 else np.concatenate(([spec.t0], ts))
-    values = _generic_fidelities(spec, times, tau)
-    reference = _reference(values[0], tau)
+    values = _fidelities(spec, times, tau, route)
+    reference = values[0]
+    if reference <= _DENOMINATOR_FLOOR:
+        raise DegenerateDenominator(
+            f"reference fidelity {reference:.3e} at lag {tau!r} cannot normalize G"
+        )
     return np.where(ts == spec.t0, 0.0, (values[-ts.size:] - reference) / reference)
 
 
@@ -171,10 +158,7 @@ def fidelity_difference(spec: ModelSpec, t: float, tau: float) -> float:
     rho(t0 + tau)] is at most 1e-12, which happens at lags where the
     reference states become orthogonal.
     """
-    route, value = _route(spec, tau)
-    if route == _GENERIC:
-        return float(_generic_G(spec, np.array([float(t)]), tau)[0])
-    return _G(spec, t, tau, _reference(value, tau), route)
+    return float(_G(spec, np.array([float(t)]), tau, _route(spec))[0])
 
 
 def scan_G(
@@ -185,22 +169,19 @@ def scan_G(
 ) -> ScanResult:
     """Evaluate G(t, tau) over a grid, flagging any dip below -witness_tol.
 
-    Each point goes through the model's closed form where it has one, else
-    through its Kraus factors, else through the generic route, which takes
-    the whole grid in one batch.  A closed-form scan recomputes every tenth
-    point through the generic route; disagreement beyond 1e-9 raises
+    The model picks the route for the whole scan: its closed form where it
+    has one, else its Kraus factors, else the generic route, which takes
+    the grid in one batch.  Every route evaluates the reference pair at t0
+    in the same batch as the grid.  A closed-form scan recomputes every
+    tenth point through the generic route; disagreement beyond 1e-9 raises
     OracleMismatch at the first such point.
     """
     t_grid = _check_scan_grid(t_grid)
-    route, value = _route(spec, tau)
-    if route == _GENERIC:
-        values = _generic_G(spec, t_grid, tau)
-    else:
-        reference = _reference(value, tau)
-        values = np.array([_G(spec, float(t), tau, reference, route) for t in t_grid])
+    route = _route(spec)
+    values = _G(spec, t_grid, tau, route)
     if route == _CLOSED:
         checked = t_grid[::_CROSS_CHECK_STRIDE]
-        gaps = np.abs(_generic_G(spec, checked, tau) - values[::_CROSS_CHECK_STRIDE])
+        gaps = np.abs(_G(spec, checked, tau, _GENERIC) - values[::_CROSS_CHECK_STRIDE])
         failing = np.flatnonzero(gaps > _CROSS_CHECK_TOL)
         if failing.size:
             i = int(failing[0])
@@ -214,12 +195,7 @@ def memory_fidelity(spec: ModelSpec, t_grid: np.ndarray) -> ScanResult:
     """Fidelity of rho(t) against the initial state rho(t0) over a grid."""
     t_grid = _check_scan_grid(t_grid)
     t0 = spec.t0
-    lags = t_grid - t0
-    route, _ = _route(spec, float(lags[0]))
-    if route == _GENERIC:
-        values = _generic_fidelities(spec, np.array([t0]), lags)
-    else:
-        values = np.array([_fidelity(spec, t0, float(lag), route) for lag in lags])
+    values = _fidelities(spec, np.array([t0]), t_grid - t0, _route(spec))
     # fidelities are nonnegative, so a zero tolerance never fires
     return _summarize(t_grid, values, 0.0, label=f"F0[{spec.NAME}]")
 

@@ -69,6 +69,19 @@ def _record_kernel_calls(monkeypatch):
     return calls
 
 
+def _count_factor_calls(monkeypatch):
+    """Times at which ``JCMPhoton.factor`` is called, in order."""
+    calls = []
+    factor = JCMPhoton.factor
+
+    def counted(self, t):
+        calls.append(t)
+        return factor(self, t)
+
+    monkeypatch.setattr(JCMPhoton, "factor", counted)
+    return calls
+
+
 # qubit models without a closed form, so their scans take the generic route
 _GENERIC_QUBIT_SCANS = [
     (CKDephase(rho11=0.9, rho22=0.1, rho12=0.1), math.pi / 6.0, make_grid(0.0, 2.0 * math.pi, 0.05)),
@@ -131,6 +144,16 @@ class TestFidelityDifference:
         # so the reference fidelity underflows
         with pytest.raises(DegenerateDenominator):
             fidelity_difference(JCMQubit(), 1.0, math.pi / 2.0)
+
+    def test_degenerate_reference_on_generic_route(self):
+        # a pure start whose coherence flips sign at tau = pi: rho(0) and
+        # rho(pi) are orthogonal, and the model has no closed form
+        spec, tau = CKDephase(rho11=0.5, rho22=0.5, rho12=0.5j), math.pi
+        message = r"^reference fidelity .* at lag 3\.141592653589793 cannot normalize G$"
+        with pytest.raises(DegenerateDenominator, match=message):
+            scan_G(spec, make_grid(0.0, 2.0, 0.1), tau)
+        with pytest.raises(DegenerateDenominator, match=message):
+            fidelity_difference(spec, 1.0, tau)
 
 
 class TestScanG:
@@ -233,6 +256,46 @@ class TestScanG:
         # a negative tolerance flags any scan whose minimum sits below it
         strict = scan_G(CKDephase(), grid, math.pi / 6.0, witness_tol=-1.0)
         assert strict.witness_triggered
+
+
+# one model per route: closed, factor and generic
+_ROUTE_SPECS = [
+    (YEMarkov(), 1.0),
+    (CKDephase(), math.pi / 6.0),
+    (JCMPhoton(alpha_c=1, n_max=31), 1.0),
+    (CKDephase(rho11=0.9, rho22=0.1, rho12=0.1), math.pi / 6.0),
+    (JCMQubit(alpha_c=1, n_max=31), 3.0),
+]
+_ROUTE_IDS = ["closed-ye-markov", "closed-ck", "factor-jcm-photon", "generic-ck-mixed",
+              "generic-jcm-qubit-coherent"]
+
+
+class TestRouteParity:
+    @pytest.mark.parametrize("spec, tau", _ROUTE_SPECS, ids=_ROUTE_IDS)
+    @pytest.mark.parametrize("start", [0.0, 0.3], ids=["from-t0", "after-t0"])
+    def test_point_matches_scan(self, spec, tau, start):
+        grid = start + make_grid(0.0, 3.0, 0.25)
+        values = scan_G(spec, grid, tau).values
+        for i in (0, grid.size // 2, grid.size - 1):
+            assert fidelity_difference(spec, float(grid[i]), tau) == values[i]
+
+
+class TestFactorWork:
+    # a factor-route scan builds the factors at t and t + tau once per
+    # point, plus the reference pair where the grid does not start at t0
+    @pytest.mark.parametrize("grid, calls", [
+        (np.arange(1.0, 7.0), 14),
+        (np.arange(0.0, 6.0), 12),
+    ], ids=["field-scan-grid", "from-t0"])
+    def test_factor_scan_work(self, grid, calls, monkeypatch):
+        times = _count_factor_calls(monkeypatch)
+        scan_G(JCMPhoton(alpha_c=1, n_max=31), grid, 1.0)
+        assert len(times) == calls
+
+    def test_factor_memory_fidelity_work(self, monkeypatch):
+        times = _count_factor_calls(monkeypatch)
+        memory_fidelity(JCMPhoton(alpha_c=1, n_max=31), np.arange(0.0, 6.0))
+        assert len(times) <= 14
 
 
 class TestMemoryFidelity:
