@@ -11,7 +11,6 @@ from .channels import (
     apply,
     channel_defect,
     compose,
-    kraus_columns,
     lgks_rhs,
     semigroup_defect,
     transfer_matrix,

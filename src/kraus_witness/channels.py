@@ -145,20 +145,6 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return _sandwich(_complete_operators(channel), state)
 
 
-def kraus_columns(channel: KrausChannel, psi: np.ndarray) -> np.ndarray:
-    """The (d, k) factor V = [K_0 psi, ..., K_{k-1} psi] of a pure input.
-
-    The evolved state is V V^dagger.  ``psi`` is a length-d state vector and
-    the channel must be complete within 1e-8, as for ``apply``.
-    """
-    vec = np.asarray(psi, dtype=np.complex128)
-    if vec.shape != (channel.dim,):
-        raise DimensionMismatch(
-            f"state vector shape {vec.shape} does not match channel dimension {channel.dim}"
-        )
-    return (_complete_operators(channel) @ vec).T
-
-
 def transfer_matrix(channel: KrausChannel) -> np.ndarray:
     """The channel as the (d^2, d^2) matrix T = sum_i K_i (x) conj(K_i).
 

@@ -312,9 +312,9 @@ def _fidelity_jacobi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(np.sqrt(w), axis=1) ** 2
 
 
-def factor_fidelity(v1: np.ndarray, v2: np.ndarray) -> float:
+def factor_fidelity(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
     """Fidelity of rho1 = V1 V1^dagger and rho2 = V2 V2^dagger from their
-    (d, 2) factors.
+    (d, 2) factors, or fidelities of the pairs of two (..., d, 2) stacks.
 
     By Uhlmann's theorem F = ||M||_1^2 with M = V1^dagger V2, and for a 2x2
     M with singular values s1, s2 that is (s1 + s2)^2 = ||M||_F^2 + 2|det M|.
@@ -322,15 +322,18 @@ def factor_fidelity(v1: np.ndarray, v2: np.ndarray) -> float:
     """
     a = np.asarray(v1, dtype=np.complex128)
     b = np.asarray(v2, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[1] != 2 or a.shape != b.shape:
+    if a.ndim < 2 or a.shape[-1] != 2 or a.shape != b.shape:
         raise DimensionMismatch(f"expected two (d, 2) factors, got {a.shape} and {b.shape}")
     for operand in (a, b):
         _require_finite(operand, NonHermitian)
-    m = a.conj().T @ b
+    m = a.conj().swapaxes(-1, -2) @ b
     # det M from its entries: near rank 1, sqrt(det(M^dagger M)) would turn
-    # 1e-16 rounding into ~1e-8
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return float(_clamp_overshoot(np.sum(np.abs(m) ** 2) + 2.0 * abs(det)))
+    # 1e-16 rounding into ~1e-8.  Products and |det M| are rounded as for numpy
+    # scalars (array ones may fuse), so a pair gets the same bits in a stack
+    x, y = m[..., 0, :], m[..., 1, ::-1]
+    re, im = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+    det_abs = np.hypot(re[..., 0] - re[..., 1], im[..., 0] - im[..., 1])
+    return _clamp_overshoot(np.sum(np.abs(m) ** 2, axis=(-2, -1)) + 2.0 * det_abs)
 
 
 def _clamp_overshoot(values: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ The free functions are the channel builders, ye_markov_fidelity,
 ye_markov_lindblad, ye_nonmarkov_decay and coherent_amplitudes, which the
 classes call; default_fock_cutoff, which picks the Jaynes-Cummings cutoff;
 the model_* dispatchers; and build_model, which builds a model from its
-registry name.  The channel and closed-form routes are kept fully
-independent so the test suite can play them against each other.
+registry name.  The channel, state (factor included) and closed-form
+routes are kept independent so the test suite can play them against each other.
 
 Models
 ------
@@ -21,9 +21,9 @@ jcm-qubit      resonant atom-field interaction, atom sector, field initially
 jcm-photon     the same interaction viewed from the truncated field sector.
 ck             qubit dephasing with a cosine coherence revival.
 
-All times are nonnegative; rates are strictly positive.  Channel builders
-fill one (k, d, d) operator stack and return it as a plain KrausChannel,
-with no pruning of zero operators.
+All times are finite and nonnegative; rates are strictly positive.  Channel
+builders fill one (k, d, d) operator stack and return it as a plain
+KrausChannel, with no pruning of zero operators.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import KrausChannel, LindbladSet, kraus_columns
+from .channels import KrausChannel, LindbladSet
 from .errors import (
     CutoffTooSmall,
     InvalidInitialState,
@@ -48,9 +48,16 @@ _TAIL_CEILING = 1e-12
 
 def _check_time(t: float) -> float:
     t = float(t)
-    if t < 0.0:
-        raise NegativeTime(f"evolution time must be nonnegative, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise NegativeTime(f"evolution time must be finite and nonnegative, got {t!r}")
     return t
+
+
+def _check_times(ts: np.ndarray | float) -> np.ndarray:
+    ts = np.asarray(ts, dtype=float)
+    for t in ts[~((ts >= 0.0) & (ts < math.inf))].flat:
+        _check_time(t)  # raises at the first refused time
+    return ts
 
 
 def _check_rate(value: float, name: str) -> float:
@@ -91,9 +98,9 @@ class ModelSpec:
         """(T, dim, dim) stack of the states at the times ts."""
         return np.array([self.state(float(t)) for t in ts])
 
-    def factor(self, t: float) -> np.ndarray | None:
-        """A (dim, r) factor V with rho(t) = V V^dagger, or None where the
-        model offers none."""
+    def factor(self, t: float | np.ndarray) -> np.ndarray | None:
+        """A (dim, r) factor V with rho(t) = V V^dagger, (T, dim, r) for T
+        times, or None where the model offers none."""
         return None
 
     def closed_fidelity(self, t: float, tau: float) -> float | None:
@@ -247,9 +254,7 @@ class JCMQubit(_JaynesCummings):
     def states(self, ts: np.ndarray) -> np.ndarray:
         """Reduced atom states at the times ts, one (T, cutoff) array of
         Rabi phases per sum."""
-        ts = np.asarray(ts, dtype=float)
-        if np.any(ts < 0.0):
-            _check_time(ts[ts < 0.0][0])
+        ts = _check_times(ts)
         amps = coherent_amplitudes(self.alpha_c, self.cutoff)
         weights = np.abs(amps) ** 2
         n_grid = np.arange(self.cutoff + 1)
@@ -294,13 +299,17 @@ class JCMPhoton(_JaynesCummings):
     def channel(self, t: float) -> KrausChannel:
         return jcm_photon_channel(t, self.g, self.cutoff)
 
-    def factor(self, t: float) -> np.ndarray:
-        """(dim, 2) Kraus factor [K_0 psi, K_1 psi] of the field state at time
-        t, psi the truncated coherent vector embedded in the padded field
-        space; at t = 0 it is [psi, 0]."""
-        vec = np.zeros(self.dim, dtype=np.complex128)
-        vec[: self.cutoff + 1] = coherent_amplitudes(self.alpha_c, self.cutoff)
-        return kraus_columns(jcm_photon_channel(t, self.g, self.cutoff), vec)
+    def factor(self, t: float | np.ndarray) -> np.ndarray:
+        """(dim, 2) Kraus factor [K_0 psi, K_1 psi], (T, dim, 2) for T times:
+        cos(theta_n) psi_n and -i sin(theta_n) psi_n moved up one level, with
+        theta_n = g t sqrt(n + 1) and psi the truncated coherent vector."""
+        ts = _check_times(t)
+        theta = self.g * ts[..., None] * np.sqrt(np.arange(self.cutoff + 1) + 1.0)
+        psi = coherent_amplitudes(self.alpha_c, self.cutoff)
+        v = np.zeros(ts.shape + (self.dim, 2), dtype=np.complex128)
+        v[..., :-1, 0] = np.cos(theta) * psi
+        v[..., 1:, 1] = -1j * np.sin(theta) * psi
+        return v
 
     def state(self, t: float) -> np.ndarray:
         """Field state V V^dagger at time t, V = ``factor(t)``."""

@@ -97,8 +97,8 @@ def small_time_exponents(
 
     ``model`` is either a model spec, whose times are measured from its start
     t0, or a bare ``t -> KrausChannel`` family.
-    The grid must be strictly positive, ascending, and hold at least six
-    points; the default spans [1e-4, 1e-2] geometrically.
+    The grid must be finite, strictly positive, ascending, and hold at least
+    six points; the default spans [1e-4, 1e-2] geometrically.
     """
     if t_grid is None:
         t_grid = default_small_time_grid()
@@ -107,8 +107,8 @@ def small_time_exponents(
         raise GridTooCoarse(
             f"exponent fit needs at least 6 grid points, got {t_grid.size}"
         )
-    if t_grid[0] <= 0.0 or np.any(np.diff(t_grid) <= 0.0):
-        raise GridTooCoarse("exponent grid must be strictly positive and ascending")
+    if not np.isfinite(t_grid).all() or t_grid[0] <= 0.0 or np.any(np.diff(t_grid) <= 0.0):
+        raise GridTooCoarse("exponent grid must be finite, strictly positive and ascending")
 
     if callable(model):
         family: EvolutionFamily = model

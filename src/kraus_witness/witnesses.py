@@ -127,14 +127,14 @@ def _fidelities(
     spec: ModelSpec, ts: np.ndarray, lags: np.ndarray | float, route: str
 ) -> np.ndarray:
     """F[rho(t), rho(t + lag)] over ts and lags broadcast together: one
-    ``fidelities`` call on the generic route, one scalar call per pair on
-    the others."""
+    ``fidelities`` call on the generic route, one ``factor_fidelity`` call
+    on the factor route, one scalar call per pair on the closed route."""
     if route == _GENERIC:
         return fidelities(*np.broadcast_arrays(spec.states(ts), spec.states(ts + lags)))
-    pairs = [(float(t), float(lag)) for t, lag in np.broadcast(ts, lags)]
-    if route == _CLOSED:
-        return np.array([model_closed_fidelity(spec, t, lag) for t, lag in pairs])
-    return np.array([factor_fidelity(spec.factor(t), spec.factor(t + lag)) for t, lag in pairs])
+    if route == _FACTOR:
+        return factor_fidelity(*np.broadcast_arrays(spec.factor(ts), spec.factor(ts + lags)))
+    pairs = np.broadcast(ts, lags)
+    return np.array([model_closed_fidelity(spec, float(t), float(lag)) for t, lag in pairs])
 
 
 def _G(spec: ModelSpec, ts: np.ndarray, tau: float, route: str) -> np.ndarray:
@@ -204,8 +204,8 @@ def _check_scan_grid(t_grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise GridTooCoarse(f"scan grid needs at least 2 points, got shape {grid.shape}")
-    if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
-        raise GridTooCoarse("scan grid must be ascending and nonnegative")
+    if not np.isfinite(grid).all() or grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
+        raise GridTooCoarse("scan grid must be finite, ascending and nonnegative")
     return grid
 
 
@@ -420,6 +420,8 @@ def blp_measure(
             f"revival estimate needs at least {_MIN_BLP_POINTS} grid points, "
             f"got {grid.size}"
         )
+    if not np.isfinite(grid).all():
+        raise GridTooCoarse("revival grid must be finite")
     steps = np.diff(grid)
     if np.any(steps <= 0.0):
         raise GridTooCoarse("revival grid must be strictly ascending")

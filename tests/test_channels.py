@@ -20,7 +20,6 @@ from kraus_witness import (
     channel_defect,
     ck_channel,
     compose,
-    kraus_columns,
     lgks_rhs,
     model_channel,
     model_state,
@@ -302,29 +301,6 @@ class TestTransferMatrix:
     def test_rejects_nan_channel(self):
         with pytest.raises(InvalidChannel):
             transfer_matrix(KrausChannel(np.full((1, 2, 2), np.nan)))
-
-
-class TestKrausColumns:
-    @pytest.mark.parametrize("spec", STACK_SPECS, ids=STACK_IDS)
-    def test_factor_of_the_evolved_pure_state(self, spec, rng):
-        channel = model_channel(spec, spec.t0 + float(rng.uniform(0.0, 5.0)))
-        block = channel.valid_dim or channel.dim
-        psi = np.zeros(channel.dim, dtype=np.complex128)
-        psi[:block] = rng.normal(size=block) + 1j * rng.normal(size=block)
-        psi /= np.linalg.norm(psi)
-        v = kraus_columns(channel, psi)
-        assert v.shape == (channel.dim, channel.operators.shape[0])
-        np.testing.assert_allclose(v @ v.conj().T, apply(channel, np.outer(psi, psi.conj())),
-                                   rtol=0.0, atol=1e-15)
-
-    @pytest.mark.parametrize("shape", [(3,), (2, 1), (2, 2)])
-    def test_rejects_bad_shape(self, shape):
-        with pytest.raises(DimensionMismatch):
-            kraus_columns(ck_channel(1.0), np.ones(shape, dtype=complex))
-
-    def test_rejects_incomplete_channel(self):
-        with pytest.raises(InvalidChannel, match="completeness defect"):
-            kraus_columns(broken_dephasing_channel(1.0), np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 class TestSemigroupDefect:

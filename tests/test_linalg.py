@@ -507,6 +507,15 @@ class TestFactorFidelity:
         v1, v2 = spec.factor(t), spec.factor(t2)
         assert factor_fidelity(v1, v2) == pytest.approx(fidelity(_rho(v1), _rho(v2)), abs=1e-12)
 
+    def test_stack_matches_pairs(self):
+        # each pair of a stack gets the bits it gets alone
+        spec = JCMPhoton(alpha_c=0.6 + 0.8j)
+        ts = np.arange(0.0, 10.0, 0.05)
+        v1, v2 = spec.factor(ts), spec.factor(ts + 0.37)
+        values = factor_fidelity(v1, v2)
+        assert values.shape == ts.shape
+        np.testing.assert_array_equal(values, [factor_fidelity(a, b) for a, b in zip(v1, v2)])
+
     def test_ignores_the_choice_of_factor(self, rng):
         # V U gives the same state for any 2 x 2 unitary U
         v1, v2 = JCMPhoton(alpha_c=1, n_max=31).factor(1.0), JCMPhoton(alpha_c=1j, n_max=31).factor(0.4)

@@ -39,6 +39,10 @@ from conftest import oracle_fidelity
 
 ALL_SPECS = [YEMarkov(), YENonMarkov(), JCMQubit(), JCMPhoton(), CKDephase()]
 
+# vacuum and coherent field sectors
+_FIELDS = [JCMPhoton(), JCMPhoton(alpha_c=1, n_max=31), JCMPhoton(alpha_c=0.6 + 0.8j)]
+_FIELD_IDS = ["vacuum", "alpha-1", "alpha-0.6+0.8j"]
+
 
 class TestDecayFunctions:
     def test_branch_normalization(self, rng):
@@ -301,17 +305,30 @@ class TestFieldMode:
         assert v[: spec.cutoff + 1, 0].tolist() == amps.tolist()
         assert not v[spec.cutoff + 1:, 0].any() and not v[:, 1].any()
 
+    @pytest.mark.parametrize("spec", _FIELDS, ids=_FIELD_IDS)
+    def test_factor_stacks_the_factors(self, spec):
+        ts = np.array([0.0, 0.37, 1.0, 2.5, 9.99])
+        stack = spec.factor(ts)
+        assert stack.shape == (ts.size, spec.dim, 2)
+        for t, v in zip(ts, stack):
+            np.testing.assert_array_equal(v, spec.factor(float(t)))
+        # [psi, 0] at t = 0
+        psi = np.zeros(spec.dim, dtype=np.complex128)
+        psi[: spec.cutoff + 1] = coherent_amplitudes(spec.alpha_c, spec.cutoff)
+        np.testing.assert_array_equal(stack[0], np.stack([psi, np.zeros(spec.dim)], axis=1))
+
     @pytest.mark.parametrize("spec", [YEMarkov(), YENonMarkov(), JCMQubit(), CKDephase()],
                              ids=lambda spec: spec.NAME)
     def test_only_the_field_sector_has_a_factor(self, spec):
         assert spec.factor(1.0) is None
 
     def test_channel_reproduces_state(self, rng):
-        spec = JCMPhoton()
-        rho0 = spec.state(0.0)
-        for t in rng.uniform(0.0, 8.0, size=10):
-            evolved = apply(jcm_photon_channel(float(t), spec.g, spec.cutoff), rho0)
-            assert np.max(np.abs(evolved - spec.state(float(t)))) <= 1e-12
+        # the factor is built from its formula, the channel independently
+        for spec in _FIELDS:
+            rho0 = spec.state(0.0)
+            for t in rng.uniform(0.0, 8.0, size=10):
+                evolved = apply(jcm_photon_channel(float(t), spec.g, spec.cutoff), rho0)
+                assert np.max(np.abs(evolved - spec.state(float(t)))) <= 1e-12
 
 
 class TestRevivalDephasing:
@@ -386,6 +403,20 @@ class TestDispatch:
     def test_states_reject_negative_times(self):
         with pytest.raises(NegativeTime, match="-0.5"):
             JCMQubit(alpha_c=1, n_max=31).states(np.array([0.0, -0.5, 1.0]))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.NAME)
+    def test_non_finite_times_are_refused(self, spec, t):
+        for build in (spec.state, spec.channel, lambda t: spec.states(np.array([0.0, t]))):
+            with pytest.raises(NegativeTime, match="finite and nonnegative"):
+                build(t)
+
+    def test_factor_refuses_non_finite_times(self):
+        for t in (math.nan, math.inf, -1.0):
+            with pytest.raises(NegativeTime, match="finite and nonnegative"):
+                JCMPhoton().factor(t)
+            with pytest.raises(NegativeTime, match="finite and nonnegative"):
+                JCMPhoton().factor(np.array([0.0, t]))
 
     def test_closed_fidelity_availability(self):
         assert model_closed_fidelity(YEMarkov(), 0.1, 0.2) is not None

@@ -1,6 +1,8 @@
 """Small-time structure probe and generator residual."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,12 @@ class TestSmallTimeExponents:
         bad = np.array([0.0, 1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
         with pytest.raises(GridTooCoarse):
             small_time_exponents(YEMarkov(), t_grid=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_not_finite(self, bad):
+        grid = np.append(np.geomspace(1e-4, 1e-2, 6), bad)
+        with pytest.raises(GridTooCoarse, match="finite"):
+            small_time_exponents(YEMarkov(), t_grid=grid)
 
     def test_grid_not_ascending(self):
         with pytest.raises(GridTooCoarse):

@@ -39,7 +39,7 @@ from kraus_witness import (
     trace_distance,
     validate_density,
 )
-from kraus_witness import linalg, witnesses
+from kraus_witness import linalg, models, witnesses
 
 
 class _SkewedCK(CKDephase):
@@ -69,16 +69,16 @@ def _record_kernel_calls(monkeypatch):
     return calls
 
 
-def _count_factor_calls(monkeypatch):
-    """Times at which ``JCMPhoton.factor`` is called, in order."""
+def _record_factor_calls(monkeypatch):
+    """The times array of every ``JCMPhoton.factor`` call, in order."""
     calls = []
     factor = JCMPhoton.factor
 
-    def counted(self, t):
-        calls.append(t)
+    def recorded(self, t):
+        calls.append(np.asarray(t))
         return factor(self, t)
 
-    monkeypatch.setattr(JCMPhoton, "factor", counted)
+    monkeypatch.setattr(JCMPhoton, "factor", recorded)
     return calls
 
 
@@ -281,21 +281,53 @@ class TestRouteParity:
 
 
 class TestFactorWork:
-    # a factor-route scan builds the factors at t and t + tau once per
-    # point, plus the reference pair where the grid does not start at t0
-    @pytest.mark.parametrize("grid, calls", [
+    # a factor-route scan makes one factor call for the times t, the
+    # reference t0 among them, and one for the times t + tau
+    @pytest.mark.parametrize("grid, times", [
         (np.arange(1.0, 7.0), 14),
         (np.arange(0.0, 6.0), 12),
-    ], ids=["field-scan-grid", "from-t0"])
-    def test_factor_scan_work(self, grid, calls, monkeypatch):
-        times = _count_factor_calls(monkeypatch)
+        (make_grid(0.0, 10.0, 0.05), 402),
+    ], ids=["field-scan-grid", "from-t0", "default-grid"])
+    def test_factor_scan_work(self, grid, times, monkeypatch):
+        calls = _record_factor_calls(monkeypatch)
         scan_G(JCMPhoton(alpha_c=1, n_max=31), grid, 1.0)
-        assert len(times) == calls
+        assert len(calls) == 2
+        assert sum(c.size for c in calls) == times
 
     def test_factor_memory_fidelity_work(self, monkeypatch):
-        times = _count_factor_calls(monkeypatch)
+        # t0 once, then the six grid times
+        calls = _record_factor_calls(monkeypatch)
         memory_fidelity(JCMPhoton(alpha_c=1, n_max=31), np.arange(0.0, 6.0))
-        assert len(times) <= 14
+        assert len(calls) == 2
+        assert sum(c.size for c in calls) == 7
+
+    def test_factor_route_builds_no_channel(self, monkeypatch):
+        def no_channel(*args, **kwargs):
+            raise AssertionError("a channel was built")
+
+        monkeypatch.setattr(models, "jcm_photon_channel", no_channel)
+        spec, grid = JCMPhoton(alpha_c=1, n_max=31), make_grid(0.0, 10.0, 0.05)
+        assert scan_G(spec, grid, 1.0).values.size == grid.size
+        assert memory_fidelity(spec, grid).values.size == grid.size
+
+
+class TestNonFiniteGrids:
+    # one model per route: closed, factor and generic
+    @pytest.mark.parametrize("spec", [
+        CKDephase(), JCMPhoton(), CKDephase(rho11=0.9, rho22=0.1, rho12=0.1),
+    ], ids=["closed", "factor", "generic"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_scan_grids(self, spec, bad):
+        grid = np.array([0.0, 1.0, bad])
+        with pytest.raises(GridTooCoarse, match="finite"):
+            markovianity_verdict(spec, (0.5,), grid)
+        with pytest.raises(GridTooCoarse, match="finite"):
+            memory_fidelity(spec, grid)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_revival_grid(self, bad):
+        with pytest.raises(GridTooCoarse, match="finite"):
+            blp_measure(CKDephase(), t_grid=np.append(np.linspace(0.0, 6.0, 250), bad))
 
 
 class TestMemoryFidelity:

@@ -38,6 +38,10 @@ COMMANDS: list[tuple[list[str], bool]] = (
         (["witness", "--model=ye-markov", "--step=0.001"], True),
         (["witness", "--model=jcm-photon", "--alpha=1", "--start=1", "--stop=7",
           "--step=0.5"], True),
+        (["witness", "--model=jcm-photon", "--alpha=0.6+0.8j", "--n-cut=31", "--tau=0.37",
+          "--tau=2"], True),
+        (["witness", "--model=jcm-photon", "--alpha=2", "--start=0.5", "--stop=3",
+          "--step=0.05"], True),
         # exits 2: the generic cross-check disagrees on a fine early-time grid
         (["witness", "--model=ye-nonmarkov", "--tau=1", "--start=0", "--stop=0.2",
           "--step=0.001"], True),
