@@ -2,13 +2,14 @@
 
 A channel is a (k, d, d) stack of Kraus operators K_i acting as
 rho -> sum_i K_i rho K_i^dagger.  Completeness sum_i K_i^dagger K_i = I is
-checked lazily and cached on the channel object; channels whose operator set
-is only complete on a leading subspace (truncated field sectors, conditioned
-dynamics) declare that subspace through ``valid_dim``.
+checked in one place, ``validate_cptp``, on every ``apply`` and
+``transfer_matrix``; channels whose operator set is only complete on a
+leading subspace (truncated field sectors, conditioned dynamics) declare that
+subspace through ``valid_dim``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,24 +17,26 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidChannel
 from .linalg import validate_density
 
-# apply() refuses to run a channel whose completeness defect exceeds this
+# apply() and transfer_matrix() refuse a channel whose completeness defect exceeds this
 _APPLY_DEFECT_CEILING = 1e-8
 
 
 def _as_operator_stack(operators: Sequence[np.ndarray]) -> np.ndarray:
-    """Check that the operators are square and of one shape, and return them
-    as one (k, d, d) complex128 stack; shapes are compared first, so ragged
-    input raises DimensionMismatch."""
-    shapes = [np.shape(k) for k in operators]
-    if not shapes:
+    """The operators as one (k, d, d) complex128 stack of square matrices;
+    ragged input raises DimensionMismatch naming two of its shapes."""
+    try:
+        stack = np.asarray(operators, dtype=np.complex128)
+    except ValueError:
+        shapes = [np.shape(k) for k in operators]
+        mixed = [shape for shape in shapes if shape != shapes[0]]
+        if mixed:
+            raise DimensionMismatch(f"mixed Kraus shapes {shapes[0]} and {mixed[0]}") from None
+        raise
+    if stack.shape[:1] == (0,):
         raise InvalidChannel("a channel needs at least one Kraus operator")
-    dim = shapes[0]
-    if len(dim) != 2 or dim[0] != dim[1]:
-        raise DimensionMismatch(f"Kraus operators must be square, got shape {dim}")
-    for shape in shapes[1:]:
-        if shape != dim:
-            raise DimensionMismatch(f"mixed Kraus shapes {dim} and {shape}")
-    return np.asarray(operators, dtype=np.complex128)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatch(f"Kraus operators must be square, got shape {stack.shape[1:]}")
+    return stack
 
 
 def _sandwich(ops: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -46,22 +49,24 @@ def _gram(ops: np.ndarray) -> np.ndarray:
     return (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Kraus operator stack, shape (k, d, d), with a cached completeness defect.
+    """Kraus operator stack, shape (k, d, d), frozen like ``LindbladSet``.
 
     valid_dim restricts the completeness requirement to the leading
     valid_dim x valid_dim block; inputs must then be supported on that block.
+    It is the full dimension unless a smaller block is given.
     """
 
     operators: np.ndarray
     label: str = ""
     valid_dim: int | None = None
-    _defect: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.operators = _as_operator_stack(self.operators)
-        if self.valid_dim is not None and not (1 <= self.valid_dim <= self.dim):
+        object.__setattr__(self, "operators", _as_operator_stack(self.operators))
+        if self.valid_dim is None:
+            object.__setattr__(self, "valid_dim", self.dim)
+        elif not 1 <= self.valid_dim <= self.dim:
             raise DimensionMismatch(
                 f"valid_dim {self.valid_dim} outside 1..{self.dim}"
             )
@@ -84,8 +89,8 @@ class LindbladSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "operators", _as_operator_stack(self.operators))
-        if self.rate < 0.0:
-            raise InvalidChannel(f"rate must be nonnegative, got {self.rate!r}")
+        if not 0.0 <= self.rate < np.inf:
+            raise InvalidChannel(f"rate must be nonnegative and finite, got {self.rate!r}")
 
     @property
     def dim(self) -> int:
@@ -95,15 +100,11 @@ class LindbladSet:
 def channel_defect(channel: KrausChannel) -> float:
     """Max-norm defect of sum_i K_i^dagger K_i against the identity.
 
-    For channels with valid_dim set, only the leading block is compared.
-    The result is cached on the channel.
+    Only the leading valid_dim x valid_dim block is compared.
     """
+    block = channel.valid_dim
     total = _gram(channel.operators)
-    block = channel.valid_dim if channel.valid_dim is not None else channel.dim
-    defect_mat = total[:block, :block] - np.eye(block)
-    defect = float(np.max(np.abs(defect_mat)))
-    channel._defect = defect
-    return defect
+    return float(np.max(np.abs(total[:block, :block] - np.eye(block))))
 
 
 def validate_cptp(channel: KrausChannel, tol: float = 1e-10) -> float:
@@ -115,18 +116,6 @@ def validate_cptp(channel: KrausChannel, tol: float = 1e-10) -> float:
             + (f" for channel {channel.label!r}" if channel.label else "")
         )
     return defect
-
-
-def _complete_operators(channel: KrausChannel) -> np.ndarray:
-    """The channel's operator stack, once its cached completeness defect is
-    known to be within the 1e-8 ceiling."""
-    if channel._defect is None:
-        channel_defect(channel)
-    if not channel._defect <= _APPLY_DEFECT_CEILING:
-        raise InvalidChannel(
-            f"refusing to apply channel with completeness defect {channel._defect:.3e}"
-        )
-    return channel.operators
 
 
 def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -142,7 +131,8 @@ def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"state shape {state.shape} does not match channel dimension {channel.dim}"
         )
-    return _sandwich(_complete_operators(channel), state)
+    validate_cptp(channel, _APPLY_DEFECT_CEILING)
+    return _sandwich(channel.operators, state)
 
 
 def transfer_matrix(channel: KrausChannel) -> np.ndarray:
@@ -152,7 +142,8 @@ def transfer_matrix(channel: KrausChannel) -> np.ndarray:
     by linearity on any operator, not only on states.  The channel must be
     complete within 1e-8, as for ``apply``.
     """
-    ops = _complete_operators(channel)
+    validate_cptp(channel, _APPLY_DEFECT_CEILING)
+    ops = channel.operators
     d = channel.dim
     # one product over the operator index: M[(i, a), (j, b)] = sum_k K_ia conj(K_jb)
     flat = ops.transpose(1, 2, 0).reshape(d * d, -1)
@@ -168,14 +159,8 @@ def compose(late: KrausChannel, early: KrausChannel) -> KrausChannel:
             f"cannot compose dimensions {late.dim} and {early.dim}"
         )
     ops = (late.operators[:, None] @ early.operators[None]).reshape(-1, late.dim, late.dim)
-    valid = None
-    if late.valid_dim is not None or early.valid_dim is not None:
-        valid = min(
-            late.valid_dim if late.valid_dim is not None else late.dim,
-            early.valid_dim if early.valid_dim is not None else early.dim,
-        )
     label = f"{late.label}*{early.label}" if (late.label or early.label) else ""
-    return KrausChannel(operators=ops, label=label, valid_dim=valid)
+    return KrausChannel(ops, label, min(late.valid_dim, early.valid_dim))
 
 
 def lgks_rhs(lset: LindbladSet, rho: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from .channels import channel_defect
 from .errors import KrausWitnessError, UsageError
 from .models import (
     MODEL_CLASSES,
@@ -398,8 +399,6 @@ def cmd_validate(ns: argparse.Namespace) -> int:
     model_state(spec, 0.0)
     rate = spec.rate
     times = np.linspace(start / rate, stop / rate, samples)
-    from .channels import channel_defect
-
     defects = np.array([channel_defect(model_channel(spec, float(t))) for t in times])
     worst = float(defects.max())
     at = float(times[int(np.argmax(defects))] * rate)

@@ -37,6 +37,7 @@ import numpy as np
 from .channels import KrausChannel, LindbladSet
 from .errors import (
     CutoffTooSmall,
+    GridTooCoarse,
     InvalidInitialState,
     NegativeTime,
     ParamOutOfRange,
@@ -58,6 +59,18 @@ def _check_times(ts: np.ndarray | float) -> np.ndarray:
     for t in ts[~((ts >= 0.0) & (ts < math.inf))].flat:
         _check_time(t)  # raises at the first refused time
     return ts
+
+
+def _check_grid(grid: np.ndarray, min_points: int, name: str) -> np.ndarray:
+    """A 1-D, finite, strictly ascending float grid of at least min_points."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < min_points:
+        raise GridTooCoarse(f"{name} needs at least {min_points} points, got shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        raise GridTooCoarse(f"{name} must be finite")
+    if np.any(np.diff(grid) <= 0.0):
+        raise GridTooCoarse(f"{name} must be strictly ascending")
+    return grid
 
 
 def _check_rate(value: float, name: str) -> float:
@@ -352,8 +365,7 @@ class CKDephase(ModelSpec):
             raise InvalidInitialState(
                 f"coherence too large: rho11*rho22 - |rho12|^2 = {det:.3e}"
             )
-        if self.t0 < 0.0:
-            raise ParamOutOfRange(f"t0 must be nonnegative, got {self.t0!r}")
+        _check_t0(self.t0)
 
     def channel(self, t: float) -> KrausChannel:
         return ck_channel(t, self.t0)
@@ -557,9 +569,16 @@ def jcm_photon_channel(t: float, g: float = 1.0, n_cut: int = 20) -> KrausChanne
 # cosine-revival dephasing
 
 
+def _check_t0(t0: float) -> float:
+    t0 = float(t0)
+    if not 0.0 <= t0 < math.inf:
+        raise ParamOutOfRange(f"t0 must be finite and nonnegative, got {t0!r}")
+    return t0
+
+
 def _check_start(t: float, t0: float) -> float:
     t = _check_time(t)
-    if t < t0:
+    if t < _check_t0(t0):
         raise NegativeTime(f"t = {t!r} precedes the initial time t0 = {t0!r}")
     return t
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channels import LindbladSet, lgks_rhs
 from .errors import FitDegenerate, GridTooCoarse, NegativeTime
-from .models import EvolutionFamily, ModelSpec, model_channel, model_state
+from .models import EvolutionFamily, ModelSpec, _check_grid, model_channel, model_state
 
 SQRT_T = "SqrtT"
 LINEAR_T = "LinearT"
@@ -102,13 +102,9 @@ def small_time_exponents(
     """
     if t_grid is None:
         t_grid = default_small_time_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 6:
-        raise GridTooCoarse(
-            f"exponent fit needs at least 6 grid points, got {t_grid.size}"
-        )
-    if not np.isfinite(t_grid).all() or t_grid[0] <= 0.0 or np.any(np.diff(t_grid) <= 0.0):
-        raise GridTooCoarse("exponent grid must be finite, strictly positive and ascending")
+    t_grid = _check_grid(t_grid, 6, "exponent grid")
+    if t_grid[0] <= 0.0:
+        raise GridTooCoarse("exponent grid must start at a positive time")
 
     if callable(model):
         family: EvolutionFamily = model

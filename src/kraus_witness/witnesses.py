@@ -30,6 +30,7 @@ from .linalg import factor_fidelity, fidelities, trace_norms, validate_densities
 from .models import (
     JCMPhoton,
     ModelSpec,
+    _check_grid,
     model_channel,
     model_closed_fidelity,
     model_state,
@@ -201,11 +202,9 @@ def memory_fidelity(spec: ModelSpec, t_grid: np.ndarray) -> ScanResult:
 
 
 def _check_scan_grid(t_grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise GridTooCoarse(f"scan grid needs at least 2 points, got shape {grid.shape}")
-    if not np.isfinite(grid).all() or grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
-        raise GridTooCoarse("scan grid must be finite, ascending and nonnegative")
+    grid = _check_grid(t_grid, 2, "scan grid")
+    if grid[0] < 0.0:
+        raise GridTooCoarse("scan grid must start at a nonnegative time")
     return grid
 
 
@@ -414,17 +413,8 @@ def blp_measure(
     """
     if t_grid is None:
         t_grid = default_blp_grid(spec)
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < _MIN_BLP_POINTS:
-        raise GridTooCoarse(
-            f"revival estimate needs at least {_MIN_BLP_POINTS} grid points, "
-            f"got {grid.size}"
-        )
-    if not np.isfinite(grid).all():
-        raise GridTooCoarse("revival grid must be finite")
+    grid = _check_grid(t_grid, _MIN_BLP_POINTS, "revival grid")
     steps = np.diff(grid)
-    if np.any(steps <= 0.0):
-        raise GridTooCoarse("revival grid must be strictly ascending")
     h = float(steps[0])
     if np.max(np.abs(steps - h)) > 1e-9 * h:
         raise GridTooCoarse("revival grid must be uniform")

@@ -1,6 +1,7 @@
 """Channel layer: completeness, application, composition, generator rhs."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -54,11 +55,28 @@ class TestKrausChannel:
             KrausChannel((np.zeros((2, 3)),))
 
     def test_requires_matching_shapes(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"\(2, 2\) and \(3, 3\)"):
             KrausChannel((np.eye(2), np.eye(3)))
+
+    def test_requires_operator_matrices(self):
+        with pytest.raises(DimensionMismatch):
+            KrausChannel((np.eye(2)[0],))
 
     def test_dim(self):
         assert ye_markov_channel(0.5).dim == 4
+
+    def test_valid_dim_defaults_to_dim(self):
+        assert ye_markov_channel(0.5).valid_dim == 4
+        assert KrausChannel((np.eye(3),), valid_dim=2).valid_dim == 2
+
+    @pytest.mark.parametrize("name, value", [
+        ("operators", np.zeros((1, 4, 4))), ("label", "other"), ("valid_dim", 1),
+    ])
+    def test_frozen(self, name, value):
+        channel = ye_markov_channel(0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(channel, name, value)
+        assert channel.label == "ye-markov" and channel.valid_dim == 4
 
     def test_valid_dim_range(self):
         with pytest.raises(DimensionMismatch):
@@ -96,14 +114,47 @@ class TestValidateCptp:
             validate_cptp(bad)
         assert channel_defect(bad) == pytest.approx(expected, rel=1e-12)
 
-    def test_defect_cached(self):
-        channel = ye_markov_channel(1.0)
-        validate_cptp(channel)
-        assert channel._defect is not None
-
     def test_rejects_nan_channel(self):
         with pytest.raises(InvalidChannel):
             validate_cptp(KrausChannel(np.full((1, 2, 2), np.nan)))
+
+    def test_writes_nothing_to_the_channel(self):
+        channel = ye_markov_channel(1.0)
+        before = dict(vars(channel))
+        validate_cptp(channel)
+        after = vars(channel)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
+
+
+def scaled_identity(excess: float) -> KrausChannel:
+    """A labelled qubit identity scaled so its completeness defect is about
+    ``excess``."""
+    return KrausChannel((math.sqrt(1.0 + excess) * np.eye(2, dtype=complex),), label="scaled")
+
+
+class TestCompletenessGate:
+    """apply and transfer_matrix refuse above 1e-8, validate_cptp above 1e-10."""
+
+    def test_defect_between_thresholds(self):
+        channel = scaled_identity(1e-9)
+        assert 1e-10 < channel_defect(channel) < 1e-8
+        rho = np.eye(2, dtype=complex) / 2
+        np.testing.assert_allclose(apply(channel, rho), rho, rtol=0.0, atol=1e-8)
+        np.testing.assert_allclose(transfer_matrix(channel), np.eye(4), rtol=0.0, atol=1e-8)
+        with pytest.raises(InvalidChannel, match="exceeds 1.0e-10 for channel 'scaled'"):
+            validate_cptp(channel)
+        assert validate_cptp(channel, tol=1e-8) == channel_defect(channel)
+
+    def test_defect_above_ceiling(self):
+        channel = scaled_identity(1e-7)
+        assert 1e-8 < channel_defect(channel)
+        with pytest.raises(InvalidChannel, match="exceeds 1.0e-08 for channel 'scaled'"):
+            apply(channel, np.eye(2, dtype=complex) / 2)
+        with pytest.raises(InvalidChannel, match="exceeds 1.0e-08 for channel 'scaled'"):
+            transfer_matrix(channel)
+        with pytest.raises(InvalidChannel, match="exceeds 1.0e-10 for channel 'scaled'"):
+            validate_cptp(channel)
 
 
 class TestApply:
@@ -208,6 +259,12 @@ class TestLgksRhs:
     def test_rate_validation(self):
         with pytest.raises(InvalidChannel):
             LindbladSet((np.eye(2, dtype=complex),), rate=-1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_rate_must_be_finite(self, rate):
+        with pytest.raises(InvalidChannel, match="rate must be nonnegative and finite"):
+            LindbladSet((np.eye(2, dtype=complex),), rate=rate)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -372,6 +372,14 @@ class TestRevivalDephasing:
             evolved = apply(model_channel(spec, float(t)), rho_t0)
             assert np.max(np.abs(evolved - model_state(spec, float(t)))) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -1.0])
+    def test_start_must_be_finite_and_nonnegative(self, t0):
+        with pytest.raises(ParamOutOfRange, match="t0 must be finite and nonnegative"):
+            CKDephase(t0=t0)
+        with pytest.raises(ParamOutOfRange, match="t0 must be finite and nonnegative"):
+            ck_channel(1.0, t0=t0)
+
 
 class TestDispatch:
     def test_registry_round_trip(self):

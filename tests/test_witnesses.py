@@ -36,6 +36,7 @@ from kraus_witness import (
     model_channel,
     model_state,
     scan_G,
+    small_time_exponents,
     trace_distance,
     validate_density,
 )
@@ -328,6 +329,39 @@ class TestNonFiniteGrids:
     def test_revival_grid(self, bad):
         with pytest.raises(GridTooCoarse, match="finite"):
             blp_measure(CKDephase(), t_grid=np.append(np.linspace(0.0, 6.0, 250), bad))
+
+
+# every grid check, with its minimum size and a valid grid of that many points
+GRID_CHECKS = [
+    (lambda grid: memory_fidelity(CKDephase(), grid), 2, np.array([0.0, 1.0])),
+    (lambda grid: blp_measure(CKDephase(), t_grid=grid), 200, np.linspace(0.0, 6.0, 200)),
+    (lambda grid: small_time_exponents(YEMarkov(), grid), 6, np.geomspace(1e-4, 1e-2, 6)),
+]
+
+
+class TestGridRules:
+    """Scan, revival and exponent grids share one set of rules."""
+
+    @pytest.mark.parametrize("check, points, grid", GRID_CHECKS,
+                             ids=["scan", "revival", "exponent"])
+    def test_shared_rules(self, check, points, grid):
+        check(grid)
+        with pytest.raises(GridTooCoarse, match=f"at least {points}"):
+            check(grid[:-1])
+        with pytest.raises(GridTooCoarse, match=f"at least {points}"):
+            check(grid[None])
+        with pytest.raises(GridTooCoarse, match="finite"):
+            check(np.append(grid, math.nan))
+        with pytest.raises(GridTooCoarse, match="ascending"):
+            check(grid[::-1])
+
+    def test_own_rules(self):
+        with pytest.raises(GridTooCoarse, match="nonnegative"):
+            memory_fidelity(CKDephase(), np.array([-1.0, 1.0]))
+        with pytest.raises(GridTooCoarse, match="uniform"):
+            blp_measure(CKDephase(), t_grid=np.linspace(0.0, 6.0, 200) ** 2)
+        with pytest.raises(GridTooCoarse, match="positive"):
+            small_time_exponents(YEMarkov(), np.linspace(0.0, 1e-2, 6))
 
 
 class TestMemoryFidelity:

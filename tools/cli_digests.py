@@ -48,6 +48,12 @@ COMMANDS: list[tuple[list[str], bool]] = (
     ]
     + [(["probe", f"--model={m}"], True) for m in _MODELS]
     + [(["validate", f"--model={m}"], False) for m in _MODELS]
+    + [
+        # a coherent-field channel, checked on its valid_dim block
+        (["validate", "--model=jcm-photon", "--alpha=0.6+0.8j", "--n-cut=31"], False),
+        # a channel of 45 Kraus operators
+        (["probe", "--model=jcm-qubit", "--alpha=2"], True),
+    ]
 )
 
 _CSV = "out.csv"
