@@ -2,8 +2,10 @@
 
 A channel is a (k, d, d) stack of Kraus operators K_i acting as
 rho -> sum_i K_i rho K_i^dagger.  Completeness sum_i K_i^dagger K_i = I is
-checked in one place, ``validate_cptp``, on every ``apply`` and
-``transfer_matrix``; channels whose operator set is only complete on a
+checked in one place, ``_checked_defects``, which takes a (T, k, d, d) stack
+of T channels at once; ``validate_cptp``, ``apply`` and ``transfer_matrix``
+run it on a stack of one, and ``_transfer_matrices`` on a model's operators
+at a chunk of times.  Channels whose operator set is only complete on a
 leading subspace (truncated field sectors, conditioned dynamics) declare that
 subspace through ``valid_dim``.
 """
@@ -45,8 +47,8 @@ def _sandwich(ops: np.ndarray, state: np.ndarray) -> np.ndarray:
 
 
 def _gram(ops: np.ndarray) -> np.ndarray:
-    """sum_i K_i^dagger K_i over the stack."""
-    return (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
+    """sum_i K_i^dagger K_i over the operator axis of a (..., k, d, d) stack."""
+    return (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,25 +99,37 @@ class LindbladSet:
         return self.operators.shape[1]
 
 
+def _defects(ops: np.ndarray, valid_dim: int) -> np.ndarray:
+    """(T,) max-norm defects of sum_i K_i^dagger K_i against the identity,
+    one per channel of a (T, k, d, d) stack, on the leading valid_dim block."""
+    total = _gram(ops)[:, :valid_dim, :valid_dim]
+    return np.max(np.abs(total - np.eye(valid_dim)), axis=(1, 2))
+
+
+def _checked_defects(ops: np.ndarray, valid_dim: int, tol: float, label: str) -> np.ndarray:
+    """``_defects`` of the stack, raising InvalidChannel when the worst one
+    exceeds ``tol`` (NaN included): the one completeness check."""
+    defects = _defects(ops, valid_dim)
+    worst = np.max(defects, initial=0.0)
+    if not worst <= tol:
+        raise InvalidChannel(
+            f"completeness defect {worst:.3e} exceeds {tol:.1e}"
+            + (f" for channel {label!r}" if label else "")
+        )
+    return defects
+
+
 def channel_defect(channel: KrausChannel) -> float:
     """Max-norm defect of sum_i K_i^dagger K_i against the identity.
 
     Only the leading valid_dim x valid_dim block is compared.
     """
-    block = channel.valid_dim
-    total = _gram(channel.operators)
-    return float(np.max(np.abs(total[:block, :block] - np.eye(block))))
+    return float(_defects(channel.operators[None], channel.valid_dim)[0])
 
 
 def validate_cptp(channel: KrausChannel, tol: float = 1e-10) -> float:
     """Completeness defect, raising InvalidChannel when it exceeds ``tol``."""
-    defect = channel_defect(channel)
-    if not defect <= tol:
-        raise InvalidChannel(
-            f"completeness defect {defect:.3e} exceeds {tol:.1e}"
-            + (f" for channel {channel.label!r}" if channel.label else "")
-        )
-    return defect
+    return float(_checked_defects(channel.operators[None], channel.valid_dim, tol, channel.label)[0])
 
 
 def apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -142,13 +156,18 @@ def transfer_matrix(channel: KrausChannel) -> np.ndarray:
     by linearity on any operator, not only on states.  The channel must be
     complete within 1e-8, as for ``apply``.
     """
-    validate_cptp(channel, _APPLY_DEFECT_CEILING)
-    ops = channel.operators
-    d = channel.dim
+    return _transfer_matrices(channel.operators[None], channel.valid_dim, channel.label)[0]
+
+
+def _transfer_matrices(ops: np.ndarray, valid_dim: int, label: str) -> np.ndarray:
+    """(T, d^2, d^2) transfer matrices of a (T, k, d, d) stack of channels,
+    after one completeness check of the whole stack at the 1e-8 ceiling."""
+    _checked_defects(ops, valid_dim, _APPLY_DEFECT_CEILING, label)
+    n, k, d = ops.shape[:3]
     # one product over the operator index: M[(i, a), (j, b)] = sum_k K_ia conj(K_jb)
-    flat = ops.transpose(1, 2, 0).reshape(d * d, -1)
-    pairs = (flat @ flat.conj().T).reshape(d, d, d, d)
-    return pairs.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    flat = ops.transpose(0, 2, 3, 1).reshape(n, d * d, k)
+    pairs = (flat @ flat.conj().swapaxes(1, 2)).reshape(n, d, d, d, d)
+    return pairs.transpose(0, 1, 3, 2, 4).reshape(n, d * d, d * d)
 
 
 def compose(late: KrausChannel, early: KrausChannel) -> KrausChannel:

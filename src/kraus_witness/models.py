@@ -1,12 +1,13 @@
 """Exactly solvable open-system models with Kraus and closed-form routes.
 
-Four families, each exposing the same three faces: a Kraus channel at time t,
-the evolved reference state, and (where one exists) a closed-form fidelity
-between the states at two times.  The field sector also gives its state as
-a Kraus factor V, rho = V V^dagger.  Each model class holds its own formulas.
-The free functions are the channel builders, ye_markov_fidelity,
-ye_markov_lindblad, ye_nonmarkov_decay and coherent_amplitudes, which the
-classes call; default_fock_cutoff, which picks the Jaynes-Cummings cutoff;
+Four families, each exposing the same three faces: its Kraus operators at
+an array of times, the evolved reference state, and (where one exists) a
+closed-form fidelity between the states at two times.  The field sector also
+gives its state as a Kraus factor V, rho = V V^dagger.  Each model class
+holds its own formulas.  The free functions are the channel builders, each
+a model's ``channel(t)``; ye_markov_fidelity, ye_markov_lindblad,
+ye_nonmarkov_decay and coherent_amplitudes, which the classes call;
+default_fock_cutoff, which picks the Jaynes-Cummings cutoff;
 the model_* dispatchers; and build_model, which builds a model from its
 registry name.  The channel, state (factor included) and closed-form
 routes are kept independent so the test suite can play them against each other.
@@ -21,9 +22,12 @@ jcm-qubit      resonant atom-field interaction, atom sector, field initially
 jcm-photon     the same interaction viewed from the truncated field sector.
 ck             qubit dephasing with a cosine coherence revival.
 
-All times are finite and nonnegative; rates are strictly positive.  Channel
-builders fill one (k, d, d) operator stack and return it as a plain
-KrausChannel, with no pruning of zero operators.
+All times are finite and nonnegative; rates are strictly positive.  A model's
+``kraus(ts)`` fills one (T, k, d, d) operator stack for T times, with no
+pruning of zero operators; ``channel(t)`` and the free channel builders wrap
+a stack of one of it as a KrausChannel.  Per-time scalars of the dephasing
+families come from ``math``, one call per time, so a stack holds the same
+bits as the channel built alone.
 """
 from __future__ import annotations
 
@@ -58,6 +62,15 @@ def _check_times(ts: np.ndarray | float) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     for t in ts[~((ts >= 0.0) & (ts < math.inf))].flat:
         _check_time(t)  # raises at the first refused time
+    return ts
+
+
+def _check_starts(ts: np.ndarray, t0: float) -> np.ndarray:
+    """Times as by _check_times, none of them before the start time t0."""
+    ts = _check_times(ts)
+    early = ts[ts < t0]
+    if early.size:
+        raise NegativeTime(f"t = {float(early[0])!r} precedes the initial time t0 = {t0!r}")
     return ts
 
 
@@ -101,8 +114,18 @@ class ModelSpec:
 
     t0 = 0.0
 
-    def channel(self, t: float) -> KrausChannel:
+    @property
+    def valid_dim(self) -> int:
+        """Leading block on which the channel is complete."""
+        return self.dim
+
+    def kraus(self, ts: np.ndarray) -> np.ndarray:
+        """(T, k, dim, dim) Kraus operator stack at each of the 1-D times ts."""
         raise NotImplementedError
+
+    def channel(self, t: float) -> KrausChannel:
+        """The channel at time t, a stack of one from ``kraus``."""
+        return KrausChannel(self.kraus([float(t)])[0], label=self.NAME, valid_dim=self.valid_dim)
 
     def state(self, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -150,8 +173,12 @@ class YEMarkov(ModelSpec):
     def rate(self) -> float:
         return self.Gamma
 
-    def channel(self, t: float) -> KrausChannel:
-        return ye_markov_channel(t, self.Gamma)
+    def kraus(self, ts: np.ndarray) -> np.ndarray:
+        """Dephasing skeleton with c = e^(-Gamma t/2), s = sqrt(1 - e^(-Gamma t))."""
+        ts = _check_times(ts).tolist()
+        c = [math.exp(-0.5 * self.Gamma * t) for t in ts]
+        s = [math.sqrt(-math.expm1(-self.Gamma * t)) for t in ts]
+        return _dephase_kraus(np.array(c), np.array(s))
 
     def state(self, t: float) -> np.ndarray:
         """Populations (1,4,4,0)/9, central coherence lam e^(-Gamma t)/9."""
@@ -194,8 +221,10 @@ class YENonMarkov(ModelSpec):
     def rate(self) -> float:
         return self.Gamma
 
-    def channel(self, t: float) -> KrausChannel:
-        return ye_nonmarkov_channel(t, self.Gamma, self.gamma)
+    def kraus(self, ts: np.ndarray) -> np.ndarray:
+        """Dephasing skeleton with the memory branch's p(t), q(t)."""
+        decays = [ye_nonmarkov_decay(t, self.Gamma, self.gamma) for t in _check_times(ts).tolist()]
+        return _dephase_kraus(np.array([d.p_t for d in decays]), np.array([d.q_t for d in decays]))
 
     def state(self, t: float) -> np.ndarray:
         """X state: populations (alpha_x, 1, 1, 1 - alpha_x)/3, central
@@ -257,8 +286,22 @@ class JCMQubit(_JaynesCummings):
     dim = 2
     GRID = (0.0, 10.0, 0.01)
 
-    def channel(self, t: float) -> KrausChannel:
-        return jcm_qubit_channel(t, self)
+    def kraus(self, ts: np.ndarray) -> np.ndarray:
+        """One operator per final field occupation, basis order (excited,
+        ground).  Every index up to the cutoff is kept, including ones that
+        are identically zero at alpha_c = 0; nothing is pruned."""
+        ts = _check_times(ts)
+        amps = coherent_amplitudes(self.alpha_c, self.cutoff)
+        n = np.arange(self.cutoff + 1, dtype=float)
+        gt = self.g * ts[:, None]
+        theta_up = gt * np.sqrt(n + 1.0)
+        theta_dn = gt * np.sqrt(n)
+        ops = np.zeros((ts.size, self.cutoff + 1, 2, 2), dtype=np.complex128)
+        ops[:, :, 0, 0] = amps * np.cos(theta_up)
+        ops[:, :-1, 0, 1] = -1j * amps[1:] * np.sin(theta_up[:, :-1])
+        ops[:, 1:, 1, 0] = -1j * amps[:-1] * np.sin(theta_dn[:, 1:])
+        ops[:, :, 1, 1] = amps * np.cos(theta_dn)
+        return ops
 
     def state(self, t: float) -> np.ndarray:
         """Reduced atom state at time t for an initially excited atom."""
@@ -309,8 +352,22 @@ class JCMPhoton(_JaynesCummings):
         # one slot above the cutoff so a decaying atom can deposit its photon
         return self.cutoff + 2
 
-    def channel(self, t: float) -> KrausChannel:
-        return jcm_photon_channel(t, self.g, self.cutoff)
+    @property
+    def valid_dim(self) -> int:
+        # inputs live at or below the cutoff
+        return self.cutoff + 1
+
+    def kraus(self, ts: np.ndarray) -> np.ndarray:
+        """[stay, emit] on Fock levels 0..cutoff + 1: cos(theta_n) on the
+        diagonal and -i sin(theta_n) moving level n one up, with
+        theta_n = g t sqrt(n + 1)."""
+        ts = _check_times(ts)
+        levels = np.arange(self.dim)
+        theta = self.g * ts[:, None] * np.sqrt(levels + 1.0)
+        ops = np.zeros((ts.size, 2, self.dim, self.dim), dtype=np.complex128)
+        ops[:, 0, levels, levels] = np.cos(theta)
+        ops[:, 1, levels[1:], levels[:-1]] = -1j * np.sin(theta[:, :-1])
+        return ops
 
     def factor(self, t: float | np.ndarray) -> np.ndarray:
         """(dim, 2) Kraus factor [K_0 psi, K_1 psi], (T, dim, 2) for T times:
@@ -367,17 +424,31 @@ class CKDephase(ModelSpec):
             )
         _check_t0(self.t0)
 
-    def channel(self, t: float) -> KrausChannel:
-        return ck_channel(t, self.t0)
+    def kraus(self, ts: np.ndarray) -> np.ndarray:
+        """cos((t - t0)/2) I and sin((t - t0)/2) sigma_z; times before t0
+        are refused."""
+        half = [0.5 * (t - self.t0) for t in _check_starts(ts, self.t0).tolist()]
+        cos = np.array([math.cos(h) for h in half])[:, None, None]
+        sin = np.array([math.sin(h) for h in half])[:, None, None]
+        k0 = cos * np.eye(2, dtype=np.complex128)
+        k1 = sin * np.diag([1.0, -1.0]).astype(np.complex128)
+        return np.stack([k0, k1], axis=1)
 
     def state(self, t: float) -> np.ndarray:
-        """Populations frozen, coherence scaled by cos(t - t0); times before
-        t0 are refused, as by the channel."""
-        t = _check_start(t, self.t0)
-        off = self.rho12 * math.cos(t - self.t0)
-        return np.array(
-            [[self.rho11, off], [np.conj(off), self.rho22]], dtype=np.complex128
-        )
+        return self.states([float(t)])[0]
+
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        """Populations frozen, coherence scaled by cos(t - t0), one
+        ``math.cos`` per time; times before t0 are refused, as by the
+        channel."""
+        ts = _check_starts(ts, self.t0).tolist()
+        off = np.array([self.rho12 * math.cos(t - self.t0) for t in ts])
+        out = np.empty((len(ts), 2, 2), dtype=np.complex128)
+        out[:, 0, 0] = self.rho11
+        out[:, 0, 1] = off
+        out[:, 1, 0] = np.conj(off)
+        out[:, 1, 1] = self.rho22
+        return out
 
     def closed_fidelity(self, t: float, tau: float) -> float | None:
         # the closed form covers the default, maximally coherent start only
@@ -435,16 +506,19 @@ def ye_nonmarkov_decay(t: float, Gamma: float, gamma: float) -> DecayFunctions:
 # dephasing family, exponential branch
 
 
-def _dephase_kraus(c: float, s: float) -> np.ndarray:
-    # shared operator skeleton of both dephasing models, c^2 + s^2 = 1; all
-    # four operators are diagonal, row i holding the diagonal of K_i
-    ops = np.zeros((4, 4, 4), dtype=np.complex128)
-    ops[:, range(4), range(4)] = [
-        [c * c, c, c, 1.0],
-        [c * s, 0.0, s, 0.0],
-        [c * s, s, 0.0, 0.0],
-        [s * s, 0.0, 0.0, 0.0],
-    ]
+def _dephase_kraus(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # shared operator skeleton of both dephasing models, c^2 + s^2 = 1 at
+    # each of the T times; all four operators are diagonal, row i of a
+    # time's table holding the diagonal of K_i
+    one, zero = np.ones_like(c), np.zeros_like(c)
+    table = np.array([
+        [c * c, c, c, one],
+        [c * s, zero, s, zero],
+        [c * s, s, zero, zero],
+        [s * s, zero, zero, zero],
+    ])
+    ops = np.zeros((c.size, 4, 4, 4), dtype=np.complex128)
+    ops[:, :, range(4), range(4)] = np.moveaxis(table, -1, 0)
     return ops
 
 
@@ -458,11 +532,7 @@ def _dephase_state(diag: tuple[float, float, float, float], coherence: float) ->
 def ye_markov_channel(t: float, Gamma: float = 1.0) -> KrausChannel:
     """Dephasing channel at time t with decay e^(-Gamma t) of the central
     coherence."""
-    t = _check_time(t)
-    Gamma = _check_rate(Gamma, "Gamma")
-    c = math.exp(-0.5 * Gamma * t)
-    s = math.sqrt(-math.expm1(-Gamma * t))
-    return KrausChannel(_dephase_kraus(c, s), label="ye-markov")
+    return YEMarkov(Gamma=Gamma).channel(t)
 
 
 def ye_markov_fidelity(t: float, tau: float, Gamma: float = 1.0, lam: float = 0.5) -> float:
@@ -494,8 +564,7 @@ def ye_markov_lindblad(Gamma: float = 1.0) -> LindbladSet:
 def ye_nonmarkov_channel(t: float, Gamma: float = 1.0, gamma: float = 1e-4) -> KrausChannel:
     """Same operator skeleton as the exponential branch with p, q in place of
     the exponential pair."""
-    d = ye_nonmarkov_decay(t, Gamma, gamma)
-    return KrausChannel(_dephase_kraus(d.p_t, d.q_t), label="ye-nonmarkov")
+    return YENonMarkov(Gamma=Gamma, gamma=gamma).channel(t)
 
 
 # ---------------------------------------------------------------------------
@@ -530,23 +599,8 @@ def coherent_amplitudes(alpha_c: complex, n_max: int) -> np.ndarray:
 
 
 def jcm_qubit_channel(t: float, spec: JCMQubit) -> KrausChannel:
-    """Atom-sector channel, one Kraus operator per final field occupation.
-
-    Basis order is (excited, ground).  The operator list keeps every index
-    up to the cutoff, including ones that are identically zero at
-    alpha_c = 0; nothing is pruned.
-    """
-    t = _check_time(t)
-    amps = coherent_amplitudes(spec.alpha_c, spec.cutoff)
-    n = np.arange(spec.cutoff + 1, dtype=float)
-    theta_up = spec.g * t * np.sqrt(n + 1.0)
-    theta_dn = spec.g * t * np.sqrt(n)
-    ops = np.zeros((spec.cutoff + 1, 2, 2), dtype=np.complex128)
-    ops[:, 0, 0] = amps * np.cos(theta_up)
-    ops[:-1, 0, 1] = -1j * amps[1:] * np.sin(theta_up[:-1])
-    ops[1:, 1, 0] = -1j * amps[:-1] * np.sin(theta_dn[1:])
-    ops[:, 1, 1] = amps * np.cos(theta_dn)
-    return KrausChannel(ops, label="jcm-qubit")
+    """Atom-sector channel, one Kraus operator per final field occupation."""
+    return spec.channel(t)
 
 
 def jcm_photon_channel(t: float, g: float = 1.0, n_cut: int = 20) -> KrausChannel:
@@ -555,14 +609,7 @@ def jcm_photon_channel(t: float, g: float = 1.0, n_cut: int = 20) -> KrausChanne
     Complete on the leading (n_cut + 1)-dimensional block: the atom can push
     one photon above the cutoff, so inputs must live at or below n_cut.
     """
-    t = _check_time(t)
-    g = _check_rate(g, "g")
-    if n_cut < 1:
-        raise ParamOutOfRange(f"n_cut must be at least 1, got {n_cut!r}")
-    theta = g * t * np.sqrt(np.arange(n_cut + 2) + 1.0)
-    stay = np.diag(np.cos(theta))
-    emit = np.diag(-1j * np.sin(theta[:-1]), k=-1)
-    return KrausChannel((stay, emit), label="jcm-photon", valid_dim=n_cut + 1)
+    return JCMPhoton(g=g, n_max=n_cut).channel(t)
 
 
 # ---------------------------------------------------------------------------
@@ -576,20 +623,9 @@ def _check_t0(t0: float) -> float:
     return t0
 
 
-def _check_start(t: float, t0: float) -> float:
-    t = _check_time(t)
-    if t < _check_t0(t0):
-        raise NegativeTime(f"t = {t!r} precedes the initial time t0 = {t0!r}")
-    return t
-
-
 def ck_channel(t: float, t0: float = 0.0) -> KrausChannel:
     """Dephasing channel whose coherence factor is cos(t - t0)."""
-    t = _check_start(t, t0)
-    half = 0.5 * (t - t0)
-    k0 = math.cos(half) * np.eye(2, dtype=np.complex128)
-    k1 = math.sin(half) * np.diag([1.0, -1.0]).astype(np.complex128)
-    return KrausChannel((k0, k1), label="ck")
+    return CKDephase(t0=t0).channel(t)
 
 
 # ---------------------------------------------------------------------------

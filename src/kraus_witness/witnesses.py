@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import transfer_matrix
+from .channels import _transfer_matrices
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -31,7 +31,6 @@ from .models import (
     JCMPhoton,
     ModelSpec,
     _check_grid,
-    model_channel,
     model_closed_fidelity,
     model_state,
 )
@@ -49,9 +48,14 @@ _CROSS_CHECK_STRIDE = 10
 _CROSS_CHECK_TOL = 1e-9
 
 _MIN_BLP_POINTS = 200
-# evolved differences handed to trace_norms at once, rounded down to whole
-# times (at least one): 4 MB of stack at d = 22, the fastest batch there
+# a revival chunk: the times whose evolved differences (pairs x times
+# matrices, at most this many, whole times and at least one) go to
+# trace_norms in one call; 4 MB of (22, 22) matrices, the fastest batch there
 _TRACE_NORM_CHUNK = 512
+# bytes of (d^2, d^2) transfer matrices built at once, whole times and at
+# least one: 512 times at d = 2, 32 at d = 4, one at d >= 9 (d = 22 on the
+# field sector); stacks of 128 times at d = 4 raised peak RSS by about 1 MB
+_TRANSFER_STACK_BYTES = 128 << 10
 
 
 @dataclass(frozen=True)
@@ -371,9 +375,11 @@ def _revival_distances(
     """(pairs x times) trace distances D = (1/2)||Lambda_t(rho1 - rho2)||_1.
 
     Every state is checked first, all in one stack.  The channel is linear,
-    so each pair is evolved once, as its difference, and at each time one
-    product with the transfer matrix evolves all differences;
-    ``trace_norms`` then takes the norms a chunk of times at a time.
+    so each pair is evolved once, as its difference.  Each chunk of times
+    gets one ``kraus`` stack, one stacked transfer-matrix call (one
+    completeness check) and one product evolving every difference at every
+    time, split where the transfer stack would pass 128 KB;
+    ``trace_norms`` then takes the chunk's norms in one call.
     """
     dim = spec.dim
     states = validate_densities(np.array([
@@ -382,13 +388,15 @@ def _revival_distances(
     differences = (states[0::2] - states[1::2]).reshape(len(pairs), dim * dim)
     distances = np.empty((len(pairs), grid.size))
     times_per_chunk = max(1, _TRACE_NORM_CHUNK // len(pairs))
+    times_per_stack = max(1, _TRANSFER_STACK_BYTES // (16 * dim ** 4))
     for start in range(0, grid.size, times_per_chunk):
         times = grid[start:start + times_per_chunk]
         # (times, pairs, d^2): row-major vec of Lambda_t(rho1 - rho2)
         evolved = np.empty((times.size, len(pairs), dim * dim), dtype=np.complex128)
-        for j, t in enumerate(times):
-            transfer = transfer_matrix(model_channel(spec, float(t)))
-            np.matmul(differences, transfer.T, out=evolved[j])
+        for j in range(0, times.size, times_per_stack):
+            stack = times[j:j + times_per_stack]
+            transfers = _transfer_matrices(spec.kraus(stack), spec.valid_dim, spec.NAME)
+            np.matmul(differences, transfers.swapaxes(-1, -2), out=evolved[j:j + stack.size])
         norms = trace_norms(evolved.reshape(-1, dim, dim)).reshape(times.size, len(pairs))
         distances[:, start:start + times.size] = 0.5 * norms.T
     return distances

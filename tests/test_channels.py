@@ -34,6 +34,8 @@ from kraus_witness import (
     ye_nonmarkov_channel,
 )
 
+from kraus_witness import channels
+
 from conftest import random_density
 
 
@@ -358,6 +360,38 @@ class TestTransferMatrix:
     def test_rejects_nan_channel(self):
         with pytest.raises(InvalidChannel):
             transfer_matrix(KrausChannel(np.full((1, 2, 2), np.nan)))
+
+
+class TestStackedGate:
+    """One completeness check per stack of channels, at the same ceiling."""
+
+    @pytest.mark.parametrize("excess, refused", [(1e-9, False), (1e-7, True)])
+    def test_one_time_of_a_stack(self, excess, refused):
+        identity = np.eye(2, dtype=complex)[None]
+        ops = np.stack([identity, math.sqrt(1.0 + excess) * identity, identity])
+        if refused:
+            with pytest.raises(InvalidChannel, match="exceeds 1.0e-08 for channel 'scaled'"):
+                channels._transfer_matrices(ops, 2, "scaled")
+        else:
+            transfers = channels._transfer_matrices(ops, 2, "scaled")
+            np.testing.assert_allclose(transfers, np.broadcast_to(np.eye(4), (3, 4, 4)),
+                                       rtol=0.0, atol=1e-8)
+
+    def test_nan_in_a_stack(self):
+        ops = np.stack([np.eye(2, dtype=complex)[None], np.full((1, 2, 2), np.nan)])
+        with pytest.raises(InvalidChannel, match="nan"):
+            channels._transfer_matrices(ops, 2, "")
+
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=STACK_IDS)
+    def test_matches_each_channel(self, spec):
+        ts = spec.t0 + np.linspace(0.0, 5.0, 17)
+        ops = spec.kraus(ts)
+        transfers = channels._transfer_matrices(ops, spec.valid_dim, spec.NAME)
+        defects = channels._defects(ops, spec.valid_dim)
+        for t, transfer, defect in zip(ts, transfers, defects):
+            channel = model_channel(spec, float(t))
+            assert transfer.tobytes() == transfer_matrix(channel).tobytes()
+            assert defect == channel_defect(channel)
 
 
 class TestSemigroupDefect:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kraus_witness import JCMQubit, cli
 from kraus_witness.cli import main
 from kraus_witness.probes import SMALL_TIME_WINDOW
 
@@ -194,6 +195,19 @@ class TestValidateCommand:
     def test_sample_count_floor(self, capsys):
         assert main(["validate", "--model", "ck", "--samples", "1"]) == 1
         capsys.readouterr()
+
+    def test_stack_size_changes_nothing(self, monkeypatch, capsys):
+        # 400 samples of a 45-operator channel: one stack, then one time a stack
+        argv = ["validate", "--model", "jcm-qubit", "--alpha", "2", "--samples", "400"]
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        sizes = []
+        kraus = JCMQubit.kraus
+        monkeypatch.setattr(JCMQubit, "kraus", lambda self, ts: sizes.append(len(ts)) or kraus(self, ts))
+        monkeypatch.setattr(cli, "_DEFECT_STACK_BYTES", 1)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == whole
+        assert sizes == [1] * 401  # the first sizes a time's operators
 
     def test_narrow_window(self, capsys):
         # validate samples its window and has no grid step to compare against

@@ -21,6 +21,7 @@ from kraus_witness import (
     apply,
     build_model,
     channel_defect,
+    default_blp_grid,
     ck_channel,
     coherent_amplitudes,
     default_fock_cutoff,
@@ -381,6 +382,42 @@ class TestRevivalDephasing:
             ck_channel(1.0, t0=t0)
 
 
+# every model, a late-started revival model and a coherent atom sector
+_KRAUS_SPECS = ALL_SPECS + [CKDephase(t0=1.0), JCMQubit(alpha_c=1, n_max=31)]
+_KRAUS_IDS = [spec.NAME for spec in ALL_SPECS] + ["ck-late-start", "jcm-qubit-coherent"]
+
+
+class TestKrausStack:
+    """``kraus(ts)`` is each model's one operator formula: row i of a stack
+    holds the same bits as the stack of one at ts[i] and as ``channel``."""
+
+    @pytest.mark.parametrize("spec", _KRAUS_SPECS, ids=_KRAUS_IDS)
+    def test_rows_are_stacks_of_one(self, spec):
+        grid = default_blp_grid(spec)
+        stack = spec.kraus(grid)
+        channel = spec.channel(float(grid[0]))
+        assert stack.dtype == np.complex128
+        assert stack.shape == (grid.size,) + channel.operators.shape
+        assert channel.label == spec.NAME and channel.valid_dim == spec.valid_dim
+        for i, t in enumerate(grid):
+            assert stack[i].tobytes() == spec.kraus(grid[i:i + 1])[0].tobytes()
+            assert stack[i].tobytes() == spec.channel(float(t)).operators.tobytes()
+
+    @pytest.mark.parametrize("t", [math.nan, -0.5])
+    @pytest.mark.parametrize("spec", _KRAUS_SPECS, ids=_KRAUS_IDS)
+    def test_refuses_nan_and_negative_times(self, spec, t):
+        with pytest.raises(NegativeTime):
+            spec.kraus(np.array([spec.t0, t, spec.t0 + 1.0]))
+
+    def test_refuses_times_before_the_start(self):
+        with pytest.raises(NegativeTime, match="t = 0.5 precedes the initial time t0 = 1.0"):
+            CKDephase(t0=1.0).kraus(np.array([1.0, 0.5]))
+
+    def test_empty_stack(self):
+        assert YEMarkov().kraus(np.array([])).shape == (0, 4, 4, 4)
+        assert CKDephase().kraus(np.array([])).shape == (0, 2, 2, 2)
+
+
 class TestDispatch:
     def test_registry_round_trip(self):
         for name, cls in MODEL_CLASSES.items():
@@ -407,6 +444,17 @@ class TestDispatch:
         assert stack.shape == (ts.size, spec.dim, spec.dim)
         for t, rho in zip(ts, stack):
             np.testing.assert_array_equal(rho, spec.state(float(t)))
+
+    @pytest.mark.parametrize("spec", [CKDephase(t0=1.0), CKDephase(rho11=0.9, rho22=0.1, rho12=0.1)],
+                             ids=["late-start", "mixed"])
+    def test_revival_states_stack_the_states(self, spec):
+        ts = spec.t0 + np.array([0.0, 0.37, 1.0, 2.5, 9.99])
+        stack = spec.states(ts)
+        assert stack.shape == (ts.size, 2, 2)
+        for t, rho in zip(ts, stack):
+            assert rho.tobytes() == spec.state(float(t)).tobytes()
+        with pytest.raises(NegativeTime):
+            spec.states(np.array([spec.t0, spec.t0 - 0.5]))
 
     def test_states_reject_negative_times(self):
         with pytest.raises(NegativeTime, match="-0.5"):

@@ -3,6 +3,7 @@ estimator."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kraus_witness import (
     DegenerateDenominator,
     DimensionMismatch,
     GridTooCoarse,
+    InvalidChannel,
     JCMPhoton,
     JCMQubit,
     NO_VIOLATION_FOUND,
@@ -48,6 +50,18 @@ class _SkewedCK(CKDephase):
 
     def closed_fidelity(self, t, tau):
         return super().closed_fidelity(t, tau) - (1e-6 if t > 0.0 else 0.0)
+
+
+@dataclass(frozen=True)
+class _LeakyCK(CKDephase):
+    """Revival model whose operators at t = 1 are scaled by sqrt(1 + excess)."""
+
+    excess: float = 1e-7
+
+    def kraus(self, ts):
+        ops = super().kraus(ts)
+        ops[np.asarray(ts) == 1.0] *= math.sqrt(1.0 + self.excess)
+        return ops
 
 
 def _forbid_eigensolves(monkeypatch):
@@ -540,10 +554,10 @@ class TestBlpMeasure:
         (np.diag([1.5, -0.5]).astype(complex), NotPSD),
     ], ids=["shape", "non-hermitian", "trace", "negative"])
     def test_rejects_non_states_before_evolving(self, bad, error, monkeypatch):
-        def no_evolution(spec, t):
-            raise AssertionError("a channel was built before every state was checked")
+        def no_evolution(spec, ts):
+            raise AssertionError("a Kraus stack was built before every state was checked")
 
-        monkeypatch.setattr(witnesses, "model_channel", no_evolution)
+        monkeypatch.setattr(CKDephase, "kraus", no_evolution)
         good = np.eye(2, dtype=complex) / 2
         with pytest.raises(error):
             blp_measure(CKDephase(), pairs=[(good, good, "fine"), (good, bad, "bad")])
@@ -611,3 +625,31 @@ class TestRevivalDistances:
         # a chunk of 7 times per trace_norms call, the last one short
         monkeypatch.setattr(witnesses, "_TRACE_NORM_CHUNK", 7 * len(pairs))
         np.testing.assert_array_equal(witnesses._revival_distances(spec, grid, pairs), whole)
+        # and transfer stacks of 3 times inside each chunk, the last one short
+        monkeypatch.setattr(witnesses, "_TRANSFER_STACK_BYTES", 3 * 16 * spec.dim ** 4)
+        np.testing.assert_array_equal(witnesses._revival_distances(spec, grid, pairs), whole)
+
+    @pytest.mark.parametrize("spec, times_per_stack", [(CKDephase(), 6), (JCMPhoton(), 1)],
+                             ids=["ck", "jcm-photon"])
+    def test_one_kraus_stack_per_chunk(self, spec, times_per_stack, monkeypatch):
+        # ck: 76 pairs give chunks of 512 // 76 = 6 times, each one stack;
+        # jcm-photon: a d = 22 transfer matrix passes 128 KB, so one time a stack
+        calls = []
+        kraus = type(spec).kraus
+
+        def recorded(self, ts):
+            calls.append(np.array(ts))
+            return kraus(self, ts)
+
+        monkeypatch.setattr(type(spec), "kraus", recorded)
+        grid = default_blp_grid(spec)[:40]
+        witnesses._revival_distances(spec, grid, default_blp_pairs(spec))
+        assert [c.size for c in calls[:-1]] == [times_per_stack] * (len(calls) - 1)
+        np.testing.assert_array_equal(np.concatenate(calls), grid)
+
+    def test_refuses_an_incomplete_time(self):
+        grid = 0.0625 * np.arange(256)  # holds t = 1 exactly
+        with pytest.raises(InvalidChannel, match="exceeds 1.0e-08 for channel 'ck'"):
+            blp_measure(_LeakyCK(), grid)
+        # the same model below the ceiling evolves
+        assert blp_measure(_LeakyCK(excess=1e-9), grid).value > 0.0

@@ -53,6 +53,10 @@ COMMANDS: list[tuple[list[str], bool]] = (
         (["validate", "--model=jcm-photon", "--alpha=0.6+0.8j", "--n-cut=31"], False),
         # a channel of 45 Kraus operators
         (["probe", "--model=jcm-qubit", "--alpha=2"], True),
+        # sampled defects of a 45-operator stack, and at every revival-grid time
+        (["validate", "--model=jcm-qubit", "--alpha=2", "--samples=400"], False),
+        (["validate", "--model=ck", "--samples=629"], False),
+        (["validate", "--model=jcm-photon", "--alpha=1", "--n-cut=31", "--samples=201"], False),
     ]
 )
 
