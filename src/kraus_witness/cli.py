@@ -46,44 +46,34 @@ _ALL_PARAM_KEYS = ("Gamma", "lam", "gamma", "gamma2", "alpha_x", "g", "alpha",
 _FIGURE_MODEL = {1: "ye-markov", 2: "ye-nonmarkov", 3: "ye-nonmarkov",
                  4: "jcm-qubit", 5: "ck"}
 
-# one type per option, shared by the flags and the config file; a config
-# tau is a comma-separated list of them
-_CONVERTERS = {
-    "start": float, "stop": float, "step": float, "witness_tol": float,
-    "samples": int, "points": int, "n_cut": int,
-    "t_min": float, "t_max": float, "tau": float,
-    "Gamma": float, "lam": float, "gamma": float, "gamma2": float,
-    "alpha_x": float, "g": float, "rho11": float, "rho22": float,
-    "alpha": complex, "rho12": complex,
-    "model": str, "out": str,
-}
-
-# argparse keywords per option; the flag is _flag(key), the type _CONVERTERS[key]
+# argparse keywords per option; the flag is _flag(key).  The type serves the
+# flag and the config file alike, where a tau is a comma-separated list of
+# them; every option but config has one, and only those a config file may set
 _OPTIONS = {
-    "model": dict(choices=sorted(MODEL_CLASSES), help="model name"),
+    "model": dict(type=str, choices=sorted(MODEL_CLASSES), help="model name"),
     "config": dict(help="flat key=value file; flags override it"),
-    "out": dict(help="CSV output path"),
-    "witness_tol": dict(help="negativity depth that fires the witness "
-                             "(default $KRAUS_WITNESS_TOL, else 1e-8)"),
-    "start": dict(help="grid start, dimensionless time"),
-    "stop": dict(help="grid stop, dimensionless time"),
-    "step": dict(help="grid step, dimensionless time"),
-    "tau": dict(action="append", help="comparison lag, dimensionless; repeatable"),
-    "t_min": dict(help="probe window start (raw model time)"),
-    "t_max": dict(help="probe window stop (raw model time)"),
-    "points": dict(help="probe window size, at least 6"),
-    "samples": dict(help="number of sampled times (default 50)"),
-    "Gamma": dict(help="dephasing rate"),
-    "gamma": dict(help="reservoir memory rate"),
-    "gamma2": dict(help="memory rate of the second curve (figure 3 only)"),
-    "lam": dict(help="initial coherence weight, 0 to 4"),
-    "alpha_x": dict(help="X-state population parameter, 0 to 1"),
-    "g": dict(help="atom-field coupling"),
-    "alpha": dict(help="coherent field amplitude, complex accepted"),
-    "n_cut": dict(help="Fock cutoff"),
-    "rho11": dict(help="upper population"),
-    "rho22": dict(help="lower population"),
-    "rho12": dict(help="initial coherence"),
+    "out": dict(type=str, help="CSV output path"),
+    "witness_tol": dict(type=float, help="negativity depth that fires the witness "
+                                         "(default $KRAUS_WITNESS_TOL, else 1e-8)"),
+    "start": dict(type=float, help="grid start, dimensionless time"),
+    "stop": dict(type=float, help="grid stop, dimensionless time"),
+    "step": dict(type=float, help="grid step, dimensionless time"),
+    "tau": dict(type=float, action="append", help="comparison lag, dimensionless; repeatable"),
+    "t_min": dict(type=float, help="probe window start (raw model time)"),
+    "t_max": dict(type=float, help="probe window stop (raw model time)"),
+    "points": dict(type=int, help="probe window size, at least 6"),
+    "samples": dict(type=int, help="number of sampled times (default 50)"),
+    "Gamma": dict(type=float, help="dephasing rate"),
+    "gamma": dict(type=float, help="reservoir memory rate"),
+    "gamma2": dict(type=float, help="memory rate of the second curve (figure 3 only)"),
+    "lam": dict(type=float, help="initial coherence weight, 0 to 4"),
+    "alpha_x": dict(type=float, help="X-state population parameter, 0 to 1"),
+    "g": dict(type=float, help="atom-field coupling"),
+    "alpha": dict(type=complex, help="coherent field amplitude, complex accepted"),
+    "n_cut": dict(type=int, help="Fock cutoff"),
+    "rho11": dict(type=float, help="upper population"),
+    "rho22": dict(type=float, help="lower population"),
+    "rho12": dict(type=complex, help="initial coherence"),
 }
 
 # Kraus operators validate holds at once, whole times and at least one, so
@@ -126,7 +116,7 @@ def _build_parser() -> _Parser:
         if name == "figure":
             p.add_argument("figure_id", type=int, choices=range(1, 6), metavar="1-5")
         for key in keys + _ALL_PARAM_KEYS:
-            p.add_argument(_flag(key), dest=key, type=_CONVERTERS.get(key), **_OPTIONS[key])
+            p.add_argument(_flag(key), dest=key, **_OPTIONS[key])
     return parser
 
 
@@ -141,7 +131,7 @@ def _load_config(path: str) -> dict[str, str]:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONVERTERS:
+            if "type" not in _OPTIONS.get(key, {}):
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value.strip()
     return values
@@ -165,7 +155,7 @@ def _merge_config(ns: argparse.Namespace) -> None:
                 raise UsageError(f"config tau must be comma-separated floats, got {raw!r}")
         else:
             try:
-                value = _CONVERTERS[key](raw)
+                value = _OPTIONS[key]["type"](raw)
             except ValueError:
                 raise UsageError(f"config key {key!r} has malformed value {raw!r}")
         setattr(ns, key, value)

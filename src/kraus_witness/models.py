@@ -1,7 +1,7 @@
 """Exactly solvable open-system models with Kraus and closed-form routes.
 
-Four families, each exposing the same three faces: its Kraus operators at
-an array of times, the evolved reference state, and (where one exists) a
+Four families, each exposing the same three faces: its Kraus operators and
+its evolved reference states at an array of times, and (where one exists) a
 closed-form fidelity between the states at two times.  The field sector also
 gives its state as a Kraus factor V, rho = V V^dagger.  Each model class
 holds its own formulas.  The free functions are the channel builders, each
@@ -24,10 +24,11 @@ ck             qubit dephasing with a cosine coherence revival.
 
 All times are finite and nonnegative; rates are strictly positive.  A model's
 ``kraus(ts)`` fills one (T, k, d, d) operator stack for T times, with no
-pruning of zero operators; ``channel(t)`` and the free channel builders wrap
-a stack of one of it as a KrausChannel.  Per-time scalars of the dephasing
-families come from ``math``, one call per time, so a stack holds the same
-bits as the channel built alone.
+pruning of zero operators, and ``states(ts)`` one (T, d, d) state stack;
+``state(t)`` is a stack of one of the latter, and ``channel(t)`` and the free
+channel builders wrap a stack of one of the former as a KrausChannel.
+Per-time scalars of the dephasing families come from ``math``, one call per
+time, so a stack holds the same bits as the matrix built alone.
 """
 from __future__ import annotations
 
@@ -127,12 +128,13 @@ class ModelSpec:
         """The channel at time t, a stack of one from ``kraus``."""
         return KrausChannel(self.kraus([float(t)])[0], label=self.NAME, valid_dim=self.valid_dim)
 
-    def state(self, t: float) -> np.ndarray:
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        """(T, dim, dim) stack of the reference states at each of the 1-D times ts."""
         raise NotImplementedError
 
-    def states(self, ts: np.ndarray) -> np.ndarray:
-        """(T, dim, dim) stack of the states at the times ts."""
-        return np.array([self.state(float(t)) for t in ts])
+    def state(self, t: float) -> np.ndarray:
+        """The state at time t, a stack of one from ``states``."""
+        return self.states([float(t)])[0]
 
     def factor(self, t: float | np.ndarray) -> np.ndarray | None:
         """A (dim, r) factor V with rho(t) = V V^dagger, (T, dim, r) for T
@@ -180,11 +182,10 @@ class YEMarkov(ModelSpec):
         s = [math.sqrt(-math.expm1(-self.Gamma * t)) for t in ts]
         return _dephase_kraus(np.array(c), np.array(s))
 
-    def state(self, t: float) -> np.ndarray:
+    def states(self, ts: np.ndarray) -> np.ndarray:
         """Populations (1,4,4,0)/9, central coherence lam e^(-Gamma t)/9."""
-        t = _check_time(t)
-        coherence = self.lam * math.exp(-self.Gamma * t) / 9.0
-        return _dephase_state((1 / 9, 4 / 9, 4 / 9, 0.0), coherence)
+        coherence = [self.lam * math.exp(-self.Gamma * t) / 9.0 for t in _check_times(ts).tolist()]
+        return _dephase_states((1 / 9, 4 / 9, 4 / 9, 0.0), coherence)
 
     def closed_fidelity(self, t: float, tau: float) -> float:
         return ye_markov_fidelity(t, tau, self.Gamma, self.lam)
@@ -226,12 +227,13 @@ class YENonMarkov(ModelSpec):
         decays = [ye_nonmarkov_decay(t, self.Gamma, self.gamma) for t in _check_times(ts).tolist()]
         return _dephase_kraus(np.array([d.p_t for d in decays]), np.array([d.q_t for d in decays]))
 
-    def state(self, t: float) -> np.ndarray:
+    def states(self, ts: np.ndarray) -> np.ndarray:
         """X state: populations (alpha_x, 1, 1, 1 - alpha_x)/3, central
         coherence p(t)^2/3."""
-        d = ye_nonmarkov_decay(t, self.Gamma, self.gamma)
+        ts = _check_times(ts).tolist()
+        coherence = [ye_nonmarkov_decay(t, self.Gamma, self.gamma).p_t ** 2 / 3.0 for t in ts]
         a = self.alpha_x
-        return _dephase_state((a / 3, 1 / 3, 1 / 3, (1.0 - a) / 3), d.p_t ** 2 / 3.0)
+        return _dephase_states((a / 3, 1 / 3, 1 / 3, (1.0 - a) / 3), coherence)
 
     def closed_fidelity(self, t: float, tau: float) -> float:
         t = _check_time(t)
@@ -303,13 +305,9 @@ class JCMQubit(_JaynesCummings):
         ops[:, :, 1, 1] = amps * np.cos(theta_dn)
         return ops
 
-    def state(self, t: float) -> np.ndarray:
-        """Reduced atom state at time t for an initially excited atom."""
-        return self.states(np.array([_check_time(t)]))[0]
-
     def states(self, ts: np.ndarray) -> np.ndarray:
-        """Reduced atom states at the times ts, one (T, cutoff) array of
-        Rabi phases per sum."""
+        """Reduced atom states of an initially excited atom at the times ts,
+        one (T, cutoff) array of Rabi phases per sum."""
         ts = _check_times(ts)
         amps = coherent_amplitudes(self.alpha_c, self.cutoff)
         weights = np.abs(amps) ** 2
@@ -381,10 +379,10 @@ class JCMPhoton(_JaynesCummings):
         v[..., 1:, 1] = -1j * np.sin(theta) * psi
         return v
 
-    def state(self, t: float) -> np.ndarray:
-        """Field state V V^dagger at time t, V = ``factor(t)``."""
-        v = self.factor(t)
-        return v @ v.conj().T
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        """Field states V V^dagger at the times ts, V = ``factor(ts)``."""
+        v = self.factor(ts)
+        return v @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -433,9 +431,6 @@ class CKDephase(ModelSpec):
         k0 = cos * np.eye(2, dtype=np.complex128)
         k1 = sin * np.diag([1.0, -1.0]).astype(np.complex128)
         return np.stack([k0, k1], axis=1)
-
-    def state(self, t: float) -> np.ndarray:
-        return self.states([float(t)])[0]
 
     def states(self, ts: np.ndarray) -> np.ndarray:
         """Populations frozen, coherence scaled by cos(t - t0), one
@@ -522,10 +517,11 @@ def _dephase_kraus(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return ops
 
 
-def _dephase_state(diag: tuple[float, float, float, float], coherence: float) -> np.ndarray:
-    rho = np.diag(diag).astype(np.complex128)
-    rho[1, 2] = coherence
-    rho[2, 1] = coherence
+def _dephase_states(diag: tuple[float, float, float, float], coherence: list[float]) -> np.ndarray:
+    # X states of both dephasing models: fixed populations, one real central coherence per time
+    rho = np.zeros((len(coherence), 4, 4), dtype=np.complex128)
+    rho[:, range(4), range(4)] = diag
+    rho[:, 1, 2] = rho[:, 2, 1] = coherence
     return rho
 
 

@@ -4,7 +4,8 @@ A family whose generator is of constant-rate LGKS form has, besides one
 operator close to the identity, operators growing like sqrt(t); a family
 built from a memory kernel grows them like t instead.  The probe fits
 log-norm against log-time on a short geometric window and classifies each
-operator, then the family as a whole.
+operator, then the family as a whole.  It reads one (T, k, d, d) operator
+stack, from a single ``kraus`` call for a model spec.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import LindbladSet, lgks_rhs
-from .errors import FitDegenerate, GridTooCoarse, NegativeTime
-from .models import EvolutionFamily, ModelSpec, _check_grid, model_channel, model_state
+from .errors import DimensionMismatch, FitDegenerate, GridTooCoarse, NegativeTime
+from .models import EvolutionFamily, ModelSpec, _check_grid, model_state
 
 SQRT_T = "SqrtT"
 LINEAR_T = "LinearT"
@@ -89,6 +90,12 @@ def _loglog_fit(t_grid: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     return float(slope), residual
 
 
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last axis, summed as ``np.linalg.norm`` sums
+    one matrix: real and imaginary dot products over strided views."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
 def small_time_exponents(
     model: ModelSpec | EvolutionFamily,
     t_grid: np.ndarray | None = None,
@@ -106,25 +113,29 @@ def small_time_exponents(
     if t_grid[0] <= 0.0:
         raise GridTooCoarse("exponent grid must start at a positive time")
 
+    times = [0.0, *t_grid.tolist()]
     if callable(model):
-        family: EvolutionFamily = model
-        label = getattr(model, "__name__", "family")
+        ops = [model(t).operators for t in times]
+        for t, k in zip(times, ops):
+            if k.shape != ops[0].shape:
+                raise DimensionMismatch(f"family has Kraus stack shape {k.shape} at t = {t!r}, "
+                                        f"{ops[0].shape} at t = 0")
+        ops, label = np.array(ops), getattr(model, "__name__", "family")
     else:
-        family = lambda t: model_channel(model, model.t0 + t)  # noqa: E731
-        label = model.NAME
+        ops, label = model.kraus(model.t0 + np.array(times)), model.NAME
 
-    ops0 = family(0.0).operators
-    norms0 = np.array([np.linalg.norm(k) for k in ops0])
+    # one row of d * d entries per time and operator
+    flat = ops.reshape(ops.shape[:2] + (-1,))
+    norms0 = _frobenius(flat[0])
     scale = max(1.0, float(norms0.max()))
     leading = int(np.argmax(norms0))
+    # operators with a nonzero t = 0 limit are fitted by their deficit
+    constant = norms0 > 1e-12 * scale
+    all_series = _frobenius(flat[1:] - np.where(constant[:, None], flat[0], 0.0))
 
-    channels = [family(float(t)) for t in t_grid]
     fits: list[OperatorFit] = []
     fitted_nonleading = False
-    for idx in range(len(ops0)):
-        constant = norms0[idx] > 1e-12 * scale
-        base = ops0[idx] if constant else 0.0
-        series = np.array([np.linalg.norm(ch.operators[idx] - base) for ch in channels])
+    for idx, series in enumerate(all_series.T):
         zero_mask = series <= _ZERO_FLOOR
         exponent = residual = 0.0
         if np.all(zero_mask):
@@ -133,7 +144,7 @@ def small_time_exponents(
             classification, note = UNCLASSIFIED, "vanishes inside the window, no power law"
         else:
             exponent, residual = _loglog_fit(t_grid, series)
-            if constant:
+            if constant[idx]:
                 classification = CONST_IDENTITY_DEFICIT
                 note = "deficit fit against the t = 0 operator"
             else:
@@ -145,7 +156,7 @@ def small_time_exponents(
                 exponent=exponent,
                 residual=residual,
                 classification=classification,
-                constant_at_zero=constant,
+                constant_at_zero=bool(constant[idx]),
                 leading=idx == leading,
                 note=note,
             )

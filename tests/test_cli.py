@@ -295,6 +295,15 @@ class TestConfigFile:
         assert main(["witness", "--config", str(conf)]) == 1
         assert "unknown key 'seed'" in capsys.readouterr().err
 
+    def test_config_key_rejected(self, tmp_path, capsys):
+        # --config is an option, but a file cannot name another file
+        other = tmp_path / "other.conf"
+        other.write_text("model = ck\n")
+        conf = tmp_path / "w.conf"
+        conf.write_text(f"config = {other}\n")
+        assert main(["witness", "--config", str(conf)]) == 1
+        assert "unknown key 'config'" in capsys.readouterr().err
+
     def test_malformed_value_rejected(self, tmp_path, capsys):
         conf = tmp_path / "w.conf"
         conf.write_text("model = ck\ntau = abc\n")

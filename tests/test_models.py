@@ -435,32 +435,52 @@ class TestDispatch:
             evolved = apply(model_channel(spec, t), rho0)
             assert np.max(np.abs(evolved - model_state(spec, t))) <= 1e-12
 
+    def test_no_model_class_has_its_own_state(self):
+        # states(ts) is each model's one state formula, state(t) a stack of one
+        for cls in MODEL_CLASSES.values():
+            assert "states" in vars(cls) and "state" not in vars(cls), cls.NAME
+
     @pytest.mark.parametrize(
         "spec", ALL_SPECS + [JCMQubit(alpha_c=1, n_max=31)], ids=lambda s: s.NAME
     )
     def test_states_stack_the_states(self, spec):
-        ts = np.array([0.0, 0.37, 1.0, 2.5, 9.99])
+        # row i holds the same bits as the stack of one at ts[i] and as state
+        ts = default_blp_grid(spec)
         stack = spec.states(ts)
+        assert stack.dtype == np.complex128
         assert stack.shape == (ts.size, spec.dim, spec.dim)
-        for t, rho in zip(ts, stack):
-            np.testing.assert_array_equal(rho, spec.state(float(t)))
+        for i, t in enumerate(ts):
+            assert stack[i].tobytes() == spec.states(ts[i:i + 1])[0].tobytes()
+            assert stack[i].tobytes() == spec.state(float(t)).tobytes()
+            assert stack[i].tobytes() == model_state(spec, float(t)).tobytes()
 
     @pytest.mark.parametrize("spec", [CKDephase(t0=1.0), CKDephase(rho11=0.9, rho22=0.1, rho12=0.1)],
                              ids=["late-start", "mixed"])
     def test_revival_states_stack_the_states(self, spec):
-        ts = spec.t0 + np.array([0.0, 0.37, 1.0, 2.5, 9.99])
+        ts = default_blp_grid(spec)
         stack = spec.states(ts)
         assert stack.shape == (ts.size, 2, 2)
-        for t, rho in zip(ts, stack):
-            assert rho.tobytes() == spec.state(float(t)).tobytes()
+        for i, t in enumerate(ts):
+            assert stack[i].tobytes() == spec.states(ts[i:i + 1])[0].tobytes()
+            assert stack[i].tobytes() == spec.state(float(t)).tobytes()
         with pytest.raises(NegativeTime):
             spec.states(np.array([spec.t0, spec.t0 - 0.5]))
+
+    @pytest.mark.parametrize("spec", _FIELDS, ids=_FIELD_IDS)
+    def test_field_states_are_factor_products(self, spec):
+        for t, rho in zip(default_blp_grid(spec), spec.states(default_blp_grid(spec))):
+            v = spec.factor(float(t))
+            assert rho.tobytes() == (v @ v.conj().T).tobytes()
+
+    def test_empty_state_stack(self):
+        for spec in ALL_SPECS:
+            assert spec.states(np.array([])).shape == (0, spec.dim, spec.dim)
 
     def test_states_reject_negative_times(self):
         with pytest.raises(NegativeTime, match="-0.5"):
             JCMQubit(alpha_c=1, n_max=31).states(np.array([0.0, -0.5, 1.0]))
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.5])
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.NAME)
     def test_non_finite_times_are_refused(self, spec, t):
         for build in (spec.state, spec.channel, lambda t: spec.states(np.array([0.0, t]))):

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ import pytest
 from kraus_witness import (
     CKDephase,
     CONST_IDENTITY_DEFICIT,
+    DimensionMismatch,
     FitDegenerate,
     GridTooCoarse,
+    JCMPhoton,
     JCMQubit,
     KrausChannel,
     LINEAR_T,
@@ -23,6 +27,7 @@ from kraus_witness import (
     jcm_photon_channel,
     lgks_residual,
     small_time_exponents,
+    ye_markov_channel,
     ye_markov_lindblad,
 )
 
@@ -122,6 +127,74 @@ class TestSmallTimeExponents:
         family = lambda t: KrausChannel((np.eye(2, dtype=complex),))  # noqa: E731
         with pytest.raises(FitDegenerate):
             small_time_exponents(family)
+
+
+# every model, a late-started revival model and two coherent atom sectors
+_SPECS = [
+    YEMarkov(), YENonMarkov(), JCMQubit(), JCMPhoton(), CKDephase(), CKDephase(t0=1.0),
+    JCMQubit(alpha_c=2.0), JCMQubit(alpha_c=0.6 + 0.8j, n_max=31),
+]
+_IDS = ["ye-markov", "ye-nonmarkov", "jcm-qubit", "jcm-photon", "ck", "ck-late-start",
+        "jcm-qubit-alpha-2", "jcm-qubit-alpha-0.6+0.8j"]
+
+
+def _counting(spec):
+    """A copy of spec whose kraus and channel calls are logged."""
+    calls = []
+
+    class Counting(type(spec)):
+        def kraus(self, ts):
+            calls.append("kraus")
+            return super().kraus(ts)
+
+        def channel(self, t):
+            calls.append("channel")
+            return super().channel(t)
+
+    return Counting(**{f.name: getattr(spec, f.name) for f in fields(spec)}), calls
+
+
+class TestOperatorStack:
+    """A spec is probed from one ``kraus`` stack, with the same bits as the
+    bare family of its channels."""
+
+    @pytest.mark.parametrize("spec", _SPECS, ids=_IDS)
+    def test_one_kraus_call_and_no_channel(self, spec):
+        counting, calls = _counting(spec)
+        small_time_exponents(counting)
+        assert calls == ["kraus"]
+
+    @pytest.mark.parametrize("spec", _SPECS, ids=_IDS)
+    def test_spec_matches_its_bare_family(self, spec):
+        report = small_time_exponents(spec)
+        bare = small_time_exponents(lambda t: spec.channel(spec.t0 + t))
+        assert len(report.fits) == len(bare.fits)
+        for a, b in zip(report.fits, bare.fits):
+            assert (a.exponent, a.residual) == (b.exponent, b.residual)
+            assert (a.classification, a.constant_at_zero, a.leading, a.note) == (
+                b.classification, b.constant_at_zero, b.leading, b.note)
+        assert report.classification == bare.classification
+
+    def test_more_operators_later_refused(self):
+        # a pruned family: only the identity survives at t = 0
+        def pruned(t):
+            ops = ye_markov_channel(t).operators
+            return KrausChannel(ops[[bool(k.any()) for k in ops]])
+
+        expected = "shape (4, 4, 4) at t = 0.0001, (1, 4, 4) at t = 0"
+        with pytest.raises(DimensionMismatch, match=re.escape(expected)):
+            small_time_exponents(pruned)
+
+    def test_fewer_operators_later_refused(self):
+        grid = np.geomspace(1e-4, 1e-2, 12)
+
+        def dropping(t):
+            # two operators are dropped from the sixth window time on
+            return KrausChannel(ye_markov_channel(t).operators[: 4 if t < grid[5] else 2])
+
+        expected = f"shape (2, 4, 4) at t = {float(grid[5])!r}, (4, 4, 4) at t = 0"
+        with pytest.raises(DimensionMismatch, match=re.escape(expected)):
+            small_time_exponents(dropping, grid)
 
 
 class TestStartTime:

@@ -1,14 +1,22 @@
 """Digest the CLI's output over a fixed command list, for before/after diffs.
 
 Runs each command in process through ``kraus_witness.cli.main`` from this
-checkout's ``src/``, with KRAUS_WITNESS_TOL unset and any CSV written to a
-temporary directory, and prints one line per command: the exit code and the
-sha256 of the CSV, of stdout and of stderr ("-" where no CSV was written).
-Running it on two checkouts and diffing the outputs shows whether a change
-moved any byte of what the CLI says:
+checkout's ``src/``, with KRAUS_WITNESS_TOL unset, COLUMNS pinned so that
+argparse wraps help text the same way on every terminal, and any CSV written
+to a temporary directory.  It prints a header naming the Python and numpy
+versions, then one line per command: the exit code and the sha256 of the
+CSV, of stdout and of stderr ("-" where no CSV was written).  Running it on
+two checkouts and diffing the outputs shows whether a change moved any byte
+of what the CLI says:
 
     python tools/cli_digests.py > after.txt
     diff before.txt after.txt
+
+``tools/cli_digests.txt`` is its output on the current code, and
+``tests/test_cli_digests.py`` checks the CLI against it.  A change that moves
+a line on purpose regenerates the file:
+
+    python tools/cli_digests.py > tools/cli_digests.txt
 """
 from __future__ import annotations
 
@@ -16,11 +24,15 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
 
 from kraus_witness.cli import main  # noqa: E402
 
@@ -57,10 +69,18 @@ COMMANDS: list[tuple[list[str], bool]] = (
         (["validate", "--model=jcm-qubit", "--alpha=2", "--samples=400"], False),
         (["validate", "--model=ck", "--samples=629"], False),
         (["validate", "--model=jcm-photon", "--alpha=1", "--n-cut=31", "--samples=201"], False),
+        # a coherent atom sector: every operator is nonzero at t = 0
+        (["probe", "--model=jcm-qubit", "--alpha=0.6+0.8j", "--n-cut=31"], True),
+        (["probe", "--model=jcm-photon", "--n-cut=8"], True),
+        (["probe", "--model=ye-nonmarkov", "--t-min=1e-3", "--t-max=1", "--points=20"], True),
     ]
+    + [([name, "--help"], False) for name in ("figure", "witness", "probe", "validate")]
 )
 
 _CSV = "out.csv"
+
+# terminal width argparse wraps help text to
+_COLUMNS = "80"
 
 
 def _sha(data: bytes) -> str:
@@ -81,17 +101,31 @@ def digest(argv: list[str], takes_out: bool) -> str:
     )
 
 
-def run() -> None:
-    os.environ.pop("KRAUS_WITNESS_TOL", None)
+def header() -> str:
+    """First line of the output: the versions the digests were taken with."""
+    return f"# python {platform.python_version()} numpy {np.__version__}"
+
+
+@contextlib.contextmanager
+def pinned(directory: str | Path):
+    """Run inside ``directory`` with the environment the digests assume,
+    restoring the working directory and the environment afterwards."""
     here = os.getcwd()
-    with tempfile.TemporaryDirectory() as scratch:
+    with mock.patch.dict(os.environ, {"COLUMNS": _COLUMNS}):
+        os.environ.pop("KRAUS_WITNESS_TOL", None)
         # a relative --out keeps the path printed on stdout the same every run
-        os.chdir(scratch)
+        os.chdir(directory)
         try:
-            for argv, takes_out in COMMANDS:
-                print(digest(argv, takes_out), flush=True)
+            yield
         finally:
             os.chdir(here)
+
+
+def run() -> None:
+    print(header(), flush=True)
+    with tempfile.TemporaryDirectory() as scratch, pinned(scratch):
+        for argv, takes_out in COMMANDS:
+            print(digest(argv, takes_out), flush=True)
 
 
 if __name__ == "__main__":
