@@ -7,7 +7,12 @@ library in the test suite without sharing a code path with it.  There is one
 Jacobi kernel, ``_jacobi``, and it works on (B, n, n) stacks: the stack
 functions (``fidelities``, ``trace_norms``, ``validate_densities``) make one
 or two calls for a whole stack, and the single-matrix ones pass a stack of
-one.
+one.  The kernel holds its copy of the stack entry-major, as an (n, n, B)
+array, so that each matrix entry across the batch is one contiguous vector.
+Every caller hands it an exactly Hermitian stack (the ``_hermitized``
+average, or (M + M^dagger)/2), so it reads only the upper triangle and
+rotates only rows: the two columns a pivot touches are written as the
+conjugates of its two new rows.
 """
 from __future__ import annotations
 
@@ -61,65 +66,93 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
     stack: the (B, n) eigenvalues, unordered, and with ``vectors`` the
     (B, n, n) eigenvector matrices, else None.
 
+    Reads only the upper triangle of each matrix, diagonal included, and
+    takes the lower one as its conjugate, so the input must be Hermitian.
+    The stack is copied once into an entry-major (n, n, B) array, (2n, n, B)
+    with ``vectors``, the eigenvector rows below; the input is never written.
     Sweeps all upper-triangle pivots in row order, each time applying to the
-    whole stack the complex plane rotation that zeroes that pivot.  A matrix
-    leaves the batch as soon as its own off-diagonal Frobenius mass is at
-    most 1e-14 (scaled by its norm when that exceeds 1), so its result does
-    not depend on the rest of the stack.  A pivot at or below 1e-300 gets
-    the identity rotation (c = 1, s = 0) instead of a division.  The input
-    is copied, never rotated.
+    whole stack the complex plane rotation that zeroes that pivot.  Only
+    rows p and q are rotated.  Columns p and q of the matrix become the
+    conjugates of the new rows, its diagonal entries a_pp - t|a_pq| and
+    a_qq + t|a_pq|, and the pivot and its mirror zero; with ``vectors``
+    columns p and q of the eigenvector block are rotated too.  A matrix
+    leaves the batch as soon as its own off-diagonal Frobenius mass, sqrt(2)
+    times that of its upper triangle, is at most 1e-14 (scaled by its norm
+    when that exceeds 1), so its result does not depend on the rest of the
+    stack.  A pivot at or below 1e-300 gets the identity rotation (c = 1,
+    s = 0) instead of a division.
     """
-    a = np.array(stack, dtype=np.complex128)
-    n = a.shape[1]
-    target = _OFFDIAG_TARGET * np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)))
+    arr = np.asarray(stack, dtype=np.complex128)
+    b, n = arr.shape[0], arr.shape[1]
+    # a new array holding the upper triangle and its conjugate mirror
+    arr = np.where(np.triu(np.ones((n, n), dtype=bool)), arr, arr.conj().swapaxes(1, 2))
+    target = _OFFDIAG_TARGET * np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
+    # entry-major: a[i, j] is entry (i, j) of every matrix, one contiguous
+    # vector
+    a = np.zeros((2 * n if vectors else n, n, b), dtype=np.complex128)
+    a[:n] = arr.transpose(1, 2, 0)
+    diagonal = np.arange(n)
     if vectors:
-        # the identity rides below each matrix as n more rows, so every
-        # column rotation also accumulates into the eigenvectors
-        a = np.concatenate([a, np.broadcast_to(np.eye(n), a.shape)], axis=1)
-    off_diagonal = ~np.eye(n, dtype=bool)
-    active = np.arange(a.shape[0])
+        # the identity rides below the matrix as n more rows, and the column
+        # rotations turn it into the eigenvectors
+        a[n + diagonal, diagonal] = 1.0
+    upper = np.triu_indices(n, 1)
+    active = np.arange(b)
     work = a
     for _ in range(_MAX_SWEEPS):
-        # summed entrywise rather than as total - diagonal, which cancels badly
-        mass = np.linalg.norm(np.where(off_diagonal, work[:, :n], 0.0), axis=(1, 2))
+        # summed entrywise rather than as total - diagonal, which cancels
+        # badly; each matrix's entries lie in one contiguous row, so they are
+        # summed in the same order whatever the rest of the batch
+        mass = np.sqrt(2.0) * np.linalg.norm(np.ascontiguousarray(work[upper].T), axis=1)
         done = mass <= target[active]
         if done.any():
             # converged matrices go back to the stack and leave the batch
-            a[active[done]] = work[done]
-            active, work = active[~done], work[~done]
+            a[:, :, active[done]] = work[:, :, done]
+            active, work = active[~done], work[:, :, ~done]
         if not active.size:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = work[:, p, q]
+                apq = work[p, q]
                 r = np.abs(apq)
                 rotate = r > _PIVOT_SKIP
                 r = np.where(rotate, r, 1.0)
-                phase = np.where(rotate, apq / r, 1.0)
-                tau = (work[:, q, q].real - work[:, p, p].real) / (2.0 * r)
+                app, aqq = work[p, p].real, work[q, q].real
+                tau = (aqq - app) / (2.0 * r)
                 t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
                 t = np.where(rotate, t, 0.0)
+                shift = t * r
+                new_pp, new_qq = app - shift, aqq + shift
                 c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                sp, spc = (s * phase)[:, None], (s * phase.conj())[:, None]
-                c = c[:, None]
-                # each pair of right-hand sides is evaluated before either
-                # slice is written, so the old rows and columns need no copies
-                row_p, row_q = work[:, p], work[:, q]
-                work[:, p], work[:, q] = c * row_p - sp * row_q, spc * row_p + c * row_q
-                col_p, col_q = work[:, :, p], work[:, :, q]
-                work[:, :, p], work[:, :, q] = c * col_p - spc * col_q, sp * col_p + c * col_q
-                work[:, p, p] = work[:, p, p].real
-                work[:, q, q] = work[:, q, q].real
+                # s e^(i arg a_pq), s = t c
+                sp = apq * (t * c / r)
+                spc = sp.conj()
+                # c as complex gives the same products without a cast per row
+                c = c.astype(np.complex128)
+                row_p, row_q = work[p], work[q]
+                new_p = c * row_p
+                new_p -= sp * row_q
+                new_q = spc * row_p
+                new_q += c * row_q
+                work[p], work[q] = new_p, new_q
+                # the rotated matrix is Hermitian: its columns p and q are
+                # the conjugates of the new rows, with no rotation of their own
+                np.conjugate(new_p, out=work[:n, p])
+                np.conjugate(new_q, out=work[:n, q])
+                work[p, p], work[q, q] = new_pp, new_qq
                 # the rotation annihilates the pivot exactly and a skipped
                 # pivot is negligible; either way drop the residue
-                work[:, p, q] = work[:, q, p] = 0.0
+                work[p, q] = work[q, p] = 0.0
+                if vectors:
+                    col_p, col_q = work[n:, p], work[n:, q]
+                    work[n:, p], work[n:, q] = c * col_p - spc * col_q, sp * col_p + c * col_q
     else:
         raise NoConvergence(
             f"Jacobi sweeps exhausted for batch index {int(active[0])} "
-            f"({active.size} of {a.shape[0]} matrices unconverged)"
+            f"({active.size} of {b} matrices unconverged)"
         )
-    return np.diagonal(a[:, :n], axis1=1, axis2=2).real.copy(), (a[:, n:] if vectors else None)
+    eigenvalues = a[diagonal, diagonal].real.T.copy()
+    return eigenvalues, (np.ascontiguousarray(a[n:].transpose(2, 0, 1)) if vectors else None)
 
 
 def _require_finite(arr: np.ndarray, error: type[NonHermitian]) -> None:

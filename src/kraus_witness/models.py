@@ -224,14 +224,14 @@ class YENonMarkov(ModelSpec):
 
     def kraus(self, ts: np.ndarray) -> np.ndarray:
         """Dephasing skeleton with the memory branch's p(t), q(t)."""
-        decays = [ye_nonmarkov_decay(t, self.Gamma, self.gamma) for t in _check_times(ts).tolist()]
-        return _dephase_kraus(np.array([d.p_t for d in decays]), np.array([d.q_t for d in decays]))
+        _, p, q = _memory_decays(_check_times(ts).tolist(), self.Gamma, self.gamma)
+        return _dephase_kraus(np.array(p), np.array(q))
 
     def states(self, ts: np.ndarray) -> np.ndarray:
         """X state: populations (alpha_x, 1, 1, 1 - alpha_x)/3, central
         coherence p(t)^2/3."""
-        ts = _check_times(ts).tolist()
-        coherence = [ye_nonmarkov_decay(t, self.Gamma, self.gamma).p_t ** 2 / 3.0 for t in ts]
+        _, p, _ = _memory_decays(_check_times(ts).tolist(), self.Gamma, self.gamma)
+        coherence = [p_t ** 2 / 3.0 for p_t in p]
         a = self.alpha_x
         return _dephase_states((a / 3, 1 / 3, 1 / 3, (1.0 - a) / 3), coherence)
 
@@ -487,14 +487,19 @@ def ye_nonmarkov_decay(t: float, Gamma: float, gamma: float) -> DecayFunctions:
     t^2/4 at small times to ~Gamma t/2 once t >> 1/gamma.  expm1 keeps both
     regimes accurate.
     """
-    t = _check_time(t)
-    Gamma = _check_rate(Gamma, "Gamma")
-    gamma = _check_rate(gamma, "gamma")
-    f = 0.5 * Gamma * (t + math.expm1(-gamma * t) / gamma)
-    f = max(f, 0.0)
-    p_t = math.exp(-f)
-    q_t = math.sqrt(-math.expm1(-2.0 * f))
+    (f,), (p_t,), (q_t,) = _memory_decays(
+        [_check_time(t)], _check_rate(Gamma, "Gamma"), _check_rate(gamma, "gamma")
+    )
     return DecayFunctions(p_t=p_t, q_t=q_t, f_t=f)
+
+
+def _memory_decays(
+    ts: list[float], Gamma: float, gamma: float
+) -> tuple[list[float], list[float], list[float]]:
+    """f, p and q of ``ye_nonmarkov_decay`` at each of the times ts, whose
+    checks the caller has made, with no record per time."""
+    f = [max(0.5 * Gamma * (t + math.expm1(-gamma * t) / gamma), 0.0) for t in ts]
+    return f, [math.exp(-f_t) for f_t in f], [math.sqrt(-math.expm1(-2.0 * f_t)) for f_t in f]
 
 
 # ---------------------------------------------------------------------------

@@ -426,18 +426,23 @@ class TestTraceNorms:
             trace_norms(np.zeros(shape, dtype=complex))
 
 
+# small sizes, and the field sector's (22 and 33)
+_KERNEL_DIMS = [*range(2, 7), 22, 33]
+
+
 def _kernel_stack(rng, dim):
     """Random Hermitian matrices mixed with the kernel's edge cases: a
     diagonal and a zero matrix that converge before any sweep, a degenerate
     spectrum, a block-diagonal matrix whose cross-block pivots are exactly
-    zero, and a rank-1 matrix."""
+    zero, and a rank-1 matrix.  Above d = 6 only the random, degenerate and
+    block-diagonal ones, which keeps the field-sector sizes quick."""
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     block = np.zeros((dim, dim), dtype=complex)
     half = dim // 2
     block[:half, :half] = random_hermitian(rng, half)
     block[half:, half:] = random_hermitian(rng, dim - half)
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return np.array([
+    stack = np.array([
         np.diag(rng.normal(size=dim)).astype(complex),
         np.zeros((dim, dim), dtype=complex),
         random_hermitian(rng, dim),
@@ -446,13 +451,14 @@ def _kernel_stack(rng, dim):
         -2.5 * np.outer(vec, vec.conj()),
         random_hermitian(rng, dim),
     ])
+    return stack if dim <= 6 else stack[2:5]
 
 
 class TestJacobiKernel:
     """``linalg._jacobi`` on mixed stacks against single-matrix calls and the
     LAPACK oracle."""
 
-    @pytest.mark.parametrize("dim", range(2, 7))
+    @pytest.mark.parametrize("dim", _KERNEL_DIMS)
     def test_stack_matches_single_calls_bit_for_bit(self, rng, dim):
         stack = _kernel_stack(rng, dim)
         w, v = linalg._jacobi(stack, vectors=True)
@@ -465,7 +471,7 @@ class TestJacobiKernel:
         assert none is None
         assert eigenvalues.tolist() == w.tolist()
 
-    @pytest.mark.parametrize("dim", range(2, 7))
+    @pytest.mark.parametrize("dim", _KERNEL_DIMS)
     def test_unitary_reconstructs_and_matches_oracle(self, rng, dim):
         stack = _kernel_stack(rng, dim)
         w, v = linalg._jacobi(stack, vectors=True)
@@ -474,6 +480,36 @@ class TestJacobiKernel:
             assert np.max(np.abs(vi.conj().T @ vi - np.eye(dim))) <= 1e-12
             assert np.max(np.abs((vi * wi) @ vi.conj().T - mat)) <= bound
             assert np.max(np.abs(np.sort(wi) - np.linalg.eigvalsh(mat))) <= bound
+
+    @pytest.mark.parametrize("dim", [4, 5, 22])
+    @pytest.mark.parametrize("layout", ["halves", "interleaved"])
+    def test_direct_sum_keeps_eigenvectors_in_their_blocks(self, rng, dim, layout):
+        # exact zeros across the blocks stay exact: every eigenvector lives
+        # in one block, alone in the stack or between full neighbours
+        first = np.arange(dim) < dim // 2 if layout == "halves" else np.arange(dim) % 2 == 0
+        mat = random_hermitian(rng, dim)
+        mat[np.outer(first, ~first) | np.outer(~first, first)] = 0.0
+        neighbours = np.array([random_hermitian(rng, dim), mat, random_hermitian(rng, dim)])
+        for stack, index in ((mat[None], 0), (neighbours, 1)):
+            w, v = linalg._jacobi(stack, vectors=True)
+            vi = v[index]
+            in_first = np.all(vi[~first] == 0.0, axis=0)
+            in_second = np.all(vi[first] == 0.0, axis=0)
+            assert np.all(in_first ^ in_second)
+            assert in_first.sum() == first.sum()
+            np.testing.assert_allclose(np.sort(w[index]), np.linalg.eigvalsh(mat), atol=1e-12 * dim)
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_reads_only_the_upper_triangle(self, rng, vectors):
+        stack = _kernel_stack(rng, 5)
+        scrambled = stack.copy()
+        lower = np.tril(np.ones((5, 5), dtype=bool), -1)
+        scrambled[:, lower] = rng.normal(size=scrambled[:, lower].shape)
+        expected = linalg._jacobi(stack, vectors=vectors)
+        got = linalg._jacobi(scrambled, vectors=vectors)
+        assert got[0].tolist() == expected[0].tolist()
+        if vectors:
+            assert got[1].tolist() == expected[1].tolist()
 
     @pytest.mark.parametrize("vectors", [False, True])
     def test_leaves_its_input_alone(self, rng, vectors):

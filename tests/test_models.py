@@ -36,6 +36,7 @@ from kraus_witness import (
     ye_nonmarkov_decay,
 )
 
+from kraus_witness import models
 from conftest import oracle_fidelity
 
 ALL_SPECS = [YEMarkov(), YENonMarkov(), JCMQubit(), JCMPhoton(), CKDephase()]
@@ -186,6 +187,22 @@ class TestMemoryDephasing:
         )
         d = ye_nonmarkov_decay(2.0, spec.Gamma, spec.gamma)
         assert rho[1, 2] == pytest.approx(d.p_t**2 / 3.0, abs=1e-16)
+
+    @pytest.mark.parametrize("gamma", [1e-4, 10.0])
+    @pytest.mark.parametrize("window", ["revival", "small-time"])
+    def test_stacks_match_per_time_decays(self, gamma, window):
+        # kraus and states hold the bits of stacks built from one
+        # ye_nonmarkov_decay record per time
+        spec = YENonMarkov(gamma=gamma)
+        ts = default_blp_grid(spec) if window == "revival" else np.linspace(0.0, 1e-3, 101)
+        decays = [ye_nonmarkov_decay(t, spec.Gamma, spec.gamma) for t in ts.tolist()]
+        p = np.array([d.p_t for d in decays])
+        q = np.array([d.q_t for d in decays])
+        a = spec.alpha_x
+        populations = (a / 3, 1 / 3, 1 / 3, (1.0 - a) / 3)
+        states = models._dephase_states(populations, [d.p_t ** 2 / 3.0 for d in decays])
+        assert spec.kraus(ts).tobytes() == models._dephase_kraus(p, q).tobytes()
+        assert spec.states(ts).tobytes() == states.tobytes()
 
     def test_channel_reproduces_state(self, rng):
         spec = YENonMarkov()
