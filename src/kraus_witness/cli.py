@@ -21,12 +21,7 @@ import numpy as np
 
 from .channels import _defects
 from .errors import KrausWitnessError, UsageError
-from .models import (
-    MODEL_CLASSES,
-    ModelSpec,
-    model_closed_fidelity,
-    model_state,
-)
+from .models import MODEL_CLASSES, ModelSpec, model_closed_fidelity
 from .probes import SMALL_TIME_WINDOW, small_time_exponents
 from .witnesses import (
     NON_MARKOVIAN_WITNESSED,
@@ -39,12 +34,24 @@ from .witnesses import (
 
 _ENV_WITNESS_TOL = "KRAUS_WITNESS_TOL"
 
-# model parameter flags, in the order inapplicable ones are reported
-_ALL_PARAM_KEYS = ("Gamma", "lam", "gamma", "gamma2", "alpha_x", "g", "alpha",
-                   "n_cut", "rho11", "rho22", "rho12")
-
 _FIGURE_MODEL = {1: "ye-markov", 2: "ye-nonmarkov", 3: "ye-nonmarkov",
                  4: "jcm-qubit", 5: "ck"}
+
+# model parameter options, in the order inapplicable ones are reported; every
+# subcommand takes them all
+_PARAMS = {
+    "Gamma": dict(type=float, help="dephasing rate"),
+    "lam": dict(type=float, help="initial coherence weight, 0 to 4"),
+    "gamma": dict(type=float, help="reservoir memory rate"),
+    "gamma2": dict(type=float, help="memory rate of the second curve (figure 3 only)"),
+    "alpha_x": dict(type=float, help="X-state population parameter, 0 to 1"),
+    "g": dict(type=float, help="atom-field coupling"),
+    "alpha": dict(type=complex, help="coherent field amplitude, complex accepted"),
+    "n_cut": dict(type=int, help="Fock cutoff"),
+    "rho11": dict(type=float, help="upper population"),
+    "rho22": dict(type=float, help="lower population"),
+    "rho12": dict(type=complex, help="initial coherence"),
+}
 
 # argparse keywords per option; the flag is _flag(key).  The type serves the
 # flag and the config file alike, where a tau is a comma-separated list of
@@ -63,17 +70,7 @@ _OPTIONS = {
     "t_max": dict(type=float, help="probe window stop (raw model time)"),
     "points": dict(type=int, help="probe window size, at least 6"),
     "samples": dict(type=int, help="number of sampled times (default 50)"),
-    "Gamma": dict(type=float, help="dephasing rate"),
-    "gamma": dict(type=float, help="reservoir memory rate"),
-    "gamma2": dict(type=float, help="memory rate of the second curve (figure 3 only)"),
-    "lam": dict(type=float, help="initial coherence weight, 0 to 4"),
-    "alpha_x": dict(type=float, help="X-state population parameter, 0 to 1"),
-    "g": dict(type=float, help="atom-field coupling"),
-    "alpha": dict(type=complex, help="coherent field amplitude, complex accepted"),
-    "n_cut": dict(type=int, help="Fock cutoff"),
-    "rho11": dict(type=float, help="upper population"),
-    "rho22": dict(type=float, help="lower population"),
-    "rho12": dict(type=complex, help="initial coherence"),
+    **_PARAMS,
 }
 
 # Kraus operators validate holds at once, whole times and at least one, so
@@ -115,15 +112,20 @@ def _build_parser() -> _Parser:
         p.set_defaults(run=run)
         if name == "figure":
             p.add_argument("figure_id", type=int, choices=range(1, 6), metavar="1-5")
-        for key in keys + _ALL_PARAM_KEYS:
+        for key in keys + tuple(_PARAMS):
             p.add_argument(_flag(key), dest=key, **_OPTIONS[key])
     return parser
 
 
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    # undecodable bytes come through as lone surrogates, so the line can be named
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise UsageError(f"{path}:{lineno}: not UTF-8 text") from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -201,7 +203,7 @@ def _build_spec(name: str, ns: argparse.Namespace,
     cls = MODEL_CLASSES[name]
     # a parameter left unset falls back to the dataclass default
     params = {}
-    for key in _ALL_PARAM_KEYS:
+    for key in _PARAMS:
         value = getattr(ns, key)
         if value is None:
             continue
@@ -389,8 +391,6 @@ def cmd_validate(ns: argparse.Namespace) -> int:
     samples = ns.samples if ns.samples is not None else 50
     if samples < 2:
         raise UsageError(f"--samples must be at least 2, got {samples!r}")
-    # building the reference state exercises the cutoff certificate
-    model_state(spec, 0.0)
     rate = spec.rate
     times = np.linspace(start / rate, stop / rate, samples)
     step = max(1, _DEFECT_STACK_BYTES // spec.kraus(times[:1]).nbytes)

@@ -5,11 +5,11 @@ its evolved reference states at an array of times, and (where one exists) a
 closed-form fidelity between the states at two times.  The field sector also
 gives its state as a Kraus factor V, rho = V V^dagger.  Each model class
 holds its own formulas.  The free functions are the channel builders, each
-a model's ``channel(t)``; ye_markov_fidelity, ye_markov_lindblad,
-ye_nonmarkov_decay and coherent_amplitudes, which the classes call;
-default_fock_cutoff, which picks the Jaynes-Cummings cutoff;
-the model_* dispatchers; and build_model, which builds a model from its
-registry name.  The channel, state (factor included) and closed-form
+a model's ``channel(t)``; ye_markov_fidelity, ye_markov_lindblad and
+coherent_amplitudes, which the classes call; ye_nonmarkov_decay, the memory
+branch's decay record at one time; default_fock_cutoff, which picks the
+Jaynes-Cummings cutoff; the model_* dispatchers; and build_model, which
+builds a model from its registry name.  The channel, state (factor included) and closed-form
 routes are kept independent so the test suite can play them against each other.
 
 Models
@@ -238,14 +238,9 @@ class YENonMarkov(ModelSpec):
     def closed_fidelity(self, t: float, tau: float) -> float:
         t = _check_time(t)
         tau = _check_time(tau)
-        d1 = ye_nonmarkov_decay(t, self.Gamma, self.gamma)
-        d2 = ye_nonmarkov_decay(t + tau, self.Gamma, self.gamma)
+        _, (p1, p2), (q1, q2) = _memory_decays([t, _check_time(t + tau)], self.Gamma, self.gamma)
         # 1 - p^2 = q^2 exactly through expm1, so the small-f branch keeps digits
-        value = (
-            1.0
-            + math.sqrt((1.0 + d1.p_t ** 2) * (1.0 + d2.p_t ** 2))
-            + d1.q_t * d2.q_t
-        ) ** 2 / 9.0
+        value = (1.0 + math.sqrt((1.0 + p1 ** 2) * (1.0 + p2 ** 2)) + q1 * q2) ** 2 / 9.0
         return min(value, 1.0)
 
 
@@ -279,6 +274,13 @@ class _JaynesCummings(ModelSpec):
     def rate(self) -> float:
         return self.g
 
+    def _rabi(self, ts: np.ndarray | float, levels: int) -> tuple[np.ndarray, ...]:
+        """Checked times ts, the certified coherent amplitudes, and the Rabi
+        angles theta_n = g t sqrt(n + 1) for n < levels, one row per time."""
+        ts = _check_times(ts)
+        amps = coherent_amplitudes(self.alpha_c, self.cutoff)
+        return ts, amps, self.g * ts[..., None] * np.sqrt(np.arange(levels) + 1.0)
+
 
 @dataclass(frozen=True)
 class JCMQubit(_JaynesCummings):
@@ -291,36 +293,28 @@ class JCMQubit(_JaynesCummings):
     def kraus(self, ts: np.ndarray) -> np.ndarray:
         """One operator per final field occupation, basis order (excited,
         ground).  Every index up to the cutoff is kept, including ones that
-        are identically zero at alpha_c = 0; nothing is pruned."""
-        ts = _check_times(ts)
-        amps = coherent_amplitudes(self.alpha_c, self.cutoff)
-        n = np.arange(self.cutoff + 1, dtype=float)
-        gt = self.g * ts[:, None]
-        theta_up = gt * np.sqrt(n + 1.0)
-        theta_dn = gt * np.sqrt(n)
+        are identically zero at alpha_c = 0; nothing is pruned.  The ground
+        row's angle at level n is theta_(n-1), and cos(0) = 1 at level 0."""
+        ts, amps, theta = self._rabi(ts, self.cutoff + 1)
+        cos, sin = np.cos(theta), np.sin(theta[:, :-1])
         ops = np.zeros((ts.size, self.cutoff + 1, 2, 2), dtype=np.complex128)
-        ops[:, :, 0, 0] = amps * np.cos(theta_up)
-        ops[:, :-1, 0, 1] = -1j * amps[1:] * np.sin(theta_up[:, :-1])
-        ops[:, 1:, 1, 0] = -1j * amps[:-1] * np.sin(theta_dn[:, 1:])
-        ops[:, :, 1, 1] = amps * np.cos(theta_dn)
+        ops[:, :, 0, 0] = amps * cos
+        ops[:, :-1, 0, 1] = -1j * amps[1:] * sin
+        ops[:, 1:, 1, 0] = -1j * amps[:-1] * sin
+        ops[:, 0, 1, 1] = amps[0]
+        ops[:, 1:, 1, 1] = amps[1:] * cos[:, :-1]
         return ops
 
     def states(self, ts: np.ndarray) -> np.ndarray:
         """Reduced atom states of an initially excited atom at the times ts,
-        one (T, cutoff) array of Rabi phases per sum."""
-        ts = _check_times(ts)
-        amps = coherent_amplitudes(self.alpha_c, self.cutoff)
+        one (T, cutoff + 1) table of Rabi angles for every sum."""
+        ts, amps, theta = self._rabi(ts, self.cutoff + 1)
         weights = np.abs(amps) ** 2
-        n_grid = np.arange(self.cutoff + 1)
-        gt = self.g * ts[:, None]
-        theta_up = gt * np.sqrt(n_grid + 1.0)
-        theta_dn = gt * np.sqrt(n_grid[1:].astype(float))
+        cos, sin = np.cos(theta), np.sin(theta[:, :-1])
         out = np.empty((ts.size, 2, 2), dtype=np.complex128)
-        out[:, 0, 0] = np.sum(weights * np.cos(theta_up) ** 2, axis=1)
-        out[:, 1, 1] = np.sum(weights[: self.cutoff] * np.sin(theta_dn) ** 2, axis=1)
-        coherence = 1j * np.sum(
-            np.cos(theta_up[:, 1:]) * np.sin(theta_dn) * amps[1:] * np.conj(amps[:-1]), axis=1
-        )
+        out[:, 0, 0] = np.sum(weights * cos ** 2, axis=1)
+        out[:, 1, 1] = np.sum(weights[: self.cutoff] * sin ** 2, axis=1)
+        coherence = 1j * np.sum(cos[:, 1:] * sin * amps[1:] * np.conj(amps[:-1]), axis=1)
         out[:, 0, 1] = coherence
         out[:, 1, 0] = np.conj(coherence)
         return out
@@ -358,10 +352,10 @@ class JCMPhoton(_JaynesCummings):
     def kraus(self, ts: np.ndarray) -> np.ndarray:
         """[stay, emit] on Fock levels 0..cutoff + 1: cos(theta_n) on the
         diagonal and -i sin(theta_n) moving level n one up, with
-        theta_n = g t sqrt(n + 1)."""
-        ts = _check_times(ts)
+        theta_n = g t sqrt(n + 1); a cutoff too small for the field is
+        refused, as by every Jaynes-Cummings formula."""
+        ts, _, theta = self._rabi(ts, self.dim)
         levels = np.arange(self.dim)
-        theta = self.g * ts[:, None] * np.sqrt(levels + 1.0)
         ops = np.zeros((ts.size, 2, self.dim, self.dim), dtype=np.complex128)
         ops[:, 0, levels, levels] = np.cos(theta)
         ops[:, 1, levels[1:], levels[:-1]] = -1j * np.sin(theta[:, :-1])
@@ -371,9 +365,7 @@ class JCMPhoton(_JaynesCummings):
         """(dim, 2) Kraus factor [K_0 psi, K_1 psi], (T, dim, 2) for T times:
         cos(theta_n) psi_n and -i sin(theta_n) psi_n moved up one level, with
         theta_n = g t sqrt(n + 1) and psi the truncated coherent vector."""
-        ts = _check_times(t)
-        theta = self.g * ts[..., None] * np.sqrt(np.arange(self.cutoff + 1) + 1.0)
-        psi = coherent_amplitudes(self.alpha_c, self.cutoff)
+        ts, psi, theta = self._rabi(t, self.cutoff + 1)
         v = np.zeros(ts.shape + (self.dim, 2), dtype=np.complex128)
         v[..., :-1, 0] = np.cos(theta) * psi
         v[..., 1:, 1] = -1j * np.sin(theta) * psi

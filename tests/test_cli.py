@@ -339,6 +339,14 @@ class TestConfigFile:
         assert main(["witness", "--config", str(conf)]) == 1
         assert "--stop must be finite" in capsys.readouterr().err
 
+    def test_undecodable_config_is_a_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_bytes(b"tau = 1\n\xff\xfe bad = 2\n")
+        assert main(["witness", "--model", "ck", "--config", str(conf)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert f"{conf}:2: not UTF-8 text" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["witness", "--config", str(tmp_path / "absent.conf")]) in (1, 2)
         capsys.readouterr()

@@ -247,6 +247,49 @@ class TestCoherentAmplitudes:
             coherent_amplitudes(2.0, 1)
 
 
+def _coherent_weights(alpha: complex, n_max: int) -> list[float]:
+    """|psi_n|^2 of the coherent state for n = 0..n_max, from ``math``."""
+    mean = abs(alpha) ** 2
+    return [math.exp(-mean) * mean ** n / math.factorial(n) for n in range(n_max + 1)]
+
+
+class TestRabiAngles:
+    """Populations of the coherent exchange against theta_n = g t sqrt(n + 1)
+    written here, so the angle table every formula shares is checked on its own."""
+
+    ALPHA, N_MAX, G = 0.6 + 0.8j, 31, 1.3
+    TIMES = (0.0, 0.37, 1.0, 2.5, 7.9)
+
+    def _angles(self, t: float) -> list[float]:
+        return [self.G * t * math.sqrt(n + 1) for n in range(self.N_MAX + 1)]
+
+    def test_atom_excited_population(self):
+        spec = JCMQubit(g=self.G, alpha_c=self.ALPHA, n_max=self.N_MAX)
+        weights = _coherent_weights(self.ALPHA, self.N_MAX)
+        rho0 = np.diag([1.0, 0.0]).astype(np.complex128)
+        states = spec.states(np.array(self.TIMES))
+        for t, rho in zip(self.TIMES, states):
+            expected = sum(w * math.cos(th) ** 2 for w, th in zip(weights, self._angles(t)))
+            assert abs(rho[0, 0] - expected) <= 1e-13
+            assert abs(apply(spec.channel(t), rho0)[0, 0] - expected) <= 1e-13
+
+    def test_field_populations(self):
+        spec = JCMPhoton(g=self.G, alpha_c=self.ALPHA, n_max=self.N_MAX)
+        weights = _coherent_weights(self.ALPHA, self.N_MAX) + [0.0]
+        rho0 = spec.state(0.0)
+        states = spec.states(np.array(self.TIMES))
+        for t, rho in zip(self.TIMES, states):
+            theta = self._angles(t) + [0.0]
+            expected = [
+                weights[n] * math.cos(theta[n]) ** 2
+                + (weights[n - 1] * math.sin(theta[n - 1]) ** 2 if n else 0.0)
+                for n in range(spec.dim)
+            ]
+            assert np.max(np.abs(np.diagonal(rho) - expected)) <= 1e-13
+            evolved = apply(spec.channel(t), rho0)
+            assert np.max(np.abs(np.diagonal(evolved) - expected)) <= 1e-13
+
+
 class TestAtomMode:
     def test_vacuum_populations(self, rng):
         spec = JCMQubit()
@@ -339,6 +382,13 @@ class TestFieldMode:
                              ids=lambda spec: spec.NAME)
     def test_only_the_field_sector_has_a_factor(self, spec):
         assert spec.factor(1.0) is None
+
+    def test_cutoff_certificate(self):
+        spec = JCMPhoton(alpha_c=2, n_max=1)
+        with pytest.raises(CutoffTooSmall):
+            spec.kraus([0.5])
+        with pytest.raises(CutoffTooSmall):
+            spec.channel(0.5)
 
     def test_channel_reproduces_state(self, rng):
         # the factor is built from its formula, the channel independently

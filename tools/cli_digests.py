@@ -73,6 +73,9 @@ COMMANDS: list[tuple[list[str], bool]] = (
         (["probe", "--model=jcm-qubit", "--alpha=0.6+0.8j", "--n-cut=31"], True),
         (["probe", "--model=jcm-photon", "--n-cut=8"], True),
         (["probe", "--model=ye-nonmarkov", "--t-min=1e-3", "--t-max=1", "--points=20"], True),
+        # exit 2: the cutoff certificate refuses a field that n_cut = 1 cannot hold
+        (["validate", "--model=jcm-photon", "--alpha=2", "--n-cut=1"], False),
+        (["probe", "--model=jcm-photon", "--alpha=2", "--n-cut=1"], True),
     ]
     + [([name, "--help"], False) for name in ("figure", "witness", "probe", "validate")]
 )
