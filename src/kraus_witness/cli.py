@@ -274,7 +274,7 @@ def _summarize_column(x: np.ndarray, y: np.ndarray, name: str, xname: str) -> st
 def cmd_figure(ns: argparse.Namespace) -> int:
     fid = ns.figure_id
     model_name = _FIGURE_MODEL[fid]
-    extra = {"gamma", "gamma2"} if fid == 3 else set()
+    extra = {"gamma2"} if fid == 3 else set()
     spec = _build_spec(model_name, ns, allow_extra=extra)
     tau_raw = _lags(ns, spec)[0] / spec.rate
     # figure 3 compares memory kernels over a shorter window than the model's

@@ -4,13 +4,13 @@ Four families, each exposing the same three faces: its Kraus operators and
 its evolved reference states at an array of times, and (where one exists) a
 closed-form fidelity between the states at two times.  The field sector also
 gives its state as a Kraus factor V, rho = V V^dagger.  Each model class
-holds its own formulas.  The free functions are the channel builders, each
-a model's ``channel(t)``; ye_markov_fidelity, ye_markov_lindblad and
+holds its own formulas.  The free functions are the channel builders and
+ye_markov_fidelity and ye_markov_lindblad, each a model's method;
 coherent_amplitudes, which the classes call; ye_nonmarkov_decay, the memory
-branch's decay record at one time; default_fock_cutoff, which picks the
-Jaynes-Cummings cutoff; the model_* dispatchers; and build_model, which
-builds a model from its registry name.  The channel, state (factor included) and closed-form
-routes are kept independent so the test suite can play them against each other.
+branch's decay record at one time; default_fock_cutoff, the Jaynes-Cummings
+cutoff; the model_* dispatchers; and build_model, a model from its registry
+name.  The channel, state (factor included) and closed-form routes are kept
+independent so the test suite can play them against each other.
 
 Models
 ------
@@ -22,9 +22,10 @@ jcm-qubit      resonant atom-field interaction, atom sector, field initially
 jcm-photon     the same interaction viewed from the truncated field sector.
 ck             qubit dephasing with a cosine coherence revival.
 
-All times are finite and nonnegative; rates are strictly positive.  A model's
-``kraus(ts)`` fills one (T, k, d, d) operator stack for T times, with no
-pruning of zero operators, and ``states(ts)`` one (T, d, d) state stack;
+All times are finite and nonnegative, t + tau of a closed form included, and
+no Rabi angle g t sqrt(n + 1) overflows; rates are strictly positive.  A
+model's ``kraus(ts)`` fills one (T, k, d, d) operator stack for T times, with
+no pruning of zero operators, and ``states(ts)`` one (T, d, d) state stack;
 ``state(t)`` is a stack of one of the latter, and ``channel(t)`` and the free
 channel builders wrap a stack of one of the former as a KrausChannel.
 Per-time scalars of the dephasing families come from ``math``, one call per
@@ -59,19 +60,14 @@ def _check_time(t: float) -> float:
     return t
 
 
-def _check_times(ts: np.ndarray | float) -> np.ndarray:
+def _check_times(ts: np.ndarray | float, t0: float = 0.0) -> np.ndarray:
+    """Times as by _check_time, none of them before the start time t0."""
     ts = np.asarray(ts, dtype=float)
-    for t in ts[~((ts >= 0.0) & (ts < math.inf))].flat:
-        _check_time(t)  # raises at the first refused time
-    return ts
-
-
-def _check_starts(ts: np.ndarray, t0: float) -> np.ndarray:
-    """Times as by _check_times, none of them before the start time t0."""
-    ts = _check_times(ts)
-    early = ts[ts < t0]
-    if early.size:
-        raise NegativeTime(f"t = {float(early[0])!r} precedes the initial time t0 = {t0!r}")
+    refused = ts[~((ts >= t0) & (ts < math.inf))]
+    for t in refused.flat:
+        _check_time(t)  # raises at the first negative or non-finite time
+    if refused.size:
+        raise NegativeTime(f"t = {float(refused[0])!r} precedes the initial time t0 = {t0!r}")
     return ts
 
 
@@ -142,7 +138,15 @@ class ModelSpec:
         return None
 
     def closed_fidelity(self, t: float, tau: float) -> float | None:
-        """Closed-form F[rho(t), rho(t + tau)], or None where none is known."""
+        """Closed-form F[rho(t), rho(t + tau)], or None where none is known;
+        t, tau and t + tau are checked either way, and overshoot clamped at 1."""
+        t, tau = _check_time(t), _check_time(tau)
+        _check_time(t + tau)
+        value = self._closed(t, tau)
+        return None if value is None else min(value, 1.0)
+
+    def _closed(self, t: float, tau: float) -> float | None:
+        """The unclamped closed form at checked times, or None."""
         return None
 
     def lindblad(self) -> LindbladSet | None:
@@ -187,11 +191,17 @@ class YEMarkov(ModelSpec):
         coherence = [self.lam * math.exp(-self.Gamma * t) / 9.0 for t in _check_times(ts).tolist()]
         return _dephase_states((1 / 9, 4 / 9, 4 / 9, 0.0), coherence)
 
-    def closed_fidelity(self, t: float, tau: float) -> float:
-        return ye_markov_fidelity(t, tau, self.Gamma, self.lam)
+    def _closed(self, t: float, tau: float) -> float:
+        # the states commute, so F is the classical overlap of their spectra
+        x = self.lam * math.exp(-self.Gamma * t)
+        y = self.lam * math.exp(-self.Gamma * (t + tau))
+        return (1.0 + math.sqrt((4.0 + x) * (4.0 + y)) + math.sqrt((4.0 - x) * (4.0 - y))) ** 2 / 81.0
 
     def lindblad(self) -> LindbladSet:
-        return ye_markov_lindblad(self.Gamma)
+        """Jump operators generating the exponential dephasing branch."""
+        l1 = np.diag([1.0, 0.0, 1.0, 0.0]).astype(np.complex128)
+        l2 = np.diag([1.0, 1.0, 0.0, 0.0]).astype(np.complex128)
+        return LindbladSet((l1, l2), rate=self.Gamma)
 
 
 @dataclass(frozen=True)
@@ -235,13 +245,10 @@ class YENonMarkov(ModelSpec):
         a = self.alpha_x
         return _dephase_states((a / 3, 1 / 3, 1 / 3, (1.0 - a) / 3), coherence)
 
-    def closed_fidelity(self, t: float, tau: float) -> float:
-        t = _check_time(t)
-        tau = _check_time(tau)
-        _, (p1, p2), (q1, q2) = _memory_decays([t, _check_time(t + tau)], self.Gamma, self.gamma)
+    def _closed(self, t: float, tau: float) -> float:
+        _, (p1, p2), (q1, q2) = _memory_decays([t, t + tau], self.Gamma, self.gamma)
         # 1 - p^2 = q^2 exactly through expm1, so the small-f branch keeps digits
-        value = (1.0 + math.sqrt((1.0 + p1 ** 2) * (1.0 + p2 ** 2)) + q1 * q2) ** 2 / 9.0
-        return min(value, 1.0)
+        return (1.0 + math.sqrt((1.0 + p1 ** 2) * (1.0 + p2 ** 2)) + q1 * q2) ** 2 / 9.0
 
 
 @dataclass(frozen=True)
@@ -279,7 +286,15 @@ class _JaynesCummings(ModelSpec):
         angles theta_n = g t sqrt(n + 1) for n < levels, one row per time."""
         ts = _check_times(ts)
         amps = coherent_amplitudes(self.alpha_c, self.cutoff)
+        self._check_angle(float(ts.max(initial=0.0)), levels)
         return ts, amps, self.g * ts[..., None] * np.sqrt(np.arange(levels) + 1.0)
+
+    def _check_angle(self, t: float, levels: int = 1) -> None:
+        """Refuse a time t whose largest Rabi angle g t sqrt(levels) overflows."""
+        if not math.isfinite(self.g * t * math.sqrt(levels)):
+            raise ParamOutOfRange(
+                f"Rabi angle g t sqrt({levels}) is not finite at g = {self.g!r}, t = {t!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -319,17 +334,15 @@ class JCMQubit(_JaynesCummings):
         out[:, 1, 0] = np.conj(coherence)
         return out
 
-    def closed_fidelity(self, t: float, tau: float) -> float | None:
+    def _closed(self, t: float, tau: float) -> float | None:
         # the closed form covers the vacuum field only; pi/g periodic in t
         if self.alpha_c != 0:
             return None
-        t = _check_time(t)
-        tau = _check_time(tau)
+        self._check_angle(t + tau)
         g = self.g
         c1, s1 = math.cos(g * t), math.sin(g * t)
         c2, s2 = math.cos(g * (t + tau)), math.sin(g * (t + tau))
-        value = (abs(c1 * c2) + abs(s1 * s2)) ** 2
-        return min(value, 1.0)
+        return (abs(c1 * c2) + abs(s1 * s2)) ** 2
 
 
 @dataclass(frozen=True)
@@ -417,7 +430,7 @@ class CKDephase(ModelSpec):
     def kraus(self, ts: np.ndarray) -> np.ndarray:
         """cos((t - t0)/2) I and sin((t - t0)/2) sigma_z; times before t0
         are refused."""
-        half = [0.5 * (t - self.t0) for t in _check_starts(ts, self.t0).tolist()]
+        half = [0.5 * (t - self.t0) for t in _check_times(ts, self.t0).tolist()]
         cos = np.array([math.cos(h) for h in half])[:, None, None]
         sin = np.array([math.sin(h) for h in half])[:, None, None]
         k0 = cos * np.eye(2, dtype=np.complex128)
@@ -428,7 +441,7 @@ class CKDephase(ModelSpec):
         """Populations frozen, coherence scaled by cos(t - t0), one
         ``math.cos`` per time; times before t0 are refused, as by the
         channel."""
-        ts = _check_starts(ts, self.t0).tolist()
+        ts = _check_times(ts, self.t0).tolist()
         off = np.array([self.rho12 * math.cos(t - self.t0) for t in ts])
         out = np.empty((len(ts), 2, 2), dtype=np.complex128)
         out[:, 0, 0] = self.rho11
@@ -437,15 +450,12 @@ class CKDephase(ModelSpec):
         out[:, 1, 1] = self.rho22
         return out
 
-    def closed_fidelity(self, t: float, tau: float) -> float | None:
+    def _closed(self, t: float, tau: float) -> float | None:
         # the closed form covers the default, maximally coherent start only
         if (self.rho11, self.rho22, self.rho12, self.t0) != (0.5, 0.5, 0.5 + 0j, 0.0):
             return None
-        t = _check_time(t)
-        tau = _check_time(tau)
         c1, c2 = math.cos(t), math.cos(t + tau)
-        value = 0.5 * (1.0 + c1 * c2 + abs(math.sin(t) * math.sin(t + tau)))
-        return min(value, 1.0)
+        return 0.5 * (1.0 + c1 * c2 + abs(math.sin(t) * math.sin(t + tau)))
 
     def lindblad(self) -> LindbladSet:
         """Memory-kernel operator set for the cosine-revival model."""
@@ -529,25 +539,13 @@ def ye_markov_channel(t: float, Gamma: float = 1.0) -> KrausChannel:
 
 
 def ye_markov_fidelity(t: float, tau: float, Gamma: float = 1.0, lam: float = 0.5) -> float:
-    """Closed-form fidelity between the reference states at t and t + tau.
-
-    The two states commute for all times, so the fidelity reduces to the
-    classical overlap of the eigenvalue lists.
-    """
-    t = _check_time(t)
-    tau = _check_time(tau)
-    x = lam * math.exp(-Gamma * t)
-    y = lam * math.exp(-Gamma * (t + tau))
-    value = (1.0 + math.sqrt((4.0 + x) * (4.0 + y)) + math.sqrt((4.0 - x) * (4.0 - y))) ** 2 / 81.0
-    return min(value, 1.0)
+    """Closed-form fidelity between the reference states at t and t + tau."""
+    return YEMarkov(Gamma=Gamma, lam=lam).closed_fidelity(t, tau)
 
 
 def ye_markov_lindblad(Gamma: float = 1.0) -> LindbladSet:
     """Jump operators generating the exponential dephasing branch."""
-    _check_rate(Gamma, "Gamma")
-    l1 = np.diag([1.0, 0.0, 1.0, 0.0]).astype(np.complex128)
-    l2 = np.diag([1.0, 1.0, 0.0, 0.0]).astype(np.complex128)
-    return LindbladSet((l1, l2), rate=Gamma)
+    return YEMarkov(Gamma=Gamma).lindblad()
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,14 @@ class TestFigureCommand:
         assert header == ["t", "F_markov", "F_nonmarkov"]
         assert np.min(body[:, 2] - body[:, 1]) >= -1e-10
 
+    def test_memory_comparison_rates(self, tmp_path, capsys):
+        # --gamma sets the slow kernel, --gamma2 the fast one
+        out = tmp_path / "f3.csv"
+        assert main(["figure", "3", "--gamma", "0.02", "--gamma2", "5", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("F_markov(gamma=5): ")
+        assert lines[2].startswith("F_nonmarkov(gamma=0.02): ")
+
     def test_revival_figure_stays_positive(self, tmp_path):
         out = tmp_path / "f5.csv"
         assert main(["figure", "5", "--out", str(out)]) == 0
@@ -149,6 +157,14 @@ class TestWitnessCommand:
         assert main(["witness", "--model", "ck"]) == 1
         capsys.readouterr()
 
+    def test_overflowing_later_time_is_refused(self, capsys):
+        # the grid's later rows put t + tau beyond the largest float
+        argv = ["--tau=1.7e308", "--start=0", "--stop=1.7e308", "--step=1e307"]
+        assert main(["witness", "--model=ck"] + argv) == 2
+        assert main(["figure", "1"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: evolution time must be finite and nonnegative, got inf") == 2
+
 
 class TestProbeCommand:
     def test_sqrt_family(self, capsys):
@@ -214,6 +230,19 @@ class TestValidateCommand:
         assert main(["validate", "--model", "ck", "--start", "0", "--stop", "0.01"]) == 0
         assert "over 50 times" in capsys.readouterr().out
 
+    def test_defect_beyond_tolerance_exits_two(self, monkeypatch, capsys):
+        # no reference model reaches it, so the operators are scaled by 1 + 1e-9
+        kraus = JCMQubit.kraus
+        monkeypatch.setattr(JCMQubit, "kraus", lambda self, ts: kraus(self, ts) * (1.0 + 1e-9))
+        assert main(["validate", "--model", "jcm-qubit"]) == 2
+        out = capsys.readouterr().out
+        assert "max completeness defect 2.000e-09" in out
+        assert out.endswith("channel completeness defect exceeds 1e-10\n")
+
+    def test_overflowing_rabi_angle_is_refused(self, capsys):
+        assert main(["validate", "--model", "jcm-qubit", "--alpha", "1", "--stop", "1.7e308"]) == 2
+        assert "error: Rabi angle" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -252,6 +281,20 @@ class TestUsageErrors:
     def test_exit_code_one(self, argv, capsys):
         assert main(argv) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["witness", "--model", "ck", "--start", "2", "--stop", "1"],
+             "grid must satisfy stop > start >= 0, got start=2.0 stop=1.0"),
+            (["probe", "--model", "ck", "--t-min", "0.01", "--t-max", "0.001"],
+             "probe window must satisfy 0 < t-min < t-max, got [0.01, 0.001]"),
+        ],
+        ids=["stop-before-start", "probe-window-reversed"],
+    )
+    def test_reversed_windows_are_named(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
     def test_inapplicable_param_names_flag(self, capsys):
         main(["witness", "--model", "ck", "--lambda", "1.0"])
@@ -309,6 +352,25 @@ class TestConfigFile:
         conf.write_text("model = ck\ntau = abc\n")
         assert main(["witness", "--config", str(conf)]) == 1
         capsys.readouterr()
+
+    def test_malformed_parameter_value_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "w.conf"
+        conf.write_text("model = ye-markov\nGamma = fast\n")
+        assert main(["witness", "--config", str(conf)]) == 1
+        assert "config key 'Gamma' has malformed value 'fast'" in capsys.readouterr().err
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        conf = tmp_path / "w.conf"
+        conf.write_text("model = ck\ntau 1\n")
+        assert main(["witness", "--config", str(conf)]) == 1
+        assert f"{conf}:2: expected key=value, got 'tau 1'" in capsys.readouterr().err
+
+    def test_unknown_model_rejected(self, tmp_path, capsys):
+        # the flag's choices never see a model named in the file
+        conf = tmp_path / "w.conf"
+        conf.write_text("model = nope\n")
+        assert main(["witness", "--config", str(conf)]) == 1
+        assert "unknown model 'nope'; choose one of ck, jcm-photon" in capsys.readouterr().err
 
     def test_empty_lag_list_rejected(self, tmp_path, capsys):
         conf = tmp_path / "w.conf"

@@ -38,6 +38,7 @@ from kraus_witness import (
 
 from kraus_witness import models
 from conftest import oracle_fidelity
+from test_acceptance import CLOSED_FORM_SPECS
 
 ALL_SPECS = [YEMarkov(), YENonMarkov(), JCMQubit(), JCMPhoton(), CKDephase()]
 
@@ -288,6 +289,33 @@ class TestRabiAngles:
             assert np.max(np.abs(np.diagonal(rho) - expected)) <= 1e-13
             evolved = apply(spec.channel(t), rho0)
             assert np.max(np.abs(np.diagonal(evolved) - expected)) <= 1e-13
+
+
+class TestRabiAngleOverflow:
+    """A finite time whose Rabi angle g t sqrt(n + 1) overflows is refused
+    by name, before any NaN or overflow warning appears."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [JCMQubit(alpha_c=1), JCMPhoton(alpha_c=1), JCMPhoton()],
+                             ids=["qubit-coherent", "photon-coherent", "photon-vacuum"])
+    def test_stacks_refuse_the_time(self, spec):
+        factor = (spec.factor,) if isinstance(spec, JCMPhoton) else ()
+        for build in (spec.kraus, spec.states) + factor:
+            with pytest.raises(ParamOutOfRange, match="Rabi angle"):
+                build(np.array([0.0, 1e308]))
+        with pytest.raises(ParamOutOfRange, match="Rabi angle"):
+            spec.channel(1e308)
+
+    @pytest.mark.filterwarnings("error")
+    def test_closed_form_refuses_the_time(self):
+        # t + tau = 2e307 is finite, g (t + tau) is not
+        with pytest.raises(ParamOutOfRange, match="Rabi angle g t sqrt\\(1\\)"):
+            JCMQubit(g=10).closed_fidelity(1e307, 1e307)
+        assert 0.0 <= JCMQubit(g=10).closed_fidelity(1e306, 1e306) <= 1.0
+
+    def test_empty_stacks_need_no_angle(self):
+        assert JCMQubit().kraus([]).shape == (0, 21, 2, 2)
+        assert JCMPhoton().factor(np.array([])).shape == (0, 22, 2)
 
 
 class TestAtomMode:
@@ -568,6 +596,30 @@ class TestDispatch:
         assert model_closed_fidelity(JCMPhoton(), 0.1, 0.2) is None
         assert model_closed_fidelity(CKDephase(), 0.1, 0.2) is not None
         assert model_closed_fidelity(CKDephase(rho11=0.3, rho22=0.7, rho12=0.2), 0.1, 0.2) is None
+
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda s: s.NAME)
+    def test_closed_forms_refuse_an_infinite_later_time(self, spec):
+        # t and tau are finite, t + tau overflows
+        with pytest.raises(NegativeTime, match="got inf"):
+            spec.closed_fidelity(1e308, 1e308)
+
+    @pytest.mark.parametrize("spec", [JCMPhoton(), JCMQubit(alpha_c=1.0),
+                                      CKDephase(rho11=0.3, rho22=0.7, rho12=0.2)],
+                             ids=lambda s: s.NAME)
+    def test_times_are_checked_where_no_closed_form_exists(self, spec):
+        for t, tau in ((-1.0, 0.5), (0.5, math.nan), (1e308, 1e308)):
+            with pytest.raises(NegativeTime):
+                spec.closed_fidelity(t, tau)
+
+    def test_closed_forms_clamp_only_in_the_base_class(self):
+        assert "closed_fidelity" in vars(models.ModelSpec)
+        for cls in MODEL_CLASSES.values():
+            assert "closed_fidelity" not in vars(cls), cls.NAME
+
+    @pytest.mark.parametrize("params", [dict(lam=9.0), dict(Gamma=-1.0), dict(Gamma=math.nan)])
+    def test_free_closed_form_checks_its_parameters(self, params):
+        with pytest.raises(ParamOutOfRange):
+            ye_markov_fidelity(1.0, 1.0, **params)
 
     def test_lindblad_availability(self):
         assert YEMarkov().lindblad() is not None

@@ -76,6 +76,8 @@ COMMANDS: list[tuple[list[str], bool]] = (
         # exit 2: the cutoff certificate refuses a field that n_cut = 1 cannot hold
         (["validate", "--model=jcm-photon", "--alpha=2", "--n-cut=1"], False),
         (["probe", "--model=jcm-photon", "--alpha=2", "--n-cut=1"], True),
+        # t + tau overflows to inf on the later rows of the grid
+        (["figure", "1", "--tau=1.7e308", "--start=0", "--stop=1.7e308", "--step=1e307"], True),
     ]
     + [([name, "--help"], False) for name in ("figure", "witness", "probe", "validate")]
 )
