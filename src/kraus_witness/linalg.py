@@ -8,11 +8,12 @@ Jacobi kernel, ``_jacobi``, and it works on (B, n, n) stacks: the stack
 functions (``fidelities``, ``trace_norms``, ``validate_densities``) make one
 or two calls for a whole stack, and the single-matrix ones pass a stack of
 one.  The kernel holds its copy of the stack entry-major, as an (n, n, B)
-array, so that each matrix entry across the batch is one contiguous vector.
-Every caller hands it an exactly Hermitian stack (the ``_hermitized``
-average, or (M + M^dagger)/2), so it reads only the upper triangle and
-rotates only rows: the two columns a pivot touches are written as the
-conjugates of its two new rows.
+array, so that each matrix entry across the batch is one contiguous vector;
+for eigenvectors it is (n, 2n, B), the identity beside the matrix.  Every
+caller hands it an exactly Hermitian stack (the ``_hermitized`` average, or
+(M + M^dagger)/2), so it reads only the upper triangle and rotates only
+rows, which turns that identity into V^dagger: the two matrix columns a
+pivot touches are written as the conjugates of its two new rows.
 """
 from __future__ import annotations
 
@@ -68,17 +69,17 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
 
     Reads only the upper triangle of each matrix, diagonal included, and
     takes the lower one as its conjugate, so the input must be Hermitian.
-    The stack is copied once into an entry-major (n, n, B) array, (2n, n, B)
-    with ``vectors``, the eigenvector rows below; the input is never written.
-    Sweeps all upper-triangle pivots in row order, each time applying to the
-    whole stack the complex plane rotation that zeroes that pivot.  Only
-    rows p and q are rotated.  Columns p and q of the matrix become the
-    conjugates of the new rows, its diagonal entries a_pp - t|a_pq| and
-    a_qq + t|a_pq|, and the pivot and its mirror zero; with ``vectors``
-    columns p and q of the eigenvector block are rotated too.  A matrix
-    leaves the batch as soon as its own off-diagonal Frobenius mass, sqrt(2)
-    times that of its upper triangle, is at most 1e-14 (scaled by its norm
-    when that exceeds 1), so its result does not depend on the rest of the
+    The stack is copied once into an entry-major (n, n, B) array, (n, 2n, B)
+    with ``vectors``, the identity as n more columns; the input is never
+    written.  Sweeps all upper-triangle pivots in row order, each time
+    applying to the whole stack the complex plane rotation R that zeroes
+    that pivot.  Only rows p and q are rotated, by R^dagger, which turns
+    the extra columns into V^dagger.  Columns p and q of the matrix become
+    the conjugates of the new rows, its diagonal entries a_pp - t|a_pq| and
+    a_qq + t|a_pq|, and the pivot and its mirror zero.  A matrix leaves the
+    batch as soon as its own off-diagonal Frobenius mass, sqrt(2) times
+    that of its upper triangle, is at most 1e-14 (scaled by its norm when
+    that exceeds 1), so its result does not depend on the rest of the
     stack.  A pivot at or below 1e-300 gets the identity rotation (c = 1,
     s = 0) instead of a division.
     """
@@ -89,13 +90,12 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
     target = _OFFDIAG_TARGET * np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
     # entry-major: a[i, j] is entry (i, j) of every matrix, one contiguous
     # vector
-    a = np.zeros((2 * n if vectors else n, n, b), dtype=np.complex128)
-    a[:n] = arr.transpose(1, 2, 0)
+    a = np.zeros((n, 2 * n if vectors else n, b), dtype=np.complex128)
+    a[:, :n] = arr.transpose(1, 2, 0)
     diagonal = np.arange(n)
     if vectors:
-        # the identity rides below the matrix as n more rows, and the column
-        # rotations turn it into the eigenvectors
-        a[n + diagonal, diagonal] = 1.0
+        # rotating the rows of [A | I] by R^dagger turns I into V^dagger
+        a[diagonal, n + diagonal] = 1.0
     upper = np.triu_indices(n, 1)
     active = np.arange(b)
     work = a
@@ -126,33 +126,29 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
                 c = 1.0 / np.hypot(1.0, t)
                 # s e^(i arg a_pq), s = t c
                 sp = apq * (t * c / r)
-                spc = sp.conj()
                 # c as complex gives the same products without a cast per row
                 c = c.astype(np.complex128)
                 row_p, row_q = work[p], work[q]
                 new_p = c * row_p
                 new_p -= sp * row_q
-                new_q = spc * row_p
+                new_q = sp.conj() * row_p
                 new_q += c * row_q
                 work[p], work[q] = new_p, new_q
                 # the rotated matrix is Hermitian: its columns p and q are
                 # the conjugates of the new rows, with no rotation of their own
-                np.conjugate(new_p, out=work[:n, p])
-                np.conjugate(new_q, out=work[:n, q])
+                np.conjugate(new_p[:n], out=work[:, p])
+                np.conjugate(new_q[:n], out=work[:, q])
                 work[p, p], work[q, q] = new_pp, new_qq
                 # the rotation annihilates the pivot exactly and a skipped
                 # pivot is negligible; either way drop the residue
                 work[p, q] = work[q, p] = 0.0
-                if vectors:
-                    col_p, col_q = work[n:, p], work[n:, q]
-                    work[n:, p], work[n:, q] = c * col_p - spc * col_q, sp * col_p + c * col_q
     else:
         raise NoConvergence(
             f"Jacobi sweeps exhausted for batch index {int(active[0])} "
             f"({active.size} of {b} matrices unconverged)"
         )
     eigenvalues = a[diagonal, diagonal].real.T.copy()
-    return eigenvalues, (np.ascontiguousarray(a[n:].transpose(2, 0, 1)) if vectors else None)
+    return eigenvalues, (np.conjugate(a[:, n:].transpose(2, 1, 0), order="C") if vectors else None)
 
 
 def _require_finite(arr: np.ndarray, error: type[NonHermitian]) -> None:

@@ -138,10 +138,13 @@ def _fidelities(
     """F[rho(t), rho(t + lag)] over ts and lags broadcast together: one
     ``fidelities`` call on the generic route, one ``factor_fidelity`` call
     on the factor route, one scalar call per pair on the closed route."""
+    with np.errstate(over="ignore"):
+        # an overflowing t + lag is inf, which states and factor refuse by name
+        later = ts + lags
     if route == _GENERIC:
-        return fidelities(*np.broadcast_arrays(spec.states(ts), spec.states(ts + lags)))
+        return fidelities(*np.broadcast_arrays(spec.states(ts), spec.states(later)))
     if route == _FACTOR:
-        return factor_fidelity(*np.broadcast_arrays(spec.factor(ts), spec.factor(ts + lags)))
+        return factor_fidelity(*np.broadcast_arrays(spec.factor(ts), spec.factor(later)))
     pairs = np.broadcast(ts, lags)
     return np.array([model_closed_fidelity(spec, float(t), float(lag)) for t, lag in pairs])
 

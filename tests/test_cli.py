@@ -165,6 +165,14 @@ class TestWitnessCommand:
         err = capsys.readouterr().err
         assert err.count("error: evolution time must be finite and nonnegative, got inf") == 2
 
+    def test_overflowing_later_time_is_refused_on_the_generic_route(self, capsys):
+        # a mixed ck state has no closed form; numpy's t + tau must not warn
+        argv = ["witness", "--model=ck", "--rho11=0.9", "--rho22=0.1", "--rho12=0.1",
+                "--tau=1.7e308", "--start=0", "--stop=1.7e308", "--step=1e307"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: evolution time must be finite and nonnegative, got inf\n"
+
 
 class TestProbeCommand:
     def test_sqrt_family(self, capsys):

@@ -183,6 +183,10 @@ class TestTraceDistance:
             assert d12 == pytest.approx(trace_distance(rho2, rho1), abs=1e-12)
             assert 0.0 <= d12 <= 1.0 + 1e-12
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="state shapes differ"):
+            trace_distance(np.eye(2, dtype=complex) / 2, np.eye(3, dtype=complex) / 3)
+
 
 class TestValidateDensity:
     def test_accepts_valid(self, rng):

@@ -124,6 +124,11 @@ class TestSpecValidation:
         with pytest.raises(ParamOutOfRange):
             cls(alpha_c=alpha, n_max=10)
 
+    @pytest.mark.parametrize("cls", [JCMQubit, JCMPhoton])
+    def test_jcm_cutoff_below_one(self, cls):
+        with pytest.raises(ParamOutOfRange, match="n_max must be at least 1, got 0"):
+            cls(n_max=0)
+
 
 class TestExponentialDephasing:
     def test_time_zero_is_identity(self):
@@ -246,6 +251,11 @@ class TestCoherentAmplitudes:
     def test_rejects_tiny_cutoff(self):
         with pytest.raises(CutoffTooSmall):
             coherent_amplitudes(2.0, 1)
+
+    def test_rejects_cutoff_below_one(self):
+        # even the vacuum, which n_max = 0 would hold exactly
+        with pytest.raises(ParamOutOfRange, match="n_max must be at least 1, got 0"):
+            coherent_amplitudes(0j, 0)
 
 
 def _coherent_weights(alpha: complex, n_max: int) -> list[float]:

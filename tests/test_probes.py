@@ -123,6 +123,20 @@ class TestSmallTimeExponents:
         with pytest.raises(GridTooCoarse):
             small_time_exponents(YEMarkov(), t_grid=np.geomspace(1e-2, 1e-4, 12))
 
+    def test_operator_vanishing_inside_the_window(self):
+        # K2 is exactly zero up to 1e-3 and sqrt(t / 4) X after it, while K1
+        # stays fittable, so no FitDegenerate hides the note
+        def family(t):
+            s = t / 4 if t >= 1e-3 else 0.0
+            eye, z, x = np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+            ops = (math.sqrt(1 - t / 2 - s) * eye, math.sqrt(t / 2) * z, math.sqrt(s) * x)
+            return KrausChannel(np.array(ops, dtype=complex))
+
+        fits = fits_by_index(small_time_exponents(family))
+        assert fits[1].classification == SQRT_T
+        assert fits[2].classification == UNCLASSIFIED
+        assert fits[2].note == "vanishes inside the window, no power law"
+
     def test_constant_family_degenerate(self):
         family = lambda t: KrausChannel((np.eye(2, dtype=complex),))  # noqa: E731
         with pytest.raises(FitDegenerate):

@@ -16,6 +16,7 @@ from kraus_witness import (
     InvalidChannel,
     JCMPhoton,
     JCMQubit,
+    NegativeTime,
     NO_VIOLATION_FOUND,
     NON_MARKOVIAN_WITNESSED,
     NotHermitian,
@@ -338,6 +339,16 @@ class TestNonFiniteGrids:
             markovianity_verdict(spec, (0.5,), grid)
         with pytest.raises(GridTooCoarse, match="finite"):
             memory_fidelity(spec, grid)
+
+    # the grid and tau are finite, t + tau overflows on the later rows; the
+    # small g keeps the field sector's Rabi angles finite
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [
+        CKDephase(), JCMPhoton(g=1e-3, alpha_c=1), CKDephase(rho11=0.9, rho22=0.1, rho12=0.1),
+    ], ids=["closed", "factor", "generic"])
+    def test_overflowing_later_time(self, spec):
+        with pytest.raises(NegativeTime, match="finite and nonnegative, got inf"):
+            scan_G(spec, make_grid(0.0, 1.7e308, 1e307), 1.7e308)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_revival_grid(self, bad):

@@ -78,6 +78,9 @@ COMMANDS: list[tuple[list[str], bool]] = (
         (["probe", "--model=jcm-photon", "--alpha=2", "--n-cut=1"], True),
         # t + tau overflows to inf on the later rows of the grid
         (["figure", "1", "--tau=1.7e308", "--start=0", "--stop=1.7e308", "--step=1e307"], True),
+        # the same overflow on the generic route
+        (["witness", "--model=ck", "--rho11=0.9", "--rho22=0.1", "--rho12=0.1", "--tau=1.7e308",
+          "--start=0", "--stop=1.7e308", "--step=1e307"], True),
     ]
     + [([name, "--help"], False) for name in ("figure", "witness", "probe", "validate")]
 )
