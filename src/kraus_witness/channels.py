@@ -47,8 +47,13 @@ def _sandwich(ops: np.ndarray, state: np.ndarray) -> np.ndarray:
 
 
 def _gram(ops: np.ndarray) -> np.ndarray:
-    """sum_i K_i^dagger K_i over the operator axis of a (..., k, d, d) stack."""
-    return (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
+    """sum_i K_i^dagger K_i over the operator axis of a (..., k, d, d) stack,
+    as one product F^dagger F of the operators stacked into a (..., k d, d)
+    column F, since k tiny products and their sum cost about ten times as
+    much on a stack of channels of 21 qubit operators."""
+    *lead, k, d, _ = ops.shape
+    column = ops.reshape(*lead, k * d, d)
+    return column.conj().swapaxes(-1, -2) @ column
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,14 +48,14 @@ _CROSS_CHECK_STRIDE = 10
 _CROSS_CHECK_TOL = 1e-9
 
 _MIN_BLP_POINTS = 200
-# a revival chunk: the times whose evolved differences (pairs x times
-# matrices, at most this many, whole times and at least one) go to
-# trace_norms in one call.  Default blp_measure, best of three runs on
-# 2 vCPUs, at 256 / 512 / 1,024 / 2,048: jcm-photon 3.3 / 3.5 / 3.6 / 4.0 s
-# at 54 / 62 / 91 / 126 MB peak RSS, ye-nonmarkov 87 / 59 / 46 / 41 ms at
-# 36.0 / 36.5 / 37.1 / 38.9 MB; 512 trades the d = 4 speed of larger chunks
-# for memory
-_TRACE_NORM_CHUNK = 512
+# bytes of evolved differences (pairs x times matrices of 16 d^2 bytes, whole
+# times and at least one) a revival chunk hands to trace_norms in one call.
+# Default blp_measure, alternating runs on 2 vCPUs at 1 / 2 / 4 MiB:
+# jcm-photon (27 times a chunk at 2 MiB) 3.1-3.5 / 2.6-2.7 / 3.1 s at
+# 53 / 54 / 64 MB peak RSS, ye-nonmarkov 35 / 35 / 34 ms at 42 / 47 / 47 MB.
+# From 1 MiB on, each d <= 4 model of the bench's revival workload is one
+# call, so its kernel pays its fixed cost per call (about 1 ms at d = 4) once
+_REVIVAL_CHUNK_BYTES = 2 << 20
 # bytes of (d^2, d^2) transfer matrices built at once, whole times and at
 # least one: 512 times at d = 2, 32 at d = 4, one at d >= 9 (d = 22 on the
 # field sector); stacks of 128 times at d = 4 raised peak RSS by about 1 MB
@@ -382,11 +382,13 @@ def _revival_distances(
     """(pairs x times) trace distances D = (1/2)||Lambda_t(rho1 - rho2)||_1.
 
     Every state is checked first, all in one stack.  The channel is linear,
-    so each pair is evolved once, as its difference.  Each chunk of times
-    gets one ``kraus`` stack, one stacked transfer-matrix call (one
-    completeness check) and one product evolving every difference at every
-    time, split where the transfer stack would pass 128 KB;
-    ``trace_norms`` then takes the chunk's norms in one call.
+    so each pair is evolved once, as its difference.  A chunk holds as many
+    times as keep its evolved differences within 2 MiB (at least one).
+    Each chunk gets one ``kraus`` stack, one stacked transfer-matrix call
+    (one completeness check) and one product evolving every difference at
+    every time, split where the transfer stack would pass 128 KiB;
+    ``trace_norms`` then takes the chunk's norms in one call.  A norm does
+    not depend on the batch it is taken in, so the chunking moves no bit.
     """
     dim = spec.dim
     states = validate_densities(np.array([
@@ -394,7 +396,7 @@ def _revival_distances(
     ]))
     differences = (states[0::2] - states[1::2]).reshape(len(pairs), dim * dim)
     distances = np.empty((len(pairs), grid.size))
-    times_per_chunk = max(1, _TRACE_NORM_CHUNK // len(pairs))
+    times_per_chunk = max(1, _REVIVAL_CHUNK_BYTES // (16 * dim * dim * len(pairs)))
     times_per_stack = max(1, _TRANSFER_STACK_BYTES // (16 * dim ** 4))
     for start in range(0, grid.size, times_per_chunk):
         times = grid[start:start + times_per_chunk]

@@ -21,6 +21,7 @@ from kraus_witness import (
     channel_defect,
     ck_channel,
     compose,
+    default_blp_grid,
     lgks_rhs,
     model_channel,
     model_state,
@@ -317,6 +318,20 @@ class TestStackedMatchesLoop:
             products = [kl @ ke for kl in ops for ke in early.operators]
             np.testing.assert_allclose(composed.operators, products, rtol=0.0, atol=1e-15)
             assert composed.valid_dim == channel.valid_dim
+
+    @pytest.mark.parametrize("spec", [JCMQubit(), YENonMarkov(), JCMPhoton()],
+                             ids=["jcm-qubit", "ye-nonmarkov", "jcm-photon"])
+    def test_stacked_defects(self, spec):
+        ops = spec.kraus(default_blp_grid(spec))
+        block = spec.valid_dim
+        # reversing the operator axis makes a non-contiguous view of the same channels
+        for stack in (ops, ops[:, ::-1]):
+            grams = np.array([loop_gram(channel)[:block, :block] for channel in stack])
+            np.testing.assert_allclose(channels._gram(stack)[:, :block, :block], grams,
+                                       rtol=0.0, atol=1e-15)
+            expected = np.max(np.abs(grams - np.eye(block)), axis=(1, 2))
+            np.testing.assert_allclose(channels._defects(stack, block), expected,
+                                       rtol=0.0, atol=1e-15)
 
     def test_jcm_qubit_keeps_every_operator(self):
         spec = JCMQubit()

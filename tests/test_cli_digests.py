@@ -3,13 +3,15 @@ writes and exits exactly as recorded in tools/cli_digests.txt."""
 from __future__ import annotations
 
 import importlib.util
+import sys
+import warnings
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("cli_digests", TOOLS / "cli_digests.py")
+def _load_tool(tools=TOOLS):
+    spec = importlib.util.spec_from_file_location("cli_digests", tools / "cli_digests.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -35,3 +37,30 @@ def test_cli_output_matches_golden_digests(tmp_path):
         if old != new
     ]
     assert not moved, "CLI output moved for:\n" + "\n".join(moved)
+
+
+def test_warning_digests_alike_in_two_checkouts(tmp_path, monkeypatch):
+    # a second checkout of the tool, at another root
+    other = tmp_path / "other" / "tools"
+    other.mkdir(parents=True)
+    (other / "cli_digests.py").write_bytes((TOOLS / "cli_digests.py").read_bytes())
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tools = [_load_tool(), _load_tool(other)]
+    assert tools[0].ROOT != tools[1].ROOT
+
+    lines = []
+    for tool in tools:
+        source = tool.ROOT / "src" / "kraus_witness" / "witnesses.py"
+
+        def warns(argv, source=source):
+            # a warning's text quotes the absolute path of its source file
+            sys.stderr.write(warnings.formatwarning(
+                "overflow encountered in add", RuntimeWarning, str(source), 142,
+                line="later = ts + lags",
+            ))
+            return 0
+
+        monkeypatch.setattr(tool, "main", warns)
+        with tool.pinned(tmp_path):
+            lines.append(tool.digest(["witness"], False))
+    assert lines[0] == lines[1]

@@ -628,23 +628,28 @@ class TestRevivalDistances:
         slow = _per_pair_distances(spec, grid, pairs)
         np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-13)
 
-    def test_chunking_changes_nothing(self, monkeypatch):
-        spec = YENonMarkov()
+    @pytest.mark.parametrize("spec", [YEMarkov(), YENonMarkov(), JCMQubit(), JCMPhoton(),
+                                      CKDephase()],
+                             ids=["ye-markov", "ye-nonmarkov", "jcm-qubit", "jcm-photon", "ck"])
+    def test_chunking_changes_nothing(self, spec, monkeypatch):
         grid = default_blp_grid(spec)[:25]
         pairs = default_blp_pairs(spec)
         whole = witnesses._revival_distances(spec, grid, pairs)
         # a chunk of 7 times per trace_norms call, the last one short
-        monkeypatch.setattr(witnesses, "_TRACE_NORM_CHUNK", 7 * len(pairs))
+        monkeypatch.setattr(witnesses, "_REVIVAL_CHUNK_BYTES", 7 * 16 * spec.dim ** 2 * len(pairs))
         np.testing.assert_array_equal(witnesses._revival_distances(spec, grid, pairs), whole)
         # and transfer stacks of 3 times inside each chunk, the last one short
         monkeypatch.setattr(witnesses, "_TRANSFER_STACK_BYTES", 3 * 16 * spec.dim ** 4)
         np.testing.assert_array_equal(witnesses._revival_distances(spec, grid, pairs), whole)
 
-    @pytest.mark.parametrize("spec, times_per_stack", [(CKDephase(), 6), (JCMPhoton(), 1)],
-                             ids=["ck", "jcm-photon"])
-    def test_one_kraus_stack_per_chunk(self, spec, times_per_stack, monkeypatch):
-        # ck: 76 pairs give chunks of 512 // 76 = 6 times, each one stack;
-        # jcm-photon: a d = 22 transfer matrix passes 128 KB, so one time a stack
+    @pytest.mark.parametrize("spec, times, sizes", [
+        (CKDephase(), 629, [431, 198]),
+        (JCMPhoton(), 40, [1] * 40),
+    ], ids=["ck", "jcm-photon"])
+    def test_one_kraus_stack_per_chunk(self, spec, times, sizes, monkeypatch):
+        # ck: 76 pairs at d = 2 give chunks of 2 MiB // (16 * 4 * 76) = 431 times,
+        # each one transfer stack (512 times at d = 2);
+        # jcm-photon: a d = 22 transfer matrix passes 128 KiB, so one time a stack
         calls = []
         kraus = type(spec).kraus
 
@@ -653,9 +658,9 @@ class TestRevivalDistances:
             return kraus(self, ts)
 
         monkeypatch.setattr(type(spec), "kraus", recorded)
-        grid = default_blp_grid(spec)[:40]
+        grid = default_blp_grid(spec)[:times]
         witnesses._revival_distances(spec, grid, default_blp_pairs(spec))
-        assert [c.size for c in calls[:-1]] == [times_per_stack] * (len(calls) - 1)
+        assert [c.size for c in calls] == sizes
         np.testing.assert_array_equal(np.concatenate(calls), grid)
 
     def test_refuses_an_incomplete_time(self):

@@ -5,9 +5,11 @@ checkout's ``src/``, with KRAUS_WITNESS_TOL unset, COLUMNS pinned so that
 argparse wraps help text the same way on every terminal, and any CSV written
 to a temporary directory.  It prints a header naming the Python and numpy
 versions, then one line per command: the exit code and the sha256 of the
-CSV, of stdout and of stderr ("-" where no CSV was written).  Running it on
-two checkouts and diffing the outputs shows whether a change moved any byte
-of what the CLI says:
+CSV, of stdout and of stderr ("-" where no CSV was written).  Stderr is
+hashed with this checkout's absolute path replaced by a fixed token, so a
+warning, whose text quotes its source file, digests alike in every checkout.
+Running it on two checkouts and diffing the outputs shows whether a change
+moved any byte of what the CLI says:
 
     python tools/cli_digests.py > after.txt
     diff before.txt after.txt
@@ -30,7 +32,8 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
@@ -90,6 +93,9 @@ _CSV = "out.csv"
 # terminal width argparse wraps help text to
 _COLUMNS = "80"
 
+# stands in for ROOT in stderr
+_ROOT_TOKEN = "<checkout>"
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -103,9 +109,10 @@ def digest(argv: list[str], takes_out: bool) -> str:
     csv = Path(_CSV)
     csv_sha = _sha(csv.read_bytes()) if csv.exists() else "-"
     csv.unlink(missing_ok=True)
+    stderr = err.getvalue().replace(str(ROOT), _ROOT_TOKEN)
     return (
         f"{code} csv={csv_sha} stdout={_sha(out.getvalue().encode())} "
-        f"stderr={_sha(err.getvalue().encode())}  {' '.join(argv)}"
+        f"stderr={_sha(stderr.encode())}  {' '.join(argv)}"
     )
 
 
