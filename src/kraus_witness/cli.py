@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import _defects
 from .errors import KrausWitnessError, UsageError
-from .models import MODEL_CLASSES, ModelSpec, model_closed_fidelity
+from .models import MODEL_CLASSES, ModelSpec
 from .probes import SMALL_TIME_WINDOW, small_time_exponents
 from .witnesses import (
     NON_MARKOVIAN_WITNESSED,
@@ -286,7 +286,7 @@ def cmd_figure(ns: argparse.Namespace) -> int:
     # CSV columns are the contract: the abscissa is always named t and holds
     # the dimensionless scaled time shown on the figure axes
     if fid == 1:
-        f_values = np.array([model_closed_fidelity(spec, float(t), tau_raw) for t in grid])
+        f_values = np.array([spec.closed_fidelity(float(t), tau_raw) for t in grid])
         _write_csv(out, ["t", "F"], [x, f_values])
         print(f"figure 1: wrote {x.size} rows to {out}")
         print(_summarize_column(x, f_values, "F", xname))

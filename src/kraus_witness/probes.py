@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import LindbladSet, lgks_rhs
 from .errors import DimensionMismatch, FitDegenerate, GridTooCoarse, NegativeTime
-from .models import EvolutionFamily, ModelSpec, _check_grid, model_state
+from .models import EvolutionFamily, ModelSpec, _check_grid
 
 SQRT_T = "SqrtT"
 LINEAR_T = "LinearT"
@@ -197,7 +197,7 @@ def lgks_residual(spec: ModelSpec, lset: LindbladSet, delta: float) -> float:
         raise NegativeTime(f"delta must be nonnegative, got {delta!r}")
     if delta == 0.0:
         return 0.0
-    rho0 = model_state(spec, spec.t0)
-    rho_d = model_state(spec, spec.t0 + delta)
+    rho0 = spec.state(spec.t0)
+    rho_d = spec.state(spec.t0 + delta)
     step = rho0 + delta * lset.rate * lgks_rhs(lset, rho0)
     return float(np.linalg.norm(rho_d - step))

@@ -27,13 +27,7 @@ from .errors import (
     UsageError,
 )
 from .linalg import factor_fidelity, fidelities, trace_norms, validate_densities
-from .models import (
-    JCMPhoton,
-    ModelSpec,
-    _check_grid,
-    model_closed_fidelity,
-    model_state,
-)
+from .models import JCMPhoton, ModelSpec, _check_grid
 
 NON_MARKOVIAN_WITNESSED = "NonMarkovianWitnessed"
 NO_VIOLATION_FOUND = "NoViolationFound"
@@ -125,7 +119,7 @@ def _route(spec: ModelSpec) -> str:
     """The model's fidelity route: its closed form where it has one, else
     its Kraus factors where its class gives them, else the generic route.
     No factor is built to decide."""
-    if model_closed_fidelity(spec, spec.t0, 0.0) is not None:
+    if spec.closed_fidelity(spec.t0, 0.0) is not None:
         return _CLOSED
     if type(spec).factor is not ModelSpec.factor:
         return _FACTOR
@@ -146,7 +140,7 @@ def _fidelities(
     if route == _FACTOR:
         return factor_fidelity(*np.broadcast_arrays(spec.factor(ts), spec.factor(later)))
     pairs = np.broadcast(ts, lags)
-    return np.array([model_closed_fidelity(spec, float(t), float(lag)) for t, lag in pairs])
+    return np.array([spec.closed_fidelity(float(t), float(lag)) for t, lag in pairs])
 
 
 def _G(spec: ModelSpec, ts: np.ndarray, tau: float, route: str) -> np.ndarray:
@@ -344,8 +338,8 @@ def default_blp_pairs(
             lo, hi = np.sort(rng.uniform(0.0, top, size=2))
         pairs.append(
             (
-                model_state(replace(spec, **{field: float(lo)}), 0.0),
-                model_state(replace(spec, **{field: float(hi)}), 0.0),
+                replace(spec, **{field: float(lo)}).state(0.0),
+                replace(spec, **{field: float(hi)}).state(0.0),
                 f"family-{i}",
             )
         )

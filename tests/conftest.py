@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kraus_witness import linalg
+
 
 def oracle_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     w, v = np.linalg.eigh(rho1)
@@ -40,6 +42,27 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return raw + raw.conj().T
+
+
+def forbid_eigensolves(monkeypatch):
+    """Make any Jacobi kernel call fail the test."""
+    def no_eigensolve(stack, vectors=False):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(linalg, "_jacobi", no_eigensolve)
+
+
+def record_kernel_calls(monkeypatch):
+    """(stack shape, vectors) of every Jacobi kernel call, in order."""
+    calls = []
+    jacobi = linalg._jacobi
+
+    def recorded(stack, vectors=False):
+        calls.append((stack.shape, vectors))
+        return jacobi(stack, vectors)
+
+    monkeypatch.setattr(linalg, "_jacobi", recorded)
+    return calls
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kraus_witness
 from kraus_witness import (
@@ -20,6 +21,7 @@ from kraus_witness import (
     NumericalError,
     TraceNotOne,
     YEMarkov,
+    default_blp_pairs,
     factor_fidelity,
     fidelities,
     fidelity,
@@ -32,7 +34,13 @@ from kraus_witness import (
 from kraus_witness.linalg import validate_densities
 from kraus_witness import linalg
 
-from conftest import oracle_fidelity, random_density, random_hermitian
+from conftest import (
+    forbid_eigensolves,
+    oracle_fidelity,
+    random_density,
+    random_hermitian,
+    record_kernel_calls,
+)
 
 
 class TestHermitianEig:
@@ -285,6 +293,136 @@ class TestValidateDensities:
     def test_rejects_bad_shape(self, shape):
         with pytest.raises(DimensionMismatch):
             validate_densities(np.zeros(shape, dtype=complex))
+
+
+_CERTIFICATE_DIMS = [*range(2, 7), 22]
+
+
+def _with_spectrum(rng, spectrum):
+    """U diag(spectrum) U^dagger for a random unitary U, made exactly
+    Hermitian."""
+    dim = len(spectrum)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    mat = (q * spectrum) @ q.conj().T
+    return 0.5 * (mat + mat.conj().T)
+
+
+def _unit_trace_spectrum(rng, dim, lowest):
+    """``lowest`` and dim - 1 positive eigenvalues, summing to 1."""
+    rest = rng.uniform(0.1, 1.0, size=dim - 1)
+    return np.concatenate(([lowest], rest * (1.0 - lowest) / rest.sum()))
+
+
+class TestPsdCertificate:
+    """The LDL^dagger certificate of ``validate_densities`` against the Jacobi
+    kernel's verdict and the LAPACK oracle: it certifies only matrices whose
+    smallest eigenvalue is above -tol, and the kernel decides the rest."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from(_CERTIFICATE_DIMS),
+           lowest=st.floats(-3.0, 3.0))
+    def test_agrees_with_kernel_and_oracle(self, seed, dim, lowest):
+        # one matrix with its smallest eigenvalue at lowest * tol among
+        # random states; tol = 1e-10
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_density(rng, dim) for _ in range(3)]
+                         + [_with_spectrum(rng, _unit_trace_spectrum(rng, dim, lowest * 1e-10))])
+        sym = 0.5 * (stack + stack.conj().swapaxes(1, 2))
+        certified = linalg._ldl_certified(sym, 0.5e-10)
+        oracle = np.linalg.eigvalsh(sym)[:, 0]
+        kernel = linalg._jacobi(sym)[0].min(axis=1)
+        assert np.all(oracle[certified] > -1e-10)
+        assert np.all(kernel[certified] >= -1e-10)
+        # above -0.4 tol, S + (tol/2) I keeps a smallest eigenvalue of at
+        # least 0.1 tol, far outside rounding, so it must be certified
+        assert np.all(certified[oracle > -0.4e-10])
+        if kernel.min() < -1e-10:
+            with pytest.raises(NotPSD) as raised:
+                validate_densities(stack)
+            assert str(raised.value) == f"eigenvalue {kernel.min():.3e} below -1.0e-10"
+        else:
+            np.testing.assert_array_equal(validate_densities(stack), sym)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from(_CERTIFICATE_DIMS))
+    def test_full_rank_states_need_no_eigensolve(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_density(rng, dim) for _ in range(4)])
+        assert np.linalg.eigvalsh(stack).min() > 0.0
+        with pytest.MonkeyPatch.context() as patch:
+            forbid_eigensolves(patch)
+            out = validate_densities(stack)
+        np.testing.assert_array_equal(out, 0.5 * (stack + stack.conj().swapaxes(1, 2)))
+
+    @pytest.mark.parametrize("dim", _CERTIFICATE_DIMS)
+    def test_pure_and_rank_deficient_states_need_no_eigensolve(self, rng, dim, monkeypatch):
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        vec /= np.linalg.norm(vec)
+        fock = np.zeros((dim, dim), dtype=complex)
+        fock[dim - 1, dim - 1] = 1.0
+        rank = (dim + 1) // 2
+        half_rank = _with_spectrum(rng, np.r_[np.full(rank, 1.0 / rank), np.zeros(dim - rank)])
+        stack = np.array([np.outer(vec, vec.conj()), fock, half_rank])
+        assert np.linalg.eigvalsh(stack)[:, 0].min() > -1e-15
+        forbid_eigensolves(monkeypatch)
+        validate_densities(stack)
+
+    def test_model_boundary_states_need_no_eigensolve(self, monkeypatch):
+        # coherent and Fock field states at d = 22, and a YE state with two
+        # exactly zero eigenvalues
+        field = [rho for pair in default_blp_pairs(JCMPhoton()) for rho in pair[:2]]
+        forbid_eigensolves(monkeypatch)
+        validate_densities(np.array(field))
+        validate_density(YEMarkov(1.0, 4.0).state(0.0))
+
+    @pytest.mark.parametrize("dim", _CERTIFICATE_DIMS)
+    @pytest.mark.parametrize("lowest, kernel_calls", [(-0.25, []), (-0.75, [1])],
+                             ids=["quarter-tol", "three-quarters-tol"])
+    def test_slightly_negative_eigenvalue_passes(self, rng, dim, lowest, kernel_calls,
+                                                 monkeypatch):
+        # -tol/4 is inside the shift tol/2 and certified; -3 tol/4 is not,
+        # and the kernel, which gets that matrix alone, accepts it
+        stack = np.array([random_density(rng, dim),
+                          _with_spectrum(rng, _unit_trace_spectrum(rng, dim, lowest * 1e-10)),
+                          random_density(rng, dim)])
+        calls = record_kernel_calls(monkeypatch)
+        validate_densities(stack)
+        assert [shape[0] for shape, _ in calls] == kernel_calls
+
+    @pytest.mark.parametrize("dim", _CERTIFICATE_DIMS)
+    def test_negative_eigenvalue_raises_as_alone(self, rng, dim):
+        bad = _with_spectrum(rng, _unit_trace_spectrum(rng, dim, -1.5e-10))
+        with pytest.raises(NotPSD) as alone:
+            validate_density(bad)
+        stack = np.array([random_density(rng, dim), bad, random_density(rng, dim)])
+        with pytest.raises(NotPSD) as stacked:
+            validate_densities(stack)
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value) == (
+            f"eigenvalue {linalg._jacobi(bad[None])[0].min():.3e} below -1.0e-10"
+        )
+
+    @pytest.mark.parametrize("dim", _CERTIFICATE_DIMS)
+    def test_huge_off_diagonal_goes_to_the_kernel(self, rng, dim, monkeypatch):
+        huge = np.eye(dim, dtype=complex) / dim
+        huge[0, 1] = huge[1, 0] = 1e100
+        stack = np.array([random_density(rng, dim), huge])
+        calls = record_kernel_calls(monkeypatch)
+        with pytest.raises(NotPSD, match=r"^eigenvalue -1\.000e\+100 below -1\.0e-10$"):
+            validate_densities(stack)
+        assert [shape[0] for shape, _ in calls] == [1]
+
+    @pytest.mark.parametrize("dim", _CERTIFICATE_DIMS)
+    def test_tolerance_inside_rounding_goes_to_the_kernel(self, rng, dim, monkeypatch):
+        # at tol = 1e-15 the shift tol/2 is below n^2 1e-15, so nothing is
+        # certified; the diagonal is fixed so that the trace is 1 within 1e-15
+        stack = np.array([random_density(rng, dim) for _ in range(3)])
+        stack = 0.5 * (stack + stack.conj().swapaxes(1, 2))
+        stack[:, -1, -1] = 1.0 - np.trace(stack[:, :-1, :-1], axis1=1, axis2=2).real
+        assert not linalg._ldl_certified(stack, 0.5e-15).any()
+        calls = record_kernel_calls(monkeypatch)
+        validate_densities(stack, tol=1e-15)
+        assert [shape[0] for shape, _ in calls] == [3]
 
 
 class TestNanRejected:

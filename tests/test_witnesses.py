@@ -43,7 +43,9 @@ from kraus_witness import (
     trace_distance,
     validate_density,
 )
-from kraus_witness import linalg, models, witnesses
+from kraus_witness import models, witnesses
+
+from conftest import forbid_eigensolves, record_kernel_calls
 
 
 class _SkewedCK(CKDephase):
@@ -63,26 +65,6 @@ class _LeakyCK(CKDephase):
         ops = super().kraus(ts)
         ops[np.asarray(ts) == 1.0] *= math.sqrt(1.0 + self.excess)
         return ops
-
-
-def _forbid_eigensolves(monkeypatch):
-    def no_eigensolve(stack, vectors=False):
-        raise AssertionError("an eigensolve ran")
-
-    monkeypatch.setattr(linalg, "_jacobi", no_eigensolve)
-
-
-def _record_kernel_calls(monkeypatch):
-    """(stack shape, vectors) of every Jacobi kernel call, in order."""
-    calls = []
-    jacobi = linalg._jacobi
-
-    def recorded(stack, vectors=False):
-        calls.append((stack.shape, vectors))
-        return jacobi(stack, vectors)
-
-    monkeypatch.setattr(linalg, "_jacobi", recorded)
-    return calls
 
 
 def _record_factor_calls(monkeypatch):
@@ -225,17 +207,17 @@ class TestScanG:
                                    rtol=0.0, atol=1e-12)
 
     def test_factor_route_needs_no_eigensolve(self, monkeypatch):
-        _forbid_eigensolves(monkeypatch)
+        forbid_eigensolves(monkeypatch)
         scan = scan_G(JCMPhoton(alpha_c=1, n_max=31), make_grid(0.0, 10.0, 0.05), 1.0)
         assert scan.values.size == 201
 
     @pytest.mark.parametrize("spec, tau, grid", _GENERIC_QUBIT_SCANS, ids=_GENERIC_QUBIT_IDS)
     def test_generic_qubit_route_needs_no_eigensolve(self, spec, tau, grid, monkeypatch):
-        _forbid_eigensolves(monkeypatch)
+        forbid_eigensolves(monkeypatch)
         assert scan_G(spec, grid, tau).values.size == grid.size
 
     def test_closed_route_cross_check_needs_no_eigensolve(self, monkeypatch):
-        _forbid_eigensolves(monkeypatch)
+        forbid_eigensolves(monkeypatch)
         grid = make_grid(0.0, 2.0 * math.pi, 0.005)
         assert scan_G(CKDephase(), grid, math.pi / 6.0).values.size == grid.size
 
@@ -244,7 +226,7 @@ class TestScanG:
     def test_d4_cross_check_makes_two_kernel_calls(self, spec, step, points, monkeypatch):
         # every tenth point is checked, all in one stack: square roots with
         # eigenvectors, then the inner eigenvalues
-        calls = _record_kernel_calls(monkeypatch)
+        calls = record_kernel_calls(monkeypatch)
         grid = make_grid(0.0, 10.0, step)
         assert scan_G(spec, grid, 1.0).values.size == grid.size == points
         checked = (grid[::10].size, 4, 4)
@@ -393,7 +375,7 @@ class TestMemoryFidelity:
     def test_factor_route(self, monkeypatch):
         spec, grid = JCMPhoton(alpha_c=1, n_max=31), np.array([0.0, 0.5, 3.0])
         expected = [fidelity(model_state(spec, 0.0), model_state(spec, t)) for t in grid]
-        _forbid_eigensolves(monkeypatch)
+        forbid_eigensolves(monkeypatch)
         np.testing.assert_allclose(memory_fidelity(spec, grid).values, expected,
                                    rtol=0.0, atol=1e-12)
 
@@ -574,21 +556,24 @@ class TestBlpMeasure:
             blp_measure(CKDephase(), pairs=[(good, good, "fine"), (good, bad, "bad")])
 
     def test_no_eigensolve_per_pair_and_time(self, monkeypatch):
-        # the 2 x 2 trace norms are closed-form, so the only Jacobi run is
-        # the up-front check of the 76 default pairs' 152 states, in one stack
-        calls = _record_kernel_calls(monkeypatch)
+        # the 2 x 2 trace norms are closed-form, and every default pair state
+        # is certified positive semidefinite by its LDL^dagger factorisation
+        forbid_eigensolves(monkeypatch)
         blp_measure(CKDephase())
-        assert calls == [((2 * len(default_blp_pairs(CKDephase())), 2, 2), False)]
 
-    def test_states_are_checked_in_one_kernel_call(self, monkeypatch):
-        # the 20 default pairs' 40 states in one call; every later call takes
-        # trace norms, which over the whole grid number pairs x times
-        calls = _record_kernel_calls(monkeypatch)
+    def test_atom_sector_runs_no_eigensolve(self, monkeypatch):
+        forbid_eigensolves(monkeypatch)
+        blp_measure(JCMQubit())
+
+    def test_every_kernel_call_is_a_trace_norm_call(self, monkeypatch):
+        # the 20 default pairs' 40 states are certified without the kernel;
+        # every call takes trace norms, which over the whole grid number
+        # pairs x times
+        calls = record_kernel_calls(monkeypatch)
         spec = YENonMarkov()
         blp_measure(spec)
-        assert calls[0] == ((40, 4, 4), False)
-        assert all(shape[1:] == (4, 4) and not vectors for shape, vectors in calls[1:])
-        assert sum(shape[0] for shape, _ in calls[1:]) == 20 * default_blp_grid(spec).size
+        assert all(shape[1:] == (4, 4) and not vectors for shape, vectors in calls)
+        assert sum(shape[0] for shape, _ in calls) == 20 * default_blp_grid(spec).size
 
 
 def _per_pair_distances(spec, grid, pairs):
