@@ -50,7 +50,6 @@ from .linalg import (
 )
 from .models import (
     CKDephase,
-    DecayFunctions,
     JCMPhoton,
     JCMQubit,
     MODEL_CLASSES,
@@ -70,7 +69,6 @@ from .models import (
     ye_markov_fidelity,
     ye_markov_lindblad,
     ye_nonmarkov_channel,
-    ye_nonmarkov_decay,
 )
 from .probes import (
     CONST_IDENTITY_DEFICIT,

@@ -4,10 +4,11 @@ A channel is a (k, d, d) stack of Kraus operators K_i acting as
 rho -> sum_i K_i rho K_i^dagger.  Completeness sum_i K_i^dagger K_i = I is
 checked in one place, ``_checked_defects``, which takes a (T, k, d, d) stack
 of T channels at once; ``validate_cptp``, ``apply`` and ``transfer_matrix``
-run it on a stack of one, and ``_transfer_matrices`` on a model's operators
-at a chunk of times.  Channels whose operator set is only complete on a
-leading subspace (truncated field sectors, conditioned dynamics) declare that
-subspace through ``valid_dim``.
+run it on a stack of one, and ``_transfer_matrices`` and
+``_schur_multipliers`` on a model's operators at a chunk of times.
+Channels whose operator set is only complete on a leading subspace
+(truncated field sectors, conditioned dynamics) declare that subspace
+through ``valid_dim``.
 """
 from __future__ import annotations
 
@@ -173,6 +174,24 @@ def _transfer_matrices(ops: np.ndarray, valid_dim: int, label: str) -> np.ndarra
     flat = ops.transpose(0, 2, 3, 1).reshape(n, d * d, k)
     pairs = (flat @ flat.conj().swapaxes(1, 2)).reshape(n, d, d, d, d)
     return pairs.transpose(0, 1, 3, 2, 4).reshape(n, d * d, d * d)
+
+
+def _diagonal(ops: np.ndarray) -> bool:
+    """Whether no operator of a (..., d, d) stack has an exactly nonzero
+    off-diagonal entry."""
+    d = ops.shape[-1]
+    return not ops.reshape(-1, d * d)[:, ~np.eye(d, dtype=bool).ravel()].any()
+
+
+def _schur_multipliers(ops: np.ndarray, valid_dim: int, label: str) -> np.ndarray:
+    """(T, d, d) multipliers M[i, j] = sum_k K_k,ii conj(K_k,jj) of a
+    (T, k, d, d) stack of channels of diagonal operators, after the one
+    completeness check of ``_transfer_matrices``; channel t maps X to the
+    entrywise product M_t o X.  M_t is the diagonal of channel t's transfer
+    matrix, from the same product over the operator index."""
+    _checked_defects(ops, valid_dim, _APPLY_DEFECT_CEILING, label)
+    diagonals = np.diagonal(ops, axis1=2, axis2=3).swapaxes(1, 2)
+    return diagonals @ diagonals.conj().swapaxes(1, 2)
 
 
 def compose(late: KrausChannel, early: KrausChannel) -> KrausChannel:

@@ -35,7 +35,19 @@ class NotHermitian(NonHermitian):
 
 
 class NoConvergence(NumericalError):
-    """Iterative eigensolver exhausted its sweep budget."""
+    """Iterative eigensolver exhausted its sweep budget on a stack of
+    ``batch`` matrices; ``unconverged`` of them were left, the first at
+    ``index``."""
+
+    def __init__(self, index: int, unconverged: int, batch: int) -> None:
+        super().__init__(index, unconverged, batch)
+        self.index, self.unconverged, self.batch = index, unconverged, batch
+
+    def __str__(self) -> str:
+        return (
+            f"Jacobi sweeps exhausted for batch index {self.index} "
+            f"({self.unconverged} of {self.batch} matrices unconverged)"
+        )
 
 
 class NotPSD(NumericalError):

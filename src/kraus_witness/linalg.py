@@ -5,8 +5,9 @@ the eigensolver is a cyclic Jacobi iteration rather than a LAPACK call, so the
 fidelity and trace-distance results can be cross-checked against an external
 library in the test suite without sharing a code path with it.  There is one
 Jacobi kernel, ``_jacobi``, and it works on (B, n, n) stacks: the stack
-functions ``fidelities`` and ``trace_norms`` make one or two calls for a
-whole stack, ``validate_densities`` at most one, on the matrices an
+function ``fidelities`` makes one or two calls for a whole stack,
+``trace_norms`` at most one, on the matrices that are not direct sums of
+1x1 and 2x2 blocks, ``validate_densities`` at most one, on the matrices an
 LDL^dagger factorisation does not certify, and the single-matrix ones pass
 a stack of one.  The kernel holds its copy of the stack entry-major, as an
 (n, n, B) array, so that each matrix entry across the batch is one
@@ -82,14 +83,25 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
     batch as soon as its own off-diagonal Frobenius mass, sqrt(2) times
     that of its upper triangle, is at most 1e-14 (scaled by its norm when
     that exceeds 1), so its result does not depend on the rest of the
-    stack.  A pivot at or below 1e-300 gets the identity rotation (c = 1,
-    s = 0) instead of a division.
+    stack.  A matrix whose norm overflows runs scaled by an exact power of
+    two and its eigenvalues are scaled back.  A pivot at or below 1e-300
+    gets the identity rotation (c = 1, s = 0) instead of a division.
     """
     arr = np.asarray(stack, dtype=np.complex128)
     b, n = arr.shape[0], arr.shape[1]
     # a new array holding the upper triangle and its conjugate mirror
     arr = np.where(np.triu(np.ones((n, n), dtype=bool)), arr, arr.conj().swapaxes(1, 2))
-    target = _OFFDIAG_TARGET * np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(arr, axis=(1, 2))
+    # a norm that overflows would be an infinite target, met before any
+    # sweep: such a matrix runs scaled by an exact power of two, its largest
+    # real or imaginary part in [1/2, 1), and its eigenvalues scale back
+    huge = ~np.isfinite(norm)
+    if huge.any():
+        exponent = np.frexp(np.abs(arr[huge].view(np.float64)).max(axis=(1, 2)))[1]
+        arr[huge] *= np.ldexp(1.0, -exponent)[:, None, None]
+        norm[huge] = np.linalg.norm(arr[huge], axis=(1, 2))
+    target = _OFFDIAG_TARGET * np.maximum(1.0, norm)
     # entry-major: a[i, j] is entry (i, j) of every matrix, one contiguous
     # vector
     a = np.zeros((n, 2 * n if vectors else n, b), dtype=np.complex128)
@@ -145,11 +157,10 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
                 # pivot is negligible; either way drop the residue
                 work[p, q] = work[q, p] = 0.0
     else:
-        raise NoConvergence(
-            f"Jacobi sweeps exhausted for batch index {int(active[0])} "
-            f"({active.size} of {b} matrices unconverged)"
-        )
+        raise NoConvergence(int(active[0]), active.size, b)
     eigenvalues = a[diagonal, diagonal].real.T.copy()
+    if huge.any():
+        eigenvalues[huge] = np.ldexp(eigenvalues[huge], exponent[:, None])
     return eigenvalues, (np.conjugate(a[:, n:].transpose(2, 1, 0), order="C") if vectors else None)
 
 
@@ -377,6 +388,14 @@ def _clamp_overshoot(values: np.ndarray) -> np.ndarray:
     return np.minimum(values, 1.0)
 
 
+def _qubit_norms(x00: np.ndarray, x11: np.ndarray, x01: np.ndarray) -> np.ndarray:
+    """Trace norms max(|s|, 2r) of Hermitian 2x2 matrices [[x00, x01], [., x11]]
+    with real diagonals: eigenvalues s/2 +- r, s = x00 + x11 and
+    r = hypot((x00 - x11)/2, |x01|)."""
+    radius = np.hypot(0.5 * (x00 - x11), np.abs(x01))
+    return np.maximum(np.abs(x00 + x11), 2.0 * radius)
+
+
 def trace_norms(stack: np.ndarray) -> np.ndarray:
     """Trace norms ||X_b||_1 of a (B, d, d) stack of Hermitian matrices.
 
@@ -384,17 +403,48 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     exceeds 1e-10 anywhere in the stack; the norms are taken of the
     Hermitized averages.  At d = 2 a matrix with trace s has eigenvalues
     s/2 +- r, r = hypot((X00 - X11)/2, |X01|), so its norm is max(|s|, 2r)
-    with no eigensolve; larger stacks take one eigenvalues-only kernel call.
+    with no eigensolve.  At d >= 3 a matrix in which no row holds more than
+    one exactly nonzero off-diagonal entry is a direct sum of 1x1 blocks,
+    of norm |X_ii|, and 2x2 blocks, of norm max(|s|, 2r); its norm is the
+    sum over rows of those, a block's at its first row, in the order the
+    kernel sums its eigenvalues, so a diagonal matrix gets the kernel's bits.
+    The other matrices take one eigenvalues-only kernel call, whose
+    NoConvergence names the index in this stack.
     """
     arr = np.asarray(stack, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimensionMismatch(f"expected a (B, d, d) stack, got shape {arr.shape}")
     sym = _hermitized(arr, _HERMITIAN_TOL, NonHermitian)
-    if sym.shape[1] == 2:
-        x00, x11 = sym[:, 0, 0].real, sym[:, 1, 1].real
-        radius = np.hypot(0.5 * (x00 - x11), np.abs(sym[:, 0, 1]))
-        return np.maximum(np.abs(x00 + x11), 2.0 * radius)
-    return np.abs(_jacobi(sym)[0]).sum(axis=1)
+    b, n = sym.shape[:2]
+    if n == 2:
+        return _qubit_norms(sym[:, 0, 0].real, sym[:, 1, 1].real, sym[:, 0, 1])
+    rows = np.arange(n)
+    coupled = sym != 0.0
+    coupled[:, rows, rows] = False
+    # the Hermitized stack is exactly Hermitian, so coupling is symmetric and
+    # one partner per row makes a matching: a row's partner, itself if none
+    count = np.count_nonzero(coupled, axis=2)
+    partner = np.where(count > 0, coupled.argmax(axis=2), rows)
+    direct = count.max(axis=1) <= 1
+    norms = np.empty(b)
+    dense = np.flatnonzero(~direct)
+    if dense.size:
+        try:
+            norms[dense] = np.abs(_jacobi(sym[dense])[0]).sum(axis=1)
+        except NoConvergence as error:
+            raise NoConvergence(int(dense[error.index]), error.unconverged, b) from None
+    if dense.size < b:
+        blocks = np.flatnonzero(direct)
+        diagonal = np.diagonal(sym, axis1=1, axis2=2).real[blocks]
+        pairs = partner[blocks]
+        parts = np.where(pairs == rows, np.abs(diagonal), 0.0)
+        matrix, first = np.nonzero(pairs > rows)
+        second = pairs[matrix, first]
+        parts[matrix, first] = _qubit_norms(
+            diagonal[matrix, first], diagonal[matrix, second], sym[blocks[matrix], first, second]
+        )
+        norms[blocks] = parts.sum(axis=1)
+    return norms
 
 
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:

@@ -6,10 +6,9 @@ closed-form fidelity between the states at two times.  The field sector also
 gives its state as a Kraus factor V, rho = V V^dagger.  Each model class
 holds its own formulas.  The free functions are the channel builders and
 ye_markov_fidelity and ye_markov_lindblad, each a model's method;
-coherent_amplitudes, which the classes call; ye_nonmarkov_decay, the memory
-branch's decay record at one time; default_fock_cutoff, the Jaynes-Cummings
-cutoff; the model_* dispatchers; and build_model, a model from its registry
-name.  The channel, state (factor included) and closed-form routes are kept
+coherent_amplitudes, which the classes call; default_fock_cutoff, the
+Jaynes-Cummings cutoff; the model_* dispatchers; and build_model, a model
+from its registry name.  The channel, state (factor included) and closed-form routes are kept
 independent so the test suite can play them against each other.
 
 Models
@@ -469,37 +468,17 @@ MODEL_CLASSES: dict[str, type[ModelSpec]] = {
 
 
 # ---------------------------------------------------------------------------
-# decay functions
-
-
-@dataclass(frozen=True)
-class DecayFunctions:
-    """Scalar decay profile of the memory branch at one instant: p_t and q_t
-    with p^2 + q^2 = 1, and the integrated decay exponent f_t behind p_t."""
-
-    p_t: float
-    q_t: float
-    f_t: float
-
-
-def ye_nonmarkov_decay(t: float, Gamma: float, gamma: float) -> DecayFunctions:
-    """Evaluate the memory-branch decay functions at time t.
-
-    f(t) = (Gamma/2) (t + (exp(-gamma t) - 1)/gamma) grows from ~Gamma gamma
-    t^2/4 at small times to ~Gamma t/2 once t >> 1/gamma.  expm1 keeps both
-    regimes accurate.
-    """
-    (f,), (p_t,), (q_t,) = _memory_decays(
-        [_check_time(t)], _check_rate(Gamma, "Gamma"), _check_rate(gamma, "gamma")
-    )
-    return DecayFunctions(p_t=p_t, q_t=q_t, f_t=f)
+# memory-branch decay
 
 
 def _memory_decays(
     ts: list[float], Gamma: float, gamma: float
 ) -> tuple[list[float], list[float], list[float]]:
-    """f, p and q of ``ye_nonmarkov_decay`` at each of the times ts, whose
-    checks the caller has made, with no record per time."""
+    """Memory-branch decay at each of the times ts, whose checks the caller
+    has made: the exponent f(t) = (Gamma/2) (t + (exp(-gamma t) - 1)/gamma),
+    which grows from ~Gamma gamma t^2/4 at small times to ~Gamma t/2 once
+    t >> 1/gamma (expm1 keeps both regimes accurate), p = exp(-f) and
+    q = sqrt(1 - p^2)."""
     f = [max(0.5 * Gamma * (t + math.expm1(-gamma * t) / gamma), 0.0) for t in ts]
     return f, [math.exp(-f_t) for f_t in f], [math.sqrt(-math.expm1(-2.0 * f_t)) for f_t in f]
 

@@ -211,6 +211,14 @@ class TestValidateDensity:
         with pytest.raises(NotHermitian):
             validate_density(mat)
 
+    def test_rejects_a_negative_matrix_whose_norm_overflows(self):
+        # eigenvalues 0.5 +- 1e160; the squared entries overflow
+        mat = np.array([[0.5, 1e160], [1e160, 0.5]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPSD, match="eigenvalue -1.000e\\+160"):
+                validate_density(mat)
+
     def test_rejects_bad_trace(self):
         with pytest.raises(TraceNotOne, match="differs from 1"):
             validate_density(np.diag([0.6, 0.6]).astype(complex))
@@ -556,6 +564,24 @@ class TestTraceNorms:
         with pytest.raises(NoConvergence, match="batch index 1"):
             trace_norms(stack)
 
+    def test_no_convergence_counts_in_the_callers_stack(self, rng, monkeypatch):
+        # the direct sums skip the kernel, which sees the two dense matrices
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        direct = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        stack = np.array([direct, direct, random_hermitian(rng, 4), direct, random_hermitian(rng, 4)])
+        with pytest.raises(NoConvergence, match=r"batch index 2 \(2 of 5 matrices unconverged\)"):
+            trace_norms(stack)
+
+    def test_dense_matrix_whose_norm_overflows(self):
+        # squaring 1e160 overflows, so the kernel runs this matrix scaled
+        # by a power of two; no warning is raised
+        mat = np.array([[0.25, 1e160, -2e160j], [1e160, -0.5, 3e160], [2e160j, 3e160, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = trace_norms(mat[None])[0]
+        expected = np.abs(np.linalg.eigvalsh(mat)).sum()
+        assert norm == pytest.approx(expected, rel=1e-13)
+
     def test_rejects_non_hermitian(self):
         stack = np.zeros((2, 3, 3), dtype=complex)
         stack[1, 0, 2] = 1e-9
@@ -566,6 +592,74 @@ class TestTraceNorms:
     def test_rejects_bad_shape(self, shape):
         with pytest.raises(DimensionMismatch):
             trace_norms(np.zeros(shape, dtype=complex))
+
+
+def _direct_sum(rng, dim, scale):
+    """A Hermitian direct sum of 1x1 and 2x2 blocks on a random permutation
+    of the rows, entries of order ``scale``: zero, degenerate (equal
+    diagonals) and generic blocks mixed."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    order = rng.permutation(dim)
+    i = 0
+    while i < dim:
+        p = order[i]
+        kind = rng.integers(4)
+        mat[p, p] = 0.0 if kind == 0 else scale * rng.normal()
+        if kind >= 2 and i + 1 < dim:
+            q = order[i + 1]
+            mat[q, q] = mat[p, p] if kind == 2 else scale * rng.normal()
+            mat[p, q] = scale * complex(rng.normal(), rng.normal())
+            mat[q, p] = np.conj(mat[p, q])
+            i += 1
+        i += 1
+    return mat
+
+
+class TestDirectSumTraceNorms:
+    """Matrices with at most one nonzero off-diagonal entry per row take
+    ``trace_norms``'s closed form, against the kernel and the LAPACK oracle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([3, 4, 5, 6, 22]),
+           scale=st.sampled_from([1.0, 1e-150, 1e160, 1e300]),
+           kinds=st.lists(st.booleans(), min_size=1, max_size=6))
+    def test_matches_kernel_and_oracle(self, seed, dim, scale, kinds):
+        # kinds: True for a direct sum, False for a dense matrix
+        rng = np.random.default_rng(seed)
+        stack = np.array([
+            _direct_sum(rng, dim, scale) if direct else scale * random_hermitian(rng, dim)
+            for direct in kinds
+        ])
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_kernel_calls(patch)
+            norms = trace_norms(stack)
+        assert sum(shape[0] for shape, _ in calls) == kinds.count(False)
+        largest = np.abs(stack).max(axis=(1, 2))
+        oracle = np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
+        kernel = np.abs(linalg._jacobi(stack)[0]).sum(axis=1)
+        # the kernel stops at an off-diagonal mass of 1e-14 max(1, norm)
+        bound = 1e-12 * dim * np.maximum(1.0, largest)
+        assert np.all(np.abs(norms - oracle) <= bound)
+        assert np.all(np.abs(norms - kernel) <= bound)
+        # the closed form has no absolute floor
+        direct = np.array(kinds)
+        assert np.all(np.abs(norms - oracle)[direct] <= 1e-13 * dim * largest[direct])
+
+    @pytest.mark.parametrize("dim", [3, 4, 22])
+    def test_diagonal_matrices_get_the_kernels_bits(self, rng, dim, monkeypatch):
+        stack = np.array([np.diag(rng.normal(size=dim)).astype(complex) for _ in range(5)])
+        kernel = np.abs(linalg._jacobi(stack)[0]).sum(axis=1)
+        forbid_eigensolves(monkeypatch)
+        assert trace_norms(stack).tobytes() == kernel.tobytes()
+
+    def test_two_nonzero_entries_in_a_row_go_to_the_kernel(self, monkeypatch):
+        # a 3x3 chain couples row 1 to rows 0 and 2: no direct sum of blocks
+        chain = np.array([[1.0, 0.5, 0.0], [0.5, -1.0, 0.25j], [0.0, -0.25j, 2.0]])
+        calls = record_kernel_calls(monkeypatch)
+        norm = trace_norms(np.array([np.eye(3), chain]))
+        assert [shape for shape, _ in calls] == [(1, 3, 3)]
+        assert norm[0] == 3.0
+        assert norm[1] == pytest.approx(np.abs(np.linalg.eigvalsh(chain)).sum(), rel=1e-14)
 
 
 # small sizes, and the field sector's (22 and 33)
@@ -640,6 +734,21 @@ class TestJacobiKernel:
             assert np.all(in_first ^ in_second)
             assert in_first.sum() == first.sum()
             np.testing.assert_allclose(np.sort(w[index]), np.linalg.eigvalsh(mat), atol=1e-12 * dim)
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_overflowing_norm_leaves_its_neighbours_alone(self, rng, vectors):
+        # the matrix whose norm overflows runs scaled; the others keep the
+        # bits of their single calls
+        huge = 1e160 * random_hermitian(rng, 4)
+        stack = np.array([random_hermitian(rng, 4), huge, random_hermitian(rng, 4)])
+        w, v = linalg._jacobi(stack, vectors=vectors)
+        for i, mat in enumerate(stack):
+            wi, vi = linalg._jacobi(mat[None], vectors=vectors)
+            assert w[i].tolist() == wi[0].tolist()
+            if vectors:
+                assert v[i].tolist() == vi[0].tolist()
+        np.testing.assert_allclose(np.sort(w[1]), np.linalg.eigvalsh(huge), rtol=0.0,
+                                   atol=1e-13 * np.abs(huge).max())
 
     @pytest.mark.parametrize("vectors", [False, True])
     def test_reads_only_the_upper_triangle(self, rng, vectors):

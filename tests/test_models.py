@@ -33,7 +33,6 @@ from kraus_witness import (
     validate_density,
     ye_markov_channel,
     ye_markov_fidelity,
-    ye_nonmarkov_decay,
 )
 
 from kraus_witness import models
@@ -48,34 +47,38 @@ _FIELD_IDS = ["vacuum", "alpha-1", "alpha-0.6+0.8j"]
 
 
 class TestDecayFunctions:
+    """The memory branch's f, p and q from ``models._memory_decays``."""
+
     def test_branch_normalization(self, rng):
-        for t in rng.uniform(0.0, 20.0, size=30):
-            d = ye_nonmarkov_decay(float(t), 1.0, 1e-4)
-            assert d.p_t**2 + d.q_t**2 == pytest.approx(1.0, abs=1e-14)
+        _, p, q = models._memory_decays(rng.uniform(0.0, 20.0, size=30).tolist(), 1.0, 1e-4)
+        for p_t, q_t in zip(p, q):
+            assert p_t**2 + q_t**2 == pytest.approx(1.0, abs=1e-14)
 
     def test_exponent_nonnegative_and_nondecreasing(self):
-        grid = np.linspace(0.0, 30.0, 200)
-        f = [ye_nonmarkov_decay(float(t), 1.0, 1e-4).f_t for t in grid]
+        f, _, _ = models._memory_decays(np.linspace(0.0, 30.0, 200).tolist(), 1.0, 1e-4)
         assert min(f) >= 0.0
         assert all(b >= a for a, b in zip(f, f[1:]))
 
     def test_small_memory_rate_limit(self):
         # f ~ Gamma gamma t^2 / 4 when gamma t << 1
-        d = ye_nonmarkov_decay(1.0, 1.0, 1e-4)
-        assert d.p_t == pytest.approx(1.0 - 1e-4 / 4.0, abs=1e-6)
+        _, (p_t,), _ = models._memory_decays([1.0], 1.0, 1e-4)
+        assert p_t == pytest.approx(1.0 - 1e-4 / 4.0, abs=1e-6)
 
     def test_fast_memory_rate_limit(self):
         # f -> Gamma t / 2 once gamma t >> 1
-        d = ye_nonmarkov_decay(1.0, 1.0, 1e3)
-        assert d.f_t == pytest.approx(0.5, abs=1e-3)
+        (f_t,), _, _ = models._memory_decays([1.0], 1.0, 1e3)
+        assert f_t == pytest.approx(0.5, abs=1e-3)
+
+    # _memory_decays trusts its caller; the model makes the checks before
+    # any decay is taken
 
     def test_rejects_negative_time(self):
         with pytest.raises(NegativeTime):
-            ye_nonmarkov_decay(-0.1, 1.0, 1e-4)
+            YENonMarkov().kraus([-0.1])
 
     def test_rejects_negative_rate(self):
         with pytest.raises(ParamOutOfRange):
-            ye_nonmarkov_decay(1.0, -1.0, 1e-4)
+            YENonMarkov(Gamma=-1.0, gamma=1e-4)
 
 
 class TestSpecValidation:
@@ -191,22 +194,22 @@ class TestMemoryDephasing:
         np.testing.assert_allclose(
             np.diag(rho).real, np.array([0.5, 1.0, 1.0, 0.5]) / 3.0, atol=1e-15
         )
-        d = ye_nonmarkov_decay(2.0, spec.Gamma, spec.gamma)
-        assert rho[1, 2] == pytest.approx(d.p_t**2 / 3.0, abs=1e-16)
+        _, (p_t,), _ = models._memory_decays([2.0], spec.Gamma, spec.gamma)
+        assert rho[1, 2] == pytest.approx(p_t**2 / 3.0, abs=1e-16)
 
     @pytest.mark.parametrize("gamma", [1e-4, 10.0])
     @pytest.mark.parametrize("window", ["revival", "small-time"])
     def test_stacks_match_per_time_decays(self, gamma, window):
         # kraus and states hold the bits of stacks built from one
-        # ye_nonmarkov_decay record per time
+        # _memory_decays call per time
         spec = YENonMarkov(gamma=gamma)
         ts = default_blp_grid(spec) if window == "revival" else np.linspace(0.0, 1e-3, 101)
-        decays = [ye_nonmarkov_decay(t, spec.Gamma, spec.gamma) for t in ts.tolist()]
-        p = np.array([d.p_t for d in decays])
-        q = np.array([d.q_t for d in decays])
+        decays = [models._memory_decays([t], spec.Gamma, spec.gamma) for t in ts.tolist()]
+        p = np.array([p_t for _, (p_t,), _ in decays])
+        q = np.array([q_t for _, _, (q_t,) in decays])
         a = spec.alpha_x
         populations = (a / 3, 1 / 3, 1 / 3, (1.0 - a) / 3)
-        states = models._dephase_states(populations, [d.p_t ** 2 / 3.0 for d in decays])
+        states = models._dephase_states(populations, [p_t ** 2 / 3.0 for p_t in p.tolist()])
         assert spec.kraus(ts).tobytes() == models._dephase_kraus(p, q).tobytes()
         assert spec.states(ts).tobytes() == states.tobytes()
 

@@ -567,13 +567,14 @@ class TestBlpMeasure:
 
     def test_every_kernel_call_is_a_trace_norm_call(self, monkeypatch):
         # the 20 default pairs' 40 states are certified without the kernel;
-        # every call takes trace norms, which over the whole grid number
-        # pairs x times
+        # every call takes trace norms, and of those only the 10 random
+        # pairs' evolved differences are dense: the 10 family pairs differ
+        # in their populations alone, so each evolves to a diagonal matrix
         calls = record_kernel_calls(monkeypatch)
         spec = YENonMarkov()
         blp_measure(spec)
         assert all(shape[1:] == (4, 4) and not vectors for shape, vectors in calls)
-        assert sum(shape[0] for shape, _ in calls) == 20 * default_blp_grid(spec).size
+        assert sum(shape[0] for shape, _ in calls) == 10 * default_blp_grid(spec).size
 
 
 def _per_pair_distances(spec, grid, pairs):
@@ -629,12 +630,12 @@ class TestRevivalDistances:
 
     @pytest.mark.parametrize("spec, times, sizes", [
         (CKDephase(), 629, [431, 198]),
-        (JCMPhoton(), 40, [1] * 40),
+        (JCMPhoton(), 40, [27, 13]),
     ], ids=["ck", "jcm-photon"])
     def test_one_kraus_stack_per_chunk(self, spec, times, sizes, monkeypatch):
-        # ck: 76 pairs at d = 2 give chunks of 2 MiB // (16 * 4 * 76) = 431 times,
-        # each one transfer stack (512 times at d = 2);
-        # jcm-photon: a d = 22 transfer matrix passes 128 KiB, so one time a stack
+        # ck: 76 pairs at d = 2 give chunks of 2 MiB // (16 * 4 * 76) = 431 times;
+        # jcm-photon: 10 pairs at d = 22 give 2 MiB // (16 * 484 * 10) = 27
+        # times, whose one stack the transfer stacks of one time each slice
         calls = []
         kraus = type(spec).kraus
 
@@ -648,9 +649,42 @@ class TestRevivalDistances:
         assert [c.size for c in calls] == sizes
         np.testing.assert_array_equal(np.concatenate(calls), grid)
 
+    @pytest.mark.parametrize("spec", [CKDephase(), CKDephase(t0=1.0), YEMarkov(), YENonMarkov()],
+                             ids=["ck", "ck-late-start", "ye-markov", "ye-nonmarkov"])
+    def test_schur_route_matches_transfer_route(self, spec, monkeypatch):
+        # diagonal operators make each channel an entrywise multiplier, which
+        # holds the bits of the transfer-matrix product it replaces
+        grid, pairs = default_blp_grid(spec), default_blp_pairs(spec)
+        assert witnesses._diagonal(spec.kraus(grid))
+        schur = witnesses._revival_distances(spec, grid, pairs)
+        monkeypatch.setattr(witnesses, "_diagonal", lambda ops: False)
+        transfer = witnesses._revival_distances(spec, grid, pairs)
+        assert schur.tobytes() == transfer.tobytes()
+
+    @pytest.mark.parametrize("spec", [JCMQubit(), JCMPhoton()], ids=["jcm-qubit", "jcm-photon"])
+    def test_off_diagonal_operators_keep_the_transfer_route(self, spec, monkeypatch):
+        def no_schur(*args):
+            raise AssertionError("a channel with off-diagonal operators took the Schur route")
+
+        monkeypatch.setattr(witnesses, "_schur_multipliers", no_schur)
+        grid = default_blp_grid(spec)[:30]
+        assert not witnesses._diagonal(spec.kraus(grid))
+        witnesses._revival_distances(spec, grid, default_blp_pairs(spec)[:2])
+
     def test_refuses_an_incomplete_time(self):
         grid = 0.0625 * np.arange(256)  # holds t = 1 exactly
         with pytest.raises(InvalidChannel, match="exceeds 1.0e-08 for channel 'ck'"):
             blp_measure(_LeakyCK(), grid)
         # the same model below the ceiling evolves
         assert blp_measure(_LeakyCK(excess=1e-9), grid).value > 0.0
+
+    def test_refuses_an_incomplete_diagonal_stack_on_the_schur_route(self, monkeypatch):
+        # the leaky operators are diagonal, so the refusal comes from the
+        # multipliers' completeness check, with the transfer route's message
+        def no_transfer(*args):
+            raise AssertionError("a diagonal stack took the transfer route")
+
+        monkeypatch.setattr(witnesses, "_transfer_matrices", no_transfer)
+        grid = 0.0625 * np.arange(256)
+        with pytest.raises(InvalidChannel, match="exceeds 1.0e-08 for channel 'ck'"):
+            blp_measure(_LeakyCK(), grid)
