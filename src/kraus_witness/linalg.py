@@ -9,14 +9,9 @@ function ``fidelities`` makes one or two calls for a whole stack,
 ``trace_norms`` at most one, on the matrices that are not direct sums of
 1x1 and 2x2 blocks, ``validate_densities`` at most one, on the matrices an
 LDL^dagger factorisation does not certify, and the single-matrix ones pass
-a stack of one.  The kernel holds its copy of the stack entry-major, as an
-(n, n, B) array, so that each matrix entry across the batch is one
-contiguous vector; for eigenvectors it is (n, 2n, B), the identity beside
-the matrix.  Every caller hands it an exactly Hermitian stack (the
-``_hermitized`` average, or (M + M^dagger)/2), so it reads only the upper
-triangle and rotates only rows, which turns that identity into V^dagger:
-the two matrix columns a pivot touches are written as the conjugates of
-its two new rows.
+a stack of one.  Every caller hands the kernel an exactly Hermitian stack
+(the ``_hermitized`` average, or (M + M^dagger)/2); its docstring gives its
+layout and its one convergence rule.
 """
 from __future__ import annotations
 
@@ -34,7 +29,7 @@ from .errors import (
     TraceNotOne,
 )
 
-# Absolute floor below which an off-diagonal pivot is not worth rotating.
+# a pivot of the scaled matrix at or below this is not worth rotating
 _PIVOT_SKIP = 1e-300
 
 _MAX_SWEEPS = 100
@@ -79,31 +74,25 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
     that pivot.  Only rows p and q are rotated, by R^dagger, which turns
     the extra columns into V^dagger.  Columns p and q of the matrix become
     the conjugates of the new rows, its diagonal entries a_pp - t|a_pq| and
-    a_qq + t|a_pq|, and the pivot and its mirror zero.  A matrix leaves the
-    batch as soon as its own off-diagonal Frobenius mass, sqrt(2) times
-    that of its upper triangle, is at most 1e-14 (scaled by its norm when
-    that exceeds 1), so its result does not depend on the rest of the
-    stack.  A matrix whose norm overflows runs scaled by an exact power of
-    two and its eigenvalues are scaled back.  A pivot at or below 1e-300
-    gets the identity rotation (c = 1, s = 0) instead of a division.
+    a_qq + t|a_pq|, and the pivot and its mirror zero.  Each matrix runs as
+    A_s, scaled by the power of two that puts its largest real or imaginary
+    part in [1/2, 1), and leaves the batch as soon as the off-diagonal
+    Frobenius mass of A_s, sqrt(2) times that of its upper triangle, is at
+    most 1e-14 max(1, ||A_s||_F); its eigenvalues are scaled back.  So the
+    target is relative at every scale, and a result does not depend on the
+    rest of the stack.  A pivot of A_s at or below 1e-300 gets the identity
+    rotation (c = 1, s = 0) instead of a division.
     """
     arr = np.asarray(stack, dtype=np.complex128)
     b, n = arr.shape[0], arr.shape[1]
     # a new array holding the upper triangle and its conjugate mirror
     arr = np.where(np.triu(np.ones((n, n), dtype=bool)), arr, arr.conj().swapaxes(1, 2))
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(arr, axis=(1, 2))
-    # a norm that overflows would be an infinite target, met before any
-    # sweep: such a matrix runs scaled by an exact power of two, its largest
-    # real or imaginary part in [1/2, 1), and its eigenvalues scale back
-    huge = ~np.isfinite(norm)
-    if huge.any():
-        exponent = np.frexp(np.abs(arr[huge].view(np.float64)).max(axis=(1, 2)))[1]
-        arr[huge] *= np.ldexp(1.0, -exponent)[:, None, None]
-        norm[huge] = np.linalg.norm(arr[huge], axis=(1, 2))
-    target = _OFFDIAG_TARGET * np.maximum(1.0, norm)
-    # entry-major: a[i, j] is entry (i, j) of every matrix, one contiguous
-    # vector
+    # A_s, in place; a power of two rounds nothing above the subnormal range
+    parts = arr.view(np.float64)
+    exponent = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))[1]
+    np.ldexp(parts, -exponent[:, None, None], out=parts)
+    target = _OFFDIAG_TARGET * np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
+    # entry-major: a[i, j] is entry (i, j) of every matrix, one contiguous vector
     a = np.zeros((n, 2 * n if vectors else n, b), dtype=np.complex128)
     a[:, :n] = arr.transpose(1, 2, 0)
     diagonal = np.arange(n)
@@ -158,10 +147,20 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
                 work[p, q] = work[q, p] = 0.0
     else:
         raise NoConvergence(int(active[0]), active.size, b)
-    eigenvalues = a[diagonal, diagonal].real.T.copy()
-    if huge.any():
-        eigenvalues[huge] = np.ldexp(eigenvalues[huge], exponent[:, None])
+    # C order, so that a sum over each matrix's eigenvalues keeps its order
+    eigenvalues = np.ldexp(a[diagonal, diagonal].real.T, exponent[:, None], order="C")
     return eigenvalues, (np.conjugate(a[:, n:].transpose(2, 1, 0), order="C") if vectors else None)
+
+
+def _eigenvalues_of(sym: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``sym[members]`` from one kernel call, none if there are
+    no members; its NoConvergence names the index in ``sym``."""
+    if not members.size:
+        return np.empty((0, sym.shape[1]))
+    try:
+        return _jacobi(sym[members])[0]
+    except NoConvergence as error:
+        raise NoConvergence(int(members[error.index]), error.unconverged, len(sym)) from None
 
 
 def _require_finite(arr: np.ndarray, error: type[NonHermitian]) -> None:
@@ -212,11 +211,21 @@ def _psd_sqrts(stack: np.ndarray) -> np.ndarray:
     """Principal square roots of a Hermitian (B, d, d) stack, with the clamp
     and the NotPSD check of ``psd_sqrt``, from one kernel call."""
     w, v = _jacobi(stack, vectors=True)
-    smallest = w.min(axis=1)
-    if np.any(smallest < -_PSD_CLAMP):
-        raise NotPSD(f"eigenvalue {np.min(smallest):.3e} below the -{_PSD_CLAMP:.1e} clamping window")
+    _require_clamp_window(w.min(axis=1))
     root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2)
     return 0.5 * (root + root.conj().swapaxes(1, 2))
+
+
+def _require_clamp_window(smallest: np.ndarray) -> None:
+    if np.any(smallest < -_PSD_CLAMP):
+        raise NotPSD(f"eigenvalue {np.min(smallest):.3e} below the -{_PSD_CLAMP:.1e} clamping window")
+
+
+def _inner_floor(smallest: np.ndarray, leading: np.ndarray) -> np.ndarray:
+    """The floor 1e-13 max(1, leading) of the eigenvalues of M, once none is below -1e-10."""
+    if np.any(smallest < -1e-10):
+        raise NotPSD(f"inner product matrix has eigenvalue {np.min(smallest):.3e}")
+    return 1e-13 * np.maximum(1.0, leading)
 
 
 def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -275,8 +284,7 @@ def _qubit_fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     half_trace, half_gap = 0.5 * (a00 + a11), 0.5 * (a00 - a11)
     r = np.hypot(half_gap, np.abs(a01))
     smallest = half_trace - r
-    if np.any(smallest < -_PSD_CLAMP):
-        raise NotPSD(f"eigenvalue {np.min(smallest):.3e} below the -{_PSD_CLAMP:.1e} clamping window")
+    _require_clamp_window(smallest)
     coupling = 2.0 * (a01 * b01.conj()).real
     trace = a00 * b00 + a11 * b11 + coupling
     # psd_sqrt's clamp makes rho1 max(s/2 + r, 0) (I + X/r)/2, X = rho1 - s/2
@@ -289,9 +297,7 @@ def _qubit_fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     high = 0.5 * trace + np.sqrt(np.clip(0.25 * trace ** 2 - product, 0.0, None))
     positive = high > 0.0
     low = np.where(positive, product / np.where(positive, high, 1.0), trace - high)
-    if np.any(low < -1e-10):
-        raise NotPSD(f"inner product matrix has eigenvalue {np.min(low):.3e}")
-    floor = 1e-13 * np.maximum(1.0, high)
+    floor = _inner_floor(low, high)
     both = low >= floor
     return np.where(
         both,
@@ -345,12 +351,9 @@ def _fidelity_jacobi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inner = 0.5 * (inner + inner.conj().swapaxes(1, 2))
     # ascending, so the square roots are summed in a fixed order
     w = np.sort(_jacobi(inner)[0], axis=1)
-    if np.any(w[:, 0] < -1e-10):
-        raise NotPSD(f"inner product matrix has eigenvalue {np.min(w[:, 0]):.3e}")
     # eigenvalues this far below the leading one are rounding images of exact
     # zeros; taking their square roots would inject ~1e-7 noise into the trace
-    floor = 1e-13 * np.maximum(1.0, w[:, -1:])
-    w = np.where(w < floor, 0.0, w)
+    w = np.where(w < _inner_floor(w[:, 0], w[:, -1:]), 0.0, w)
     return np.sum(np.sqrt(w), axis=1) ** 2
 
 
@@ -428,22 +431,17 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     direct = count.max(axis=1) <= 1
     norms = np.empty(b)
     dense = np.flatnonzero(~direct)
-    if dense.size:
-        try:
-            norms[dense] = np.abs(_jacobi(sym[dense])[0]).sum(axis=1)
-        except NoConvergence as error:
-            raise NoConvergence(int(dense[error.index]), error.unconverged, b) from None
-    if dense.size < b:
-        blocks = np.flatnonzero(direct)
-        diagonal = np.diagonal(sym, axis1=1, axis2=2).real[blocks]
-        pairs = partner[blocks]
-        parts = np.where(pairs == rows, np.abs(diagonal), 0.0)
-        matrix, first = np.nonzero(pairs > rows)
-        second = pairs[matrix, first]
-        parts[matrix, first] = _qubit_norms(
-            diagonal[matrix, first], diagonal[matrix, second], sym[blocks[matrix], first, second]
-        )
-        norms[blocks] = parts.sum(axis=1)
+    norms[dense] = np.abs(_eigenvalues_of(sym, dense)).sum(axis=1)
+    blocks = np.flatnonzero(direct)
+    diagonal = np.diagonal(sym, axis1=1, axis2=2).real[blocks]
+    pairs = partner[blocks]
+    parts = np.where(pairs == rows, np.abs(diagonal), 0.0)
+    matrix, first = np.nonzero(pairs > rows)
+    second = pairs[matrix, first]
+    parts[matrix, first] = _qubit_norms(
+        diagonal[matrix, first], diagonal[matrix, second], sym[blocks[matrix], first, second]
+    )
+    norms[blocks] = parts.sum(axis=1)
     return norms
 
 
@@ -530,10 +528,8 @@ def validate_densities(stack: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     bad = np.flatnonzero(np.abs(tr.imag) > tight)
     if bad.size:
         raise TraceNotOne(f"trace imaginary part {tr[bad[0]].imag:.3e} exceeds {tight:.1e}")
-    uncertified = ~_ldl_certified(sym, 0.5 * tol)
-    if not uncertified.any():
-        return sym
-    smallest = _jacobi(sym[uncertified])[0].min(axis=1)
+    uncertified = np.flatnonzero(~_ldl_certified(sym, 0.5 * tol))
+    smallest = _eigenvalues_of(sym, uncertified).min(axis=1)
     if np.any(smallest < -tol):
         raise NotPSD(f"eigenvalue {np.min(smallest):.3e} below -{tol:.1e}")
     return sym

@@ -100,7 +100,8 @@ class BlpEstimate:
 def make_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Ascending grid start, start + step, ... not exceeding stop.
 
-    Built as start + step * arange so repeated runs are bit identical.
+    Built as start + step * arange so repeated runs are bit identical.  A
+    count that numpy cannot size a float64 array for raises GridTooCoarse.
     """
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise GridTooCoarse(f"grid needs finite values, got {start!r}, {stop!r}, {step!r}")
@@ -108,8 +109,10 @@ def make_grid(start: float, stop: float, step: float) -> np.ndarray:
         raise GridTooCoarse(f"step must be positive, got {step!r}")
     if stop <= start:
         raise GridTooCoarse(f"empty window: start {start!r}, stop {stop!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    span = (stop - start) / step + 1e-9
+    if not span < np.iinfo(np.intp).max // 8:
+        raise GridTooCoarse(f"grid from {start!r} to {stop!r} in steps of {step!r} has too many points")
+    return start + step * np.arange(int(span) + 1)
 
 
 # fidelity routes, in order of preference

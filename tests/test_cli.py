@@ -304,6 +304,14 @@ class TestUsageErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
 
+    @pytest.mark.parametrize("stop", ["1", "1e300"])
+    def test_grid_too_fine_to_build_is_a_usage_error(self, stop, capsys):
+        argv = ["witness", "--model=ck", "--start=0", f"--stop={stop}", "--step=1e-300"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: grid from 0.0 to {float(stop)!r} in steps of 1e-300 has too many points\n"
+        )
+
     def test_inapplicable_param_names_flag(self, capsys):
         main(["witness", "--model", "ck", "--lambda", "1.0"])
         assert "--lambda" in capsys.readouterr().err

@@ -491,6 +491,9 @@ class TestNonFinite:
                 call()
 
 
+_SCALES = [1e-12, 1e-15, 1e-150, 1e-300, 1e160, 1e300]
+
+
 class TestTraceNorms:
     """The batched route against numpy's LAPACK eigvalsh as the oracle."""
 
@@ -498,11 +501,18 @@ class TestTraceNorms:
     def _oracle(stack):
         return np.abs(np.linalg.eigvalsh(stack)).sum(axis=1)
 
-    @pytest.mark.parametrize("dim", range(3, 9))
-    def test_matches_external_solver(self, rng, dim):
+    # the kernel's target is relative at every scale, so norms far below 1
+    # keep their digits as well as norms whose squares overflow
+    @pytest.mark.parametrize("dim, scale", [
+        *(pytest.param(dim, 1.0, id=str(dim)) for dim in range(3, 9)),
+        *((dim, scale) for dim in (4, 22) for scale in _SCALES),
+    ])
+    def test_matches_external_solver(self, rng, dim, scale):
         stack = np.array([random_hermitian(rng, dim) for _ in range(12)])
-        scale = np.linalg.norm(stack, axis=(1, 2))
-        assert np.all(np.abs(trace_norms(stack) - self._oracle(stack)) <= 1e-12 * scale)
+        bound = 1e-12 * scale * np.linalg.norm(stack, axis=(1, 2))
+        assert np.all(np.abs(trace_norms(scale * stack) - scale * self._oracle(stack)) <= bound)
+        for mat, oracle, within in zip(stack[:3], np.linalg.eigvalsh(stack[:3]), bound):
+            assert np.all(np.abs(hermitian_eig(scale * mat).eigenvalues - scale * oracle) <= within)
 
     def test_qubit_closed_form(self, rng):
         stack = np.array([random_hermitian(rng, 2) for _ in range(50)])
@@ -564,13 +574,26 @@ class TestTraceNorms:
         with pytest.raises(NoConvergence, match="batch index 1"):
             trace_norms(stack)
 
-    def test_no_convergence_counts_in_the_callers_stack(self, rng, monkeypatch):
-        # the direct sums skip the kernel, which sees the two dense matrices
-        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
-        direct = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-        stack = np.array([direct, direct, random_hermitian(rng, 4), direct, random_hermitian(rng, 4)])
-        with pytest.raises(NoConvergence, match=r"batch index 2 \(2 of 5 matrices unconverged\)"):
-            trace_norms(stack)
+    @pytest.mark.parametrize("check", [trace_norms, validate_densities],
+                             ids=["trace_norms", "validate_densities"])
+    def test_no_convergence_counts_in_the_callers_stack(self, rng, check, monkeypatch):
+        if check is trace_norms:
+            # the direct sums skip the kernel, which sees the two dense matrices
+            monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+            direct = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+            stack = np.array([direct, direct, random_hermitian(rng, 4), direct,
+                              random_hermitian(rng, 4)])
+            expected = (2, 2, 5)
+        else:
+            # the certificate clears the random states, and the kernel, which
+            # gets no sweep, sees only the one at -0.75 tol
+            monkeypatch.setattr(linalg, "_MAX_SWEEPS", 0)
+            stack = np.array([*(random_density(rng, 4) for _ in range(3)),
+                              _with_spectrum(rng, _unit_trace_spectrum(rng, 4, -0.75e-10))])
+            expected = (3, 1, 4)
+        with pytest.raises(NoConvergence) as caught:
+            check(stack)
+        assert (caught.value.index, caught.value.unconverged, caught.value.batch) == expected
 
     def test_dense_matrix_whose_norm_overflows(self):
         # squaring 1e160 overflows, so the kernel runs this matrix scaled

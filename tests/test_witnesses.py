@@ -3,6 +3,7 @@ estimator."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,13 @@ class TestMakeGrid:
     def test_rejects_non_finite(self, start, stop, step):
         with pytest.raises(GridTooCoarse):
             make_grid(start, stop, step)
+
+    # 1e300 points, and a count that overflows to infinity: neither is built
+    @pytest.mark.parametrize("stop", [1.0, 1e300])
+    def test_rejects_a_count_numpy_cannot_size(self, stop):
+        message = f"grid from 0.0 to {stop!r} in steps of 1e-300 has too many points"
+        with pytest.raises(GridTooCoarse, match=f"^{re.escape(message)}$"):
+            make_grid(0.0, stop, 1e-300)
 
 
 class TestFidelityDifference:
