@@ -4,8 +4,8 @@ A channel is a (k, d, d) stack of Kraus operators K_i acting as
 rho -> sum_i K_i rho K_i^dagger.  Completeness sum_i K_i^dagger K_i = I is
 checked in one place, ``_checked_defects``, which takes a (T, k, d, d) stack
 of T channels at once; ``validate_cptp``, ``apply`` and ``transfer_matrix``
-run it on a stack of one, and ``_transfer_matrices`` and
-``_schur_multipliers`` on a model's operators at a chunk of times.
+run it on a stack of one, and ``_evolve`` on a model's operators at a
+chunk of times.
 Channels whose operator set is only complete on a leading subspace
 (truncated field sectors, conditioned dynamics) declare that subspace
 through ``valid_dim``.
@@ -20,8 +20,11 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidChannel
 from .linalg import validate_density
 
-# apply() and transfer_matrix() refuse a channel whose completeness defect exceeds this
+# apply(), transfer_matrix() and _evolve() refuse a channel whose completeness defect exceeds this
 _APPLY_DEFECT_CEILING = 1e-8
+# bytes of (d^2, d^2) transfer matrices _evolve builds at once, whole times and at least
+# one: 512 times at d = 2, so jcm-qubit's whole revival chunk, and one time at d = 22
+_TRANSFER_STACK_BYTES = 128 << 10
 
 
 def _as_operator_stack(operators: Sequence[np.ndarray]) -> np.ndarray:
@@ -162,13 +165,12 @@ def transfer_matrix(channel: KrausChannel) -> np.ndarray:
     by linearity on any operator, not only on states.  The channel must be
     complete within 1e-8, as for ``apply``.
     """
-    return _transfer_matrices(channel.operators[None], channel.valid_dim, channel.label)[0]
+    validate_cptp(channel, _APPLY_DEFECT_CEILING)
+    return _transfer_matrices(channel.operators[None])[0]
 
 
-def _transfer_matrices(ops: np.ndarray, valid_dim: int, label: str) -> np.ndarray:
-    """(T, d^2, d^2) transfer matrices of a (T, k, d, d) stack of channels,
-    after one completeness check of the whole stack at the 1e-8 ceiling."""
-    _checked_defects(ops, valid_dim, _APPLY_DEFECT_CEILING, label)
+def _transfer_matrices(ops: np.ndarray) -> np.ndarray:
+    """Unchecked (T, d^2, d^2) transfer matrices of a (T, k, d, d) stack."""
     n, k, d = ops.shape[:3]
     # one product over the operator index: M[(i, a), (j, b)] = sum_k K_ia conj(K_jb)
     flat = ops.transpose(0, 2, 3, 1).reshape(n, d * d, k)
@@ -183,15 +185,26 @@ def _diagonal(ops: np.ndarray) -> bool:
     return not ops.reshape(-1, d * d)[:, ~np.eye(d, dtype=bool).ravel()].any()
 
 
-def _schur_multipliers(ops: np.ndarray, valid_dim: int, label: str) -> np.ndarray:
-    """(T, d, d) multipliers M[i, j] = sum_k K_k,ii conj(K_k,jj) of a
-    (T, k, d, d) stack of channels of diagonal operators, after the one
-    completeness check of ``_transfer_matrices``; channel t maps X to the
-    entrywise product M_t o X.  M_t is the diagonal of channel t's transfer
-    matrix, from the same product over the operator index."""
+def _evolve(ops: np.ndarray, xs: np.ndarray, valid_dim: int, label: str) -> np.ndarray:
+    """(T, P, d, d) images of a (P, d, d) operator stack under each channel
+    of a (T, k, d, d) Kraus stack, after one completeness check of the whole
+    stack at the 1e-8 ceiling.  Diagonal operators make channel t the
+    entrywise product with M_t[i, j] = sum_k K_k,ii conj(K_k,jj), its
+    transfer matrix's diagonal; others take transfer matrices, built within
+    128 KiB at a time.  Where M_t is real, as on every default model,
+    both routes give the same bits."""
     _checked_defects(ops, valid_dim, _APPLY_DEFECT_CEILING, label)
-    diagonals = np.diagonal(ops, axis1=2, axis2=3).swapaxes(1, 2)
-    return diagonals @ diagonals.conj().swapaxes(1, 2)
+    if _diagonal(ops):
+        diagonals = np.diagonal(ops, axis1=2, axis2=3).swapaxes(1, 2)
+        return (diagonals @ diagonals.conj().swapaxes(1, 2))[:, None] * xs
+    n, (p, d) = ops.shape[0], xs.shape[:2]
+    flat = xs.reshape(p, d * d)
+    # (T, P, d^2): the row-major vec of each image, vec(Lambda_t(X)) = T_t vec(X)
+    evolved = np.empty((n, p, d * d), dtype=np.complex128)
+    step = max(1, _TRANSFER_STACK_BYTES // (16 * d ** 4))
+    for j in range(0, n, step):
+        np.matmul(flat, _transfer_matrices(ops[j:j + step]).swapaxes(1, 2), out=evolved[j:j + step])
+    return evolved.reshape(n, p, d, d)
 
 
 def compose(late: KrausChannel, early: KrausChannel) -> KrausChannel:

@@ -202,14 +202,17 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-1e-10, 0) are treated as rounding images of zero and
     clamped; anything below -1e-10 raises NotPSD.  Raises NonHermitian as
-    ``hermitian_eig`` does.
+    ``hermitian_eig`` does, and DimensionMismatch on a 0x0 matrix.
     """
     return _psd_sqrts(_hermitized(_as_square(mat), _HERMITIAN_TOL, NonHermitian)[None])[0]
 
 
 def _psd_sqrts(stack: np.ndarray) -> np.ndarray:
     """Principal square roots of a Hermitian (B, d, d) stack, with the clamp
-    and the NotPSD check of ``psd_sqrt``, from one kernel call."""
+    and the NotPSD check of ``psd_sqrt``, from one kernel call; 0x0 matrices
+    have none, and raise DimensionMismatch naming the stack's shape."""
+    if not stack.shape[-1]:
+        raise DimensionMismatch(f"0x0 matrices have no square root, got stack shape {stack.shape}")
     w, v = _jacobi(stack, vectors=True)
     _require_clamp_window(w.min(axis=1))
     root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2)
@@ -250,7 +253,7 @@ def fidelities(rho1_stack: np.ndarray, rho2_stack: np.ndarray) -> np.ndarray:
     eigenvalues in [-1e-10, 0) are clamped to zero, as by ``psd_sqrt``.
     Eigenvalues of M below 1e-13 of its leading one are zeroed.  Values in
     (1, 1 + 1e-9] are clamped to 1; a larger overshoot raises
-    FidelityOvershoot.
+    FidelityOvershoot.  Stacks of 0x0 matrices raise DimensionMismatch.
 
     At d = 2 the closed form F = Tr(rho1 rho2) + 2 sqrt(det rho1 det rho2)
     needs no eigensolve; larger stacks take two Jacobi kernel calls in all.
@@ -412,13 +415,15 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     sum over rows of those, a block's at its first row, in the order the
     kernel sums its eigenvalues, so a diagonal matrix gets the kernel's bits.
     The other matrices take one eigenvalues-only kernel call, whose
-    NoConvergence names the index in this stack.
+    NoConvergence names the index in this stack.  A 0x0 matrix has norm 0.
     """
     arr = np.asarray(stack, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimensionMismatch(f"expected a (B, d, d) stack, got shape {arr.shape}")
     sym = _hermitized(arr, _HERMITIAN_TOL, NonHermitian)
     b, n = sym.shape[:2]
+    if not n:
+        return np.zeros(b)
     if n == 2:
         return _qubit_norms(sym[:, 0, 0].real, sym[:, 1, 1].real, sym[:, 0, 1])
     rows = np.arange(n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import _diagonal, _schur_multipliers, _transfer_matrices
+from .channels import _evolve
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -50,11 +50,6 @@ _MIN_BLP_POINTS = 200
 # From 1 MiB on, each d <= 4 model of the bench's revival workload is one
 # call, so its kernel pays its fixed cost per call (about 1 ms at d = 4) once
 _REVIVAL_CHUNK_BYTES = 2 << 20
-# bytes of (d^2, d^2) transfer matrices built at once on the transfer route,
-# whole times and at least one: 512 times at d = 2, 32 at d = 4, one at
-# d >= 9 (d = 22 on the field sector); stacks of 128 times at d = 4 raised
-# peak RSS by about 1 MB
-_TRANSFER_STACK_BYTES = 128 << 10
 
 
 @dataclass(frozen=True)
@@ -100,8 +95,8 @@ class BlpEstimate:
 def make_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Ascending grid start, start + step, ... not exceeding stop.
 
-    Built as start + step * arange so repeated runs are bit identical.  A
-    count that numpy cannot size a float64 array for raises GridTooCoarse.
+    Built as start + step * arange so repeated runs are bit identical; a
+    point count numpy cannot size or allocate raises GridTooCoarse.
     """
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise GridTooCoarse(f"grid needs finite values, got {start!r}, {stop!r}, {step!r}")
@@ -109,10 +104,13 @@ def make_grid(start: float, stop: float, step: float) -> np.ndarray:
         raise GridTooCoarse(f"step must be positive, got {step!r}")
     if stop <= start:
         raise GridTooCoarse(f"empty window: start {start!r}, stop {stop!r}")
-    span = (stop - start) / step + 1e-9
-    if not span < np.iinfo(np.intp).max // 8:
-        raise GridTooCoarse(f"grid from {start!r} to {stop!r} in steps of {step!r} has too many points")
-    return start + step * np.arange(int(span) + 1)
+    try:
+        return start + step * np.arange(int((stop - start) / step + 1e-9) + 1)
+    except (OverflowError, ValueError, MemoryError):
+        # a count past int (inf), past numpy's array size, or past memory
+        raise GridTooCoarse(
+            f"grid from {start!r} to {stop!r} in steps of {step!r} has too many points"
+        ) from None
 
 
 # fidelity routes, in order of preference
@@ -382,38 +380,20 @@ def _revival_distances(
     Every state is checked first, all in one stack.  The channel is linear,
     so each pair is evolved once, as its difference.  A chunk holds as many
     times as keep its evolved differences within 2 MiB (at least one), and
-    gets one ``kraus`` stack.  If no operator in it has an exactly nonzero
-    off-diagonal entry, each channel is the entrywise multiplier M_t of
-    ``_schur_multipliers`` (one completeness check) and one elementwise
-    product evolves every difference at every time.  Otherwise slices of
-    the stack within 128 KiB of transfer matrices each get one stacked
-    transfer-matrix call (one completeness check) and one product.  Where
-    M_t is real, as on every default model, the two routes give the same
-    bits.  ``trace_norms`` then takes the chunk's norms in one call.  A norm
-    does not depend on the batch it is taken in, so the chunking moves no
-    bit.
+    gets one ``kraus`` stack, one ``_evolve`` call (one completeness check)
+    and one ``trace_norms`` call.  A norm does not depend on the batch it is
+    taken in, so the chunking moves no bit.
     """
     dim = spec.dim
     states = validate_densities(np.array([
         _pair_state(rho, dim, label) for rho1, rho2, label in pairs for rho in (rho1, rho2)
     ]))
     differences = states[0::2] - states[1::2]
-    flat = differences.reshape(len(pairs), dim * dim)
     distances = np.empty((len(pairs), grid.size))
     times_per_chunk = max(1, _REVIVAL_CHUNK_BYTES // (16 * dim * dim * len(pairs)))
-    times_per_stack = max(1, _TRANSFER_STACK_BYTES // (16 * dim ** 4))
     for start in range(0, grid.size, times_per_chunk):
         times = grid[start:start + times_per_chunk]
-        ops = spec.kraus(times)
-        if _diagonal(ops):
-            # (times, pairs, d, d): Lambda_t(rho1 - rho2) = M_t o (rho1 - rho2)
-            evolved = _schur_multipliers(ops, spec.valid_dim, spec.NAME)[:, None] * differences
-        else:
-            # (times, pairs, d^2): row-major vec of Lambda_t(rho1 - rho2)
-            evolved = np.empty((times.size, len(pairs), dim * dim), dtype=np.complex128)
-            for j in range(0, times.size, times_per_stack):
-                transfers = _transfer_matrices(ops[j:j + times_per_stack], spec.valid_dim, spec.NAME)
-                np.matmul(flat, transfers.swapaxes(-1, -2), out=evolved[j:j + transfers.shape[0]])
+        evolved = _evolve(spec.kraus(times), differences, spec.valid_dim, spec.NAME)
         norms = trace_norms(evolved.reshape(-1, dim, dim)).reshape(times.size, len(pairs))
         distances[:, start:start + times.size] = 0.5 * norms.T
     return distances

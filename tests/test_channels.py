@@ -377,6 +377,11 @@ class TestTransferMatrix:
             transfer_matrix(KrausChannel(np.full((1, 2, 2), np.nan)))
 
 
+# the four 2x2 matrix units; their images under a channel are the columns
+# of its transfer matrix
+UNITS = np.eye(4, dtype=complex).reshape(4, 2, 2)
+
+
 class TestStackedGate:
     """One completeness check per stack of channels, at the same ceiling."""
 
@@ -386,27 +391,40 @@ class TestStackedGate:
         ops = np.stack([identity, math.sqrt(1.0 + excess) * identity, identity])
         if refused:
             with pytest.raises(InvalidChannel, match="exceeds 1.0e-08 for channel 'scaled'"):
-                channels._transfer_matrices(ops, 2, "scaled")
+                channels._evolve(ops, UNITS, 2, "scaled")
         else:
-            transfers = channels._transfer_matrices(ops, 2, "scaled")
+            transfers = channels._evolve(ops, UNITS, 2, "scaled").reshape(3, 4, 4)
             np.testing.assert_allclose(transfers, np.broadcast_to(np.eye(4), (3, 4, 4)),
                                        rtol=0.0, atol=1e-8)
 
     def test_nan_in_a_stack(self):
         ops = np.stack([np.eye(2, dtype=complex)[None], np.full((1, 2, 2), np.nan)])
         with pytest.raises(InvalidChannel, match="nan"):
-            channels._transfer_matrices(ops, 2, "")
+            channels._evolve(ops, UNITS, 2, "")
 
     @pytest.mark.parametrize("spec", STACK_SPECS, ids=STACK_IDS)
     def test_matches_each_channel(self, spec):
         ts = spec.t0 + np.linspace(0.0, 5.0, 17)
         ops = spec.kraus(ts)
-        transfers = channels._transfer_matrices(ops, spec.valid_dim, spec.NAME)
+        transfers = channels._transfer_matrices(ops)
         defects = channels._defects(ops, spec.valid_dim)
         for t, transfer, defect in zip(ts, transfers, defects):
             channel = model_channel(spec, float(t))
             assert transfer.tobytes() == transfer_matrix(channel).tobytes()
             assert defect == channel_defect(channel)
+
+
+class TestEvolve:
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=STACK_IDS)
+    def test_matches_operator_loop(self, spec, rng):
+        # the dephasing families take the Schur route, the others the
+        # transfer route; linear on any operator, so non-Hermitian ones too
+        ops = spec.kraus(spec.t0 + rng.uniform(0.0, 5.0, size=3))
+        d = spec.dim
+        xs = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        evolved = channels._evolve(ops, xs, spec.valid_dim, spec.NAME)
+        expected = [[loop_sandwich(channel, x) for x in xs] for channel in ops]
+        np.testing.assert_allclose(evolved, expected, rtol=0.0, atol=1e-13)
 
 
 class TestSemigroupDefect:

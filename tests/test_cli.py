@@ -312,6 +312,14 @@ class TestUsageErrors:
             f"usage error: grid from 0.0 to {float(stop)!r} in steps of 1e-300 has too many points\n"
         )
 
+    def test_grid_too_large_to_allocate_is_a_usage_error(self, capsys):
+        # 5e17 points: numpy can size the array but not allocate its 4 EB
+        argv = ["witness", "--model=ck", "--start=0", "--stop=1", "--step=2e-18"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "usage error: grid from 0.0 to 1.0 in steps of 2e-18 has too many points\n"
+        )
+
     def test_inapplicable_param_names_flag(self, capsys):
         main(["witness", "--model", "ck", "--lambda", "1.0"])
         assert "--lambda" in capsys.readouterr().err

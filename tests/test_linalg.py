@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import re
 import warnings
 from pathlib import Path
 
@@ -1013,6 +1014,38 @@ def _lapack_uses(tree):
         if any(n.startswith(("numpy.linalg", "scipy")) for n in names):
             found.append(node.lineno)
     return found
+
+
+class TestEmptyMatrices:
+    """0x0 operands: the empty matrix has trace norm 0, and no square root
+    or fidelity, which are refused by name rather than by a numpy error."""
+
+    EMPTY = np.zeros((0, 0), dtype=complex)
+
+    def test_trace_norms_are_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = trace_norms(np.zeros((3, 0, 0)))
+        assert norms.shape == (3,) and not norms.any()
+
+    def test_trace_distance_is_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert trace_distance(self.EMPTY, self.EMPTY) == 0.0
+
+    # the single-matrix calls name the stack of one they take the root of
+    @pytest.mark.parametrize("call, shape", [
+        (lambda empty: psd_sqrt(empty), "(1, 0, 0)"),
+        (lambda empty: fidelity(empty, empty), "(1, 0, 0)"),
+        (lambda empty: fidelities(np.stack([empty] * 2), np.stack([empty] * 2)), "(2, 0, 0)"),
+        (lambda empty: fidelities(np.zeros((0, 0, 0)), np.zeros((0, 0, 0))), "(0, 0, 0)"),
+    ], ids=["psd_sqrt", "fidelity", "fidelities", "fidelities-no-pairs"])
+    def test_square_roots_and_fidelities_are_refused(self, call, shape):
+        message = f"0x0 matrices have no square root, got stack shape {shape}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+                call(self.EMPTY)
 
 
 class TestLapackFree:

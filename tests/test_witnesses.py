@@ -44,7 +44,7 @@ from kraus_witness import (
     trace_distance,
     validate_density,
 )
-from kraus_witness import models, witnesses
+from kraus_witness import channels, models, witnesses
 
 from conftest import forbid_eigensolves, record_kernel_calls
 
@@ -130,6 +130,13 @@ class TestMakeGrid:
         message = f"grid from 0.0 to {stop!r} in steps of 1e-300 has too many points"
         with pytest.raises(GridTooCoarse, match=f"^{re.escape(message)}$"):
             make_grid(0.0, stop, 1e-300)
+
+    def test_rejects_a_count_no_address_space_holds(self):
+        # 2^59 points that numpy can size, 4 EiB that it cannot allocate
+        step = 2.0 ** -59
+        message = f"grid from 0.0 to 1.0 in steps of {step!r} has too many points"
+        with pytest.raises(GridTooCoarse, match=f"^{re.escape(message)}$"):
+            make_grid(0.0, 1.0, step)
 
 
 class TestFidelityDifference:
@@ -633,7 +640,7 @@ class TestRevivalDistances:
         monkeypatch.setattr(witnesses, "_REVIVAL_CHUNK_BYTES", 7 * 16 * spec.dim ** 2 * len(pairs))
         np.testing.assert_array_equal(witnesses._revival_distances(spec, grid, pairs), whole)
         # and transfer stacks of 3 times inside each chunk, the last one short
-        monkeypatch.setattr(witnesses, "_TRANSFER_STACK_BYTES", 3 * 16 * spec.dim ** 4)
+        monkeypatch.setattr(channels, "_TRANSFER_STACK_BYTES", 3 * 16 * spec.dim ** 4)
         np.testing.assert_array_equal(witnesses._revival_distances(spec, grid, pairs), whole)
 
     @pytest.mark.parametrize("spec, times, sizes", [
@@ -657,27 +664,52 @@ class TestRevivalDistances:
         assert [c.size for c in calls] == sizes
         np.testing.assert_array_equal(np.concatenate(calls), grid)
 
+    @pytest.mark.parametrize("spec, times, sizes", [
+        (CKDephase(), 629, [431, 198]),
+        (JCMPhoton(), 40, [27, 13]),
+    ], ids=["ck", "jcm-photon"])
+    def test_one_completeness_check_per_chunk(self, spec, times, sizes, monkeypatch):
+        # ck takes the Schur route; jcm-photon takes the transfer route in
+        # stacks of one time each, and is still checked once per chunk
+        checked = []
+        checked_defects = channels._checked_defects
+
+        def recorded(ops, *args):
+            checked.append(len(ops))
+            return checked_defects(ops, *args)
+
+        monkeypatch.setattr(channels, "_checked_defects", recorded)
+        witnesses._revival_distances(spec, default_blp_grid(spec)[:times], default_blp_pairs(spec))
+        assert checked == sizes
+
     @pytest.mark.parametrize("spec", [CKDephase(), CKDephase(t0=1.0), YEMarkov(), YENonMarkov()],
                              ids=["ck", "ck-late-start", "ye-markov", "ye-nonmarkov"])
     def test_schur_route_matches_transfer_route(self, spec, monkeypatch):
         # diagonal operators make each channel an entrywise multiplier, which
         # holds the bits of the transfer-matrix product it replaces
         grid, pairs = default_blp_grid(spec), default_blp_pairs(spec)
-        assert witnesses._diagonal(spec.kraus(grid))
+        assert channels._diagonal(spec.kraus(grid))
         schur = witnesses._revival_distances(spec, grid, pairs)
-        monkeypatch.setattr(witnesses, "_diagonal", lambda ops: False)
+        monkeypatch.setattr(channels, "_diagonal", lambda ops: False)
         transfer = witnesses._revival_distances(spec, grid, pairs)
         assert schur.tobytes() == transfer.tobytes()
 
     @pytest.mark.parametrize("spec", [JCMQubit(), JCMPhoton()], ids=["jcm-qubit", "jcm-photon"])
     def test_off_diagonal_operators_keep_the_transfer_route(self, spec, monkeypatch):
-        def no_schur(*args):
-            raise AssertionError("a channel with off-diagonal operators took the Schur route")
+        transferred = []
+        transfer_matrices = channels._transfer_matrices
 
-        monkeypatch.setattr(witnesses, "_schur_multipliers", no_schur)
+        def recorded(ops):
+            transferred.append(len(ops))
+            return transfer_matrices(ops)
+
+        monkeypatch.setattr(channels, "_transfer_matrices", recorded)
         grid = default_blp_grid(spec)[:30]
-        assert not witnesses._diagonal(spec.kraus(grid))
+        assert not channels._diagonal(spec.kraus(grid))
         witnesses._revival_distances(spec, grid, default_blp_pairs(spec)[:2])
+        assert sum(transferred) == grid.size, (
+            "a channel with off-diagonal operators took the Schur route"
+        )
 
     def test_refuses_an_incomplete_time(self):
         grid = 0.0625 * np.arange(256)  # holds t = 1 exactly
@@ -688,11 +720,11 @@ class TestRevivalDistances:
 
     def test_refuses_an_incomplete_diagonal_stack_on_the_schur_route(self, monkeypatch):
         # the leaky operators are diagonal, so the refusal comes from the
-        # multipliers' completeness check, with the transfer route's message
+        # completeness check ahead of the Schur route, with the same message
         def no_transfer(*args):
             raise AssertionError("a diagonal stack took the transfer route")
 
-        monkeypatch.setattr(witnesses, "_transfer_matrices", no_transfer)
+        monkeypatch.setattr(channels, "_transfer_matrices", no_transfer)
         grid = 0.0625 * np.arange(256)
         with pytest.raises(InvalidChannel, match="exceeds 1.0e-08 for channel 'ck'"):
             blp_measure(_LeakyCK(), grid)
