@@ -10,7 +10,6 @@ from .channels import (
     LindbladSet,
     apply,
     channel_defect,
-    compose,
     lgks_rhs,
     semigroup_defect,
     transfer_matrix,

@@ -1,11 +1,11 @@
-"""Kraus channels, composition, and the LGKS right-hand side.
+"""Kraus channels, stacks of them over time, and the LGKS right-hand side.
 
 A channel is a (k, d, d) stack of Kraus operators K_i acting as
 rho -> sum_i K_i rho K_i^dagger.  Completeness sum_i K_i^dagger K_i = I is
 checked in one place, ``_checked_defects``, which takes a (T, k, d, d) stack
 of T channels at once; ``validate_cptp``, ``apply`` and ``transfer_matrix``
-run it on a stack of one, and ``_evolve`` on a model's operators at a
-chunk of times.
+run it on a stack of one, and ``_evolve`` on a chunk of times, which
+``_chunks`` alone cuts, for ``evolve_chunks`` and ``completeness_defects``.
 Channels whose operator set is only complete on a leading subspace
 (truncated field sectors, conditioned dynamics) declare that subspace
 through ``valid_dim``.
@@ -13,7 +13,7 @@ through ``valid_dim``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,9 +22,16 @@ from .linalg import validate_density
 
 # apply(), transfer_matrix() and _evolve() refuse a channel whose completeness defect exceeds this
 _APPLY_DEFECT_CEILING = 1e-8
-# bytes of (d^2, d^2) transfer matrices _evolve builds at once, whole times and at least
-# one: 512 times at d = 2, so jcm-qubit's whole revival chunk, and one time at d = 22
+# Byte budgets of the stacks _chunks cuts from a time array (whole times, at least one):
+# transfer matrices _evolve builds at once, 512 times at d = 2 and one at d = 22;
 _TRANSFER_STACK_BYTES = 128 << 10
+# images evolve_chunks yields at once.  Default blp_measure at 1 / 2 / 4 MiB on 2 vCPUs:
+# jcm-photon (27 times a chunk at 2 MiB) 3.1-3.5 / 2.6-2.7 / 3.1 s at 53 / 54 / 64 MB peak
+# RSS, ye-nonmarkov 35 / 35 / 34 ms at 42 / 47 / 47 MB.  From 1 MiB on, each d <= 4 bench
+# revival is one chunk, so its kernel pays its fixed cost (about 1 ms at d = 4) once;
+_EVOLVED_CHUNK_BYTES = 2 << 20
+# Kraus operators completeness_defects holds at once: 50 times of any default model
+_DEFECT_STACK_BYTES = 1 << 20
 
 
 def _as_operator_stack(operators: Sequence[np.ndarray]) -> np.ndarray:
@@ -201,22 +208,35 @@ def _evolve(ops: np.ndarray, xs: np.ndarray, valid_dim: int, label: str) -> np.n
     flat = xs.reshape(p, d * d)
     # (T, P, d^2): the row-major vec of each image, vec(Lambda_t(X)) = T_t vec(X)
     evolved = np.empty((n, p, d * d), dtype=np.complex128)
-    step = max(1, _TRANSFER_STACK_BYTES // (16 * d ** 4))
-    for j in range(0, n, step):
-        np.matmul(flat, _transfer_matrices(ops[j:j + step]).swapaxes(1, 2), out=evolved[j:j + step])
+    for part in _chunks(n, 16 * d ** 4, _TRANSFER_STACK_BYTES):
+        np.matmul(flat, _transfer_matrices(ops[part]).swapaxes(1, 2), out=evolved[part])
     return evolved.reshape(n, p, d, d)
 
 
-def compose(late: KrausChannel, early: KrausChannel) -> KrausChannel:
-    """Channel performing ``early`` then ``late``; the operator stack is every
-    product K_late K_early, late-major and unpruned."""
-    if late.dim != early.dim:
-        raise DimensionMismatch(
-            f"cannot compose dimensions {late.dim} and {early.dim}"
-        )
-    ops = (late.operators[:, None] @ early.operators[None]).reshape(-1, late.dim, late.dim)
-    label = f"{late.label}*{early.label}" if (late.label or early.label) else ""
-    return KrausChannel(ops, label, min(late.valid_dim, early.valid_dim))
+def _chunks(count: int, bytes_per_time: int, budget: int) -> list[slice]:
+    """Slices of range(count), as many whole times as fit the budget, at least one."""
+    step = max(1, budget // bytes_per_time)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def evolve_chunks(
+    kraus: Callable[[np.ndarray], np.ndarray],
+    times: np.ndarray, xs: np.ndarray, valid_dim: int, label: str,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, images) per chunk of ``times``, where images are the (T, P, d, d)
+    ``_evolve`` of a (P, d, d) stack under one ``kraus(times[start:start + T])``
+    stack: as many times as keep the images within 2 MiB."""
+    for part in _chunks(times.size, 16 * xs.size, _EVOLVED_CHUNK_BYTES):
+        yield part.start, _evolve(kraus(times[part]), xs, valid_dim, label)
+
+
+def completeness_defects(
+    kraus: Callable[[np.ndarray], np.ndarray], times: np.ndarray, valid_dim: int
+) -> np.ndarray:
+    """(T,) ``_defects`` of the channels at ``times``, from ``kraus`` stacks of
+    at most 1 MiB of operators, sized by a first stack of one time."""
+    parts = _chunks(times.size, kraus(times[:1]).nbytes, _DEFECT_STACK_BYTES)
+    return np.concatenate([_defects(kraus(times[part]), valid_dim) for part in parts])
 
 
 def lgks_rhs(lset: LindbladSet, rho: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .channels import _defects
+from .channels import completeness_defects
 from .errors import KrausWitnessError, UsageError
 from .models import MODEL_CLASSES, ModelSpec
 from .probes import SMALL_TIME_WINDOW, small_time_exponents
@@ -72,11 +72,6 @@ _OPTIONS = {
     "samples": dict(type=int, help="number of sampled times (default 50)"),
     **_PARAMS,
 }
-
-# Kraus operators validate holds at once, whole times and at least one, so
-# memory does not grow with --samples: 50 samples are one stack for every
-# default model
-_DEFECT_STACK_BYTES = 1 << 20
 
 # numbers the CLI consumes itself; the models range-check their parameters
 _FINITE_KEYS = ("start", "stop", "step", "tau", "witness_tol", "t_min", "t_max")
@@ -393,10 +388,7 @@ def cmd_validate(ns: argparse.Namespace) -> int:
         raise UsageError(f"--samples must be at least 2, got {samples!r}")
     rate = spec.rate
     times = np.linspace(start / rate, stop / rate, samples)
-    step = max(1, _DEFECT_STACK_BYTES // spec.kraus(times[:1]).nbytes)
-    defects = np.concatenate([
-        _defects(spec.kraus(times[i:i + step]), spec.valid_dim) for i in range(0, samples, step)
-    ])
+    defects = completeness_defects(spec.kraus, times, spec.valid_dim)
     worst = float(defects.max())
     at = float(times[int(np.argmax(defects))] * rate)
     print(

@@ -8,8 +8,8 @@ model but a late-started revival model),
 
 A strictly negative dip certifies memory in the dynamics; the converse does
 not hold, so the verdict vocabulary only ever asserts the witnessed side.
-The trace-distance estimate integrates distinguishability revivals over a
-sampled pair set and is a lower bound by construction.
+The trace-distance estimate sums distinguishability revivals over a sampled
+pair set on a sampled grid; it estimates the measure and bounds it neither way.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import _evolve
+from .channels import evolve_chunks
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -42,14 +42,6 @@ _CROSS_CHECK_STRIDE = 10
 _CROSS_CHECK_TOL = 1e-9
 
 _MIN_BLP_POINTS = 200
-# bytes of evolved differences (pairs x times matrices of 16 d^2 bytes, whole
-# times and at least one) a revival chunk hands to trace_norms in one call.
-# Default blp_measure, alternating runs on 2 vCPUs at 1 / 2 / 4 MiB:
-# jcm-photon (27 times a chunk at 2 MiB) 3.1-3.5 / 2.6-2.7 / 3.1 s at
-# 53 / 54 / 64 MB peak RSS, ye-nonmarkov 35 / 35 / 34 ms at 42 / 47 / 47 MB.
-# From 1 MiB on, each d <= 4 model of the bench's revival workload is one
-# call, so its kernel pays its fixed cost per call (about 1 ms at d = 4) once
-_REVIVAL_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -84,7 +76,7 @@ class Verdict:
 
 @dataclass(frozen=True)
 class BlpEstimate:
-    """Sampled lower bound of the trace-distance revival measure."""
+    """Sampled estimate of the trace-distance revival measure, not a bound."""
 
     value: float
     pair_count: int
@@ -378,11 +370,9 @@ def _revival_distances(
     """(pairs x times) trace distances D = (1/2)||Lambda_t(rho1 - rho2)||_1.
 
     Every state is checked first, all in one stack.  The channel is linear,
-    so each pair is evolved once, as its difference.  A chunk holds as many
-    times as keep its evolved differences within 2 MiB (at least one), and
-    gets one ``kraus`` stack, one ``_evolve`` call (one completeness check)
-    and one ``trace_norms`` call.  A norm does not depend on the batch it is
-    taken in, so the chunking moves no bit.
+    so each pair is evolved once, as its difference, by ``evolve_chunks``;
+    each chunk's norms are one ``trace_norms`` call.  A norm does not depend
+    on the batch it is taken in, so the chunking moves no bit.
     """
     dim = spec.dim
     states = validate_densities(np.array([
@@ -390,12 +380,9 @@ def _revival_distances(
     ]))
     differences = states[0::2] - states[1::2]
     distances = np.empty((len(pairs), grid.size))
-    times_per_chunk = max(1, _REVIVAL_CHUNK_BYTES // (16 * dim * dim * len(pairs)))
-    for start in range(0, grid.size, times_per_chunk):
-        times = grid[start:start + times_per_chunk]
-        evolved = _evolve(spec.kraus(times), differences, spec.valid_dim, spec.NAME)
-        norms = trace_norms(evolved.reshape(-1, dim, dim)).reshape(times.size, len(pairs))
-        distances[:, start:start + times.size] = 0.5 * norms.T
+    for start, evolved in evolve_chunks(spec.kraus, grid, differences, spec.valid_dim, spec.NAME):
+        norms = trace_norms(evolved.reshape(-1, dim, dim)).reshape(-1, len(pairs))
+        distances[:, start:start + len(norms)] = 0.5 * norms.T
     return distances
 
 
@@ -404,14 +391,15 @@ def blp_measure(
     t_grid: np.ndarray | None = None,
     pairs: list[tuple[np.ndarray, np.ndarray, str]] | None = None,
 ) -> BlpEstimate:
-    """Sampled lower bound of the trace-distance revival measure.
+    """Sampled estimate of the trace-distance revival measure.
 
     For each pair the trace distance is tracked along the grid, its time
     derivative estimated by central differences (one-sided at the ends),
-    and the positive part summed by a rectangle rule.  The estimate is the
-    maximum over pairs (the first pair wins a tie); finer grids and richer
-    pair sets can only tighten it upward toward the true measure.  Without
-    ``pairs`` the sample is ``default_blp_pairs(spec)``, drawn at seed 0.
+    and the positive part summed with weight h at every point, ends too.
+    The estimate is the maximum over pairs (the first pair wins a tie), and
+    no bound: the sum misses growth between points and adds about h/2 times
+    the growth rate at each end, so a finer grid can move it either way.
+    Without ``pairs`` the sample is ``default_blp_pairs(spec)``, at seed 0.
     Every state must be a (dim, dim) density matrix (DimensionMismatch,
     or ``validate_density``'s errors at its default tolerance); all are
     checked before any evolution.

@@ -1,8 +1,10 @@
-"""Channel layer: completeness, application, composition, generator rhs."""
+"""Channel layer: completeness, application, stacks over time, generator rhs."""
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from kraus_witness import (
     apply,
     channel_defect,
     ck_channel,
-    compose,
     default_blp_grid,
     lgks_rhs,
     model_channel,
@@ -201,20 +202,6 @@ class TestApply:
         with pytest.raises(InvalidChannel):
             apply(KrausChannel(np.full((1, 2, 2), np.nan)), np.eye(2, dtype=complex) / 2)
 
-
-class TestCompose:
-    def test_identity_neutral(self, rng):
-        ident = KrausChannel((np.eye(4, dtype=complex),))
-        channel = ye_markov_channel(0.7)
-        rho = random_density(rng, 4)
-        np.testing.assert_allclose(
-            apply(compose(ident, channel), rho), apply(channel, rho), atol=1e-14
-        )
-
-    def test_operator_count_unpruned(self):
-        composed = compose(ye_markov_channel(0.3), ye_markov_channel(0.4))
-        assert len(composed.operators) == 16
-
     def test_exponential_branch_is_semigroup(self, rng):
         rho0 = YEMarkov().state(0.0)
         for _ in range(10):
@@ -229,14 +216,10 @@ class TestCompose:
     def test_revival_composition_gap(self):
         # two quarter revivals kill the coherence; one half revival flips it
         half = math.pi / 2.0
-        composed = compose(ck_channel(half), ck_channel(half))
         rho0 = CKDephase().state(0.0)
-        gap = trace_distance(apply(composed, rho0), CKDephase().state(math.pi))
+        twice = apply(ck_channel(half), apply(ck_channel(half), rho0))
+        gap = trace_distance(twice, CKDephase().state(math.pi))
         assert gap == pytest.approx(0.5, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            compose(ye_markov_channel(0.1), ck_channel(0.1))
 
 
 class TestLgksRhs:
@@ -312,12 +295,6 @@ class TestStackedMatchesLoop:
             block = channel.valid_dim or channel.dim
             expected = np.max(np.abs(loop_gram(ops)[:block, :block] - np.eye(block)))
             assert abs(channel_defect(channel) - expected) <= 1e-15
-
-            early = model_channel(spec, spec.t0 + 0.5 * (t - spec.t0))
-            composed = compose(channel, early)
-            products = [kl @ ke for kl in ops for ke in early.operators]
-            np.testing.assert_allclose(composed.operators, products, rtol=0.0, atol=1e-15)
-            assert composed.valid_dim == channel.valid_dim
 
     @pytest.mark.parametrize("spec", [JCMQubit(), YENonMarkov(), JCMPhoton()],
                              ids=["jcm-qubit", "ye-nonmarkov", "jcm-photon"])
@@ -412,6 +389,31 @@ class TestStackedGate:
             channel = model_channel(spec, float(t))
             assert transfer.tobytes() == transfer_matrix(channel).tobytes()
             assert defect == channel_defect(channel)
+
+
+class TestCompletenessDefects:
+    @pytest.mark.parametrize("budget, stacks", [(1, 17), (1 << 30, 1)], ids=["one-time", "whole"])
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=STACK_IDS)
+    def test_matches_each_channel(self, spec, budget, stacks, monkeypatch):
+        ts = spec.t0 + np.linspace(0.0, 5.0, 17)
+        sizes = []
+        monkeypatch.setattr(channels, "_DEFECT_STACK_BYTES", budget)
+        defects = channels.completeness_defects(
+            lambda times: sizes.append(len(times)) or spec.kraus(times), ts, spec.valid_dim
+        )
+        assert sizes == [1] + [17 // stacks] * stacks  # the first sizes a time's operators
+        assert defects.tolist() == [channel_defect(model_channel(spec, float(t))) for t in ts]
+
+
+class TestCallers:
+    @pytest.mark.parametrize("module", ["cli", "witnesses"])
+    def test_import_no_private_name(self, module):
+        # the byte budgets and the cuts they make stay behind channels' public functions
+        tree = ast.parse((Path(channels.__file__).parent / f"{module}.py").read_text())
+        private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and node.module in ("channels", "kraus_witness.channels")
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []
 
 
 class TestEvolve:

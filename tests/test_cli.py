@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kraus_witness import JCMQubit, cli
+from kraus_witness import JCMQubit, channels
 from kraus_witness.cli import main
 from kraus_witness.probes import SMALL_TIME_WINDOW
 
@@ -228,7 +228,7 @@ class TestValidateCommand:
         sizes = []
         kraus = JCMQubit.kraus
         monkeypatch.setattr(JCMQubit, "kraus", lambda self, ts: sizes.append(len(ts)) or kraus(self, ts))
-        monkeypatch.setattr(cli, "_DEFECT_STACK_BYTES", 1)
+        monkeypatch.setattr(channels, "_DEFECT_STACK_BYTES", 1)
         assert main(argv) == 0
         assert capsys.readouterr().out == whole
         assert sizes == [1] * 401  # the first sizes a time's operators

@@ -637,7 +637,7 @@ class TestRevivalDistances:
         pairs = default_blp_pairs(spec)
         whole = witnesses._revival_distances(spec, grid, pairs)
         # a chunk of 7 times per trace_norms call, the last one short
-        monkeypatch.setattr(witnesses, "_REVIVAL_CHUNK_BYTES", 7 * 16 * spec.dim ** 2 * len(pairs))
+        monkeypatch.setattr(channels, "_EVOLVED_CHUNK_BYTES", 7 * 16 * spec.dim ** 2 * len(pairs))
         np.testing.assert_array_equal(witnesses._revival_distances(spec, grid, pairs), whole)
         # and transfer stacks of 3 times inside each chunk, the last one short
         monkeypatch.setattr(channels, "_TRANSFER_STACK_BYTES", 3 * 16 * spec.dim ** 4)
