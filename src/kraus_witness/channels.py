@@ -195,11 +195,16 @@ def _diagonal(ops: np.ndarray) -> bool:
 def _evolve(ops: np.ndarray, xs: np.ndarray, valid_dim: int, label: str) -> np.ndarray:
     """(T, P, d, d) images of a (P, d, d) operator stack under each channel
     of a (T, k, d, d) Kraus stack, after one completeness check of the whole
-    stack at the 1e-8 ceiling.  Diagonal operators make channel t the
-    entrywise product with M_t[i, j] = sum_k K_k,ii conj(K_k,jj), its
-    transfer matrix's diagonal; others take transfer matrices, built within
-    128 KiB at a time.  Where M_t is real, as on every default model,
-    both routes give the same bits."""
+    stack at the 1e-8 ceiling.  Operators exactly zero at every time of the
+    stack (NaN counts as nonzero) add nothing to the check or the images and
+    are dropped first; the vacuum jcm-qubit stack keeps 2 of its 21.
+    Diagonal operators make channel t the entrywise product with
+    M_t[i, j] = sum_k K_k,ii conj(K_k,jj), its transfer matrix's diagonal;
+    others take transfer matrices, built within 128 KiB at a time.  Where
+    M_t is real, as on every default model, both routes give the same bits."""
+    live = ops.any(axis=(0, 2, 3))
+    if not live.all():
+        ops = ops[:, live]
     _checked_defects(ops, valid_dim, _APPLY_DEFECT_CEILING, label)
     if _diagonal(ops):
         diagonals = np.diagonal(ops, axis1=2, axis2=3).swapaxes(1, 2)
@@ -234,9 +239,14 @@ def completeness_defects(
     kraus: Callable[[np.ndarray], np.ndarray], times: np.ndarray, valid_dim: int
 ) -> np.ndarray:
     """(T,) ``_defects`` of the channels at ``times``, from ``kraus`` stacks of
-    at most 1 MiB of operators, sized by a first stack of one time."""
-    parts = _chunks(times.size, kraus(times[:1]).nbytes, _DEFECT_STACK_BYTES)
-    return np.concatenate([_defects(kraus(times[part]), valid_dim) for part in parts])
+    at most 1 MiB of operators: a first stack of one time, which sizes the
+    stacks of the times after it."""
+    first = kraus(times[:1])
+    rest = times[1:]
+    parts = _chunks(rest.size, first.nbytes, _DEFECT_STACK_BYTES)
+    return np.concatenate(
+        [_defects(first, valid_dim), *(_defects(kraus(rest[part]), valid_dim) for part in parts)]
+    )
 
 
 def lgks_rhs(lset: LindbladSet, rho: np.ndarray) -> np.ndarray:

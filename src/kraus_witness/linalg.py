@@ -81,7 +81,10 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
     most 1e-14 max(1, ||A_s||_F); its eigenvalues are scaled back.  So the
     target is relative at every scale, and a result does not depend on the
     rest of the stack.  A pivot of A_s at or below 1e-300 gets the identity
-    rotation (c = 1, s = 0) instead of a division.
+    rotation (c = 1, s = 0) instead of a division; those guards run only
+    in a batch that holds such a pivot.  The pivot's four entries are
+    written last, so without ``vectors`` rows p and q are rotated only
+    over the other columns where ``_other_columns`` finds them one slice.
     """
     arr = np.asarray(stack, dtype=np.complex128)
     b, n = arr.shape[0], arr.shape[1]
@@ -100,6 +103,7 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
         # rotating the rows of [A | I] by R^dagger turns I into V^dagger
         a[diagonal, n + diagonal] = 1.0
     upper = np.triu_indices(n, 1)
+    pivots = [(p, q, slice(None) if vectors else _other_columns(n, p, q)) for p, q in zip(*upper)]
     active = np.arange(b)
     work = a
     for _ in range(_MAX_SWEEPS):
@@ -114,42 +118,59 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
             active, work = active[~done], work[:, :, ~done]
         if not active.size:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                r = np.abs(apq)
+        for p, q, cols in pivots:
+            apq = work[p, q]
+            r = np.abs(apq)
+            # guards only for a batch with a pivot to skip (NaN fails the test too)
+            guarded = not r.min() > _PIVOT_SKIP
+            if guarded:
                 rotate = r > _PIVOT_SKIP
                 r = np.where(rotate, r, 1.0)
-                app, aqq = work[p, p].real, work[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            app, aqq = work[p, p].real, work[q, q].real
+            tau = (aqq - app) / (2.0 * r)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            if guarded:
                 t = np.where(rotate, t, 0.0)
-                shift = t * r
-                new_pp, new_qq = app - shift, aqq + shift
-                c = 1.0 / np.hypot(1.0, t)
-                # s e^(i arg a_pq), s = t c
-                sp = apq * (t * c / r)
-                # c as complex gives the same products without a cast per row
-                c = c.astype(np.complex128)
-                row_p, row_q = work[p], work[q]
-                new_p = c * row_p
-                new_p -= sp * row_q
-                new_q = sp.conj() * row_p
-                new_q += c * row_q
-                work[p], work[q] = new_p, new_q
-                # the rotated matrix is Hermitian: its columns p and q are
-                # the conjugates of the new rows, with no rotation of their own
-                np.conjugate(new_p[:n], out=work[:, p])
-                np.conjugate(new_q[:n], out=work[:, q])
-                work[p, p], work[q, q] = new_pp, new_qq
-                # the rotation annihilates the pivot exactly and a skipped
-                # pivot is negligible; either way drop the residue
-                work[p, q] = work[q, p] = 0.0
+            shift = t * r
+            new_pp, new_qq = app - shift, aqq + shift
+            c = 1.0 / np.hypot(1.0, t)
+            # s e^(i arg a_pq), s = t c
+            sp = apq * (t * c / r)
+            # c as complex gives the same products without a cast per row
+            c = c.astype(np.complex128)
+            row_p, row_q = work[p, cols], work[q, cols]
+            new_p = c * row_p
+            new_p -= sp * row_q
+            # row q in place, from row p before its own rotation is stored
+            row_q *= c
+            row_q += sp.conj() * row_p
+            work[p, cols] = new_p
+            # the rotated matrix is Hermitian: its columns p and q are
+            # the conjugates of the new rows, with no rotation of their own
+            np.conjugate(new_p[:n], out=work[cols, p])
+            np.conjugate(row_q[:n], out=work[cols, q])
+            work[p, p], work[q, q] = new_pp, new_qq
+            # the rotation annihilates the pivot exactly and a skipped
+            # pivot is negligible; either way drop the residue
+            work[p, q] = work[q, p] = 0.0
     else:
         raise NoConvergence(int(active[0]), active.size, b)
     # C order, so that a sum over each matrix's eigenvalues keeps its order
     eigenvalues = np.ldexp(a[diagonal, diagonal].real.T, exponent[:, None], order="C")
     return eigenvalues, (np.conjugate(a[:, n:].transpose(2, 1, 0), order="C") if vectors else None)
+
+
+def _other_columns(n: int, p: int, q: int) -> slice:
+    """The columns of an n x n matrix other than p and q as one basic slice
+    (every pivot at n = 4), or every column where they do not form one of at
+    least two: at n <= 3, and at some pivots from n = 5.  On a stack of one,
+    numpy rounds a one-entry complex product by another loop than a longer
+    one, so a single column would move the bits."""
+    others = [j for j in range(n) if j not in (p, q)]
+    if len(others) < 2:
+        return slice(None)
+    cut = slice(others[0], others[-1] + 1, others[1] - others[0])
+    return cut if list(range(n))[cut] == others else slice(None)
 
 
 def _eigenvalues_of(sym: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -168,6 +189,11 @@ def _require_finite(arr: np.ndarray, error: type[NonHermitian]) -> None:
         raise error("matrix has non-finite entries")
 
 
+def _require_defect_within(defect: float, tol: float, error: type[NonHermitian]) -> None:
+    if not defect <= tol:
+        raise error(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
+
+
 def _hermitized(arr: np.ndarray, tol: float, error: type[NonHermitian]) -> np.ndarray:
     """(M + M^dagger)/2 over the last two axes, raising ``error`` when an entry
     is not finite or max|M - M^dagger| exceeds ``tol``.
@@ -176,9 +202,7 @@ def _hermitized(arr: np.ndarray, tol: float, error: type[NonHermitian]) -> np.nd
     """
     _require_finite(arr, error)
     adjoint = arr.conj().swapaxes(-1, -2)
-    defect = float(np.max(np.abs(arr - adjoint))) if arr.size else 0.0
-    if not defect <= tol:
-        raise error(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
+    _require_defect_within(float(np.max(np.abs(arr - adjoint))) if arr.size else 0.0, tol, error)
     sym = arr + adjoint
     sym *= 0.5
     return sym
@@ -402,6 +426,19 @@ def _qubit_norms(x00: np.ndarray, x11: np.ndarray, x01: np.ndarray) -> np.ndarra
     return np.maximum(np.abs(x00 + x11), 2.0 * radius)
 
 
+def _qubit_trace_norms(arr: np.ndarray) -> np.ndarray:
+    """``trace_norms`` of a (B, 2, 2) stack, read in place: the checks and
+    bits of the Hermitized route with no adjoint, difference or average
+    stack.  max|X - X^dagger| is 2|Im x| on the diagonal and |x01 - conj x10|
+    off it, and the average has diagonal Re x and corner (x01 + conj x10)/2."""
+    _require_finite(arr, NonHermitian)
+    x00, x01, x10, x11 = arr[:, 0, 0], arr[:, 0, 1], arr[:, 1, 0], arr[:, 1, 1]
+    diagonal = 2.0 * np.maximum(np.abs(x00.imag), np.abs(x11.imag)).max(initial=0.0)
+    corner = np.abs(x01 - x10.conj()).max(initial=0.0)
+    _require_defect_within(float(max(diagonal, corner)), _HERMITIAN_TOL, NonHermitian)
+    return _qubit_norms(x00.real, x11.real, (x01 + x10.conj()) * 0.5)
+
+
 def trace_norms(stack: np.ndarray) -> np.ndarray:
     """Trace norms ||X_b||_1 of a (B, d, d) stack of Hermitian matrices.
 
@@ -409,23 +446,24 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     exceeds 1e-10 anywhere in the stack; the norms are taken of the
     Hermitized averages.  At d = 2 a matrix with trace s has eigenvalues
     s/2 +- r, r = hypot((X00 - X11)/2, |X01|), so its norm is max(|s|, 2r)
-    with no eigensolve.  At d >= 3 a matrix in which no row holds more than
-    one exactly nonzero off-diagonal entry is a direct sum of 1x1 blocks,
-    of norm |X_ii|, and 2x2 blocks, of norm max(|s|, 2r); its norm is the
-    sum over rows of those, a block's at its first row, in the order the
-    kernel sums its eigenvalues, so a diagonal matrix gets the kernel's bits.
-    The other matrices take one eigenvalues-only kernel call, whose
-    NoConvergence names the index in this stack.  A 0x0 matrix has norm 0.
+    with no eigensolve, from its entries read in place.  At d >= 3 a matrix
+    in which no row holds more than one exactly nonzero off-diagonal entry
+    is a direct sum of 1x1 blocks, of norm |X_ii|, and 2x2 blocks, of norm
+    max(|s|, 2r); its norm is the sum over rows of those, a block's at its
+    first row, in the order the kernel sums its eigenvalues, so a diagonal
+    matrix gets the kernel's bits.  The other matrices take one
+    eigenvalues-only kernel call, whose NoConvergence names the index in
+    this stack.  A 0x0 matrix has norm 0.
     """
     arr = np.asarray(stack, dtype=np.complex128)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimensionMismatch(f"expected a (B, d, d) stack, got shape {arr.shape}")
+    if arr.shape[1] == 2:
+        return _qubit_trace_norms(arr)
     sym = _hermitized(arr, _HERMITIAN_TOL, NonHermitian)
     b, n = sym.shape[:2]
     if not n:
         return np.zeros(b)
-    if n == 2:
-        return _qubit_norms(sym[:, 0, 0].real, sym[:, 1, 1].real, sym[:, 0, 1])
     rows = np.arange(n)
     coupled = sym != 0.0
     coupled[:, rows, rows] = False

@@ -392,7 +392,7 @@ class TestStackedGate:
 
 
 class TestCompletenessDefects:
-    @pytest.mark.parametrize("budget, stacks", [(1, 17), (1 << 30, 1)], ids=["one-time", "whole"])
+    @pytest.mark.parametrize("budget, stacks", [(1, 16), (1 << 30, 1)], ids=["one-time", "whole"])
     @pytest.mark.parametrize("spec", STACK_SPECS, ids=STACK_IDS)
     def test_matches_each_channel(self, spec, budget, stacks, monkeypatch):
         ts = spec.t0 + np.linspace(0.0, 5.0, 17)
@@ -401,7 +401,8 @@ class TestCompletenessDefects:
         defects = channels.completeness_defects(
             lambda times: sizes.append(len(times)) or spec.kraus(times), ts, spec.valid_dim
         )
-        assert sizes == [1] + [17 // stacks] * stacks  # the first sizes a time's operators
+        # the first stack sizes a time's operators and gives that time's defect
+        assert sizes == [1] + [16 // stacks] * stacks
         assert defects.tolist() == [channel_defect(model_channel(spec, float(t))) for t in ts]
 
 
@@ -427,6 +428,35 @@ class TestEvolve:
         evolved = channels._evolve(ops, xs, spec.valid_dim, spec.NAME)
         expected = [[loop_sandwich(channel, x) for x in xs] for channel in ops]
         np.testing.assert_allclose(evolved, expected, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=STACK_IDS)
+    def test_zero_operators_change_no_bit(self, spec, rng):
+        # on both routes: operators zero at every time are dropped before the
+        # completeness check and the build
+        ops = spec.kraus(spec.t0 + rng.uniform(0.0, 5.0, size=3))
+        d = spec.dim
+        xs = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        zeros = np.zeros((3, 2, d, d), dtype=complex)
+        padded = np.concatenate([zeros[:, :1], ops, zeros], axis=1)
+        evolved = channels._evolve(ops, xs, spec.valid_dim, spec.NAME)
+        assert channels._evolve(padded, xs, spec.valid_dim, spec.NAME).tobytes() == evolved.tobytes()
+
+    def test_operator_zero_at_some_times_is_kept(self):
+        # the second operator is needed at the first time only
+        half = np.sqrt(0.5) * np.eye(2, dtype=complex)
+        ops = np.array([[half, half], [np.eye(2), np.zeros((2, 2))]], dtype=complex)
+        evolved = channels._evolve(ops, UNITS, 2, "sometimes")
+        np.testing.assert_allclose(evolved, np.broadcast_to(UNITS, (2, 4, 2, 2)), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("live", [
+        [0.5 * np.eye(2)],
+        [],
+        [np.eye(2), np.full((2, 2), np.nan)],
+    ], ids=["incomplete", "all-zero", "nan"])
+    def test_live_set_is_checked(self, live):
+        ops = np.array([[*live, np.zeros((2, 2)), np.zeros((2, 2))]] * 2, dtype=complex)
+        with pytest.raises(InvalidChannel, match="for channel 'checked'"):
+            channels._evolve(ops, UNITS, 2, "checked")
 
 
 class TestSemigroupDefect:

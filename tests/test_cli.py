@@ -231,7 +231,7 @@ class TestValidateCommand:
         monkeypatch.setattr(channels, "_DEFECT_STACK_BYTES", 1)
         assert main(argv) == 0
         assert capsys.readouterr().out == whole
-        assert sizes == [1] * 401  # the first sizes a time's operators
+        assert sizes == [1] * 400  # the first sizes a time's operators and is its defect
 
     def test_narrow_window(self, capsys):
         # validate samples its window and has no grid step to compare against

@@ -617,6 +617,50 @@ class TestTraceNorms:
         with pytest.raises(DimensionMismatch):
             trace_norms(np.zeros(shape, dtype=complex))
 
+    @staticmethod
+    def _hermitized_qubit_norms(stack):
+        """The qubit norms of the Hermitized average, which the in-place
+        route must reproduce bit for bit."""
+        sym = linalg._hermitized(stack, linalg._HERMITIAN_TOL, NonHermitian)
+        return linalg._qubit_norms(sym[:, 0, 0].real, sym[:, 1, 1].real, sym[:, 0, 1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_qubit_rejects_non_finite(self, where, value):
+        stack = np.array([np.eye(2), np.eye(2)], dtype=complex)
+        stack[1][where] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitian) as caught:
+                trace_norms(stack)
+        assert str(caught.value) == "matrix has non-finite entries"
+
+    @pytest.mark.parametrize("where, offset", [((0, 1), 2e-10), ((1, 1), 1e-10j)],
+                             ids=["x01", "im-x11"])
+    def test_qubit_rejects_non_hermitian(self, where, offset):
+        stack = np.array([np.eye(2), 0.5 * np.eye(2)], dtype=complex)
+        stack[1][where] += offset
+        with pytest.raises(NonHermitian) as caught:
+            trace_norms(stack)
+        assert str(caught.value) == "Hermiticity defect 2.000e-10 exceeds 1.0e-10"
+        with pytest.raises(NonHermitian) as parent:
+            self._hermitized_qubit_norms(stack)
+        assert str(caught.value) == str(parent.value)
+
+    def test_qubit_empty_stack(self):
+        norms = trace_norms(np.zeros((0, 2, 2), dtype=complex))
+        assert norms.shape == (0,) and norms.dtype == np.float64
+
+    @pytest.mark.parametrize("scale", [1.0, *_SCALES])
+    def test_qubit_in_place_matches_hermitized(self, rng, scale):
+        stack = scale * np.array([random_hermitian(rng, 2) for _ in range(64)])
+        zero = rng.random(stack.shape) < 0.25
+        stack[zero | zero.swapaxes(1, 2)] = 0.0
+        noise = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
+        noisy = stack + 5e-12 * (noise - noise.conj().swapaxes(1, 2))
+        for case in (stack, noisy):
+            assert trace_norms(case).tobytes() == self._hermitized_qubit_norms(case).tobytes()
+
 
 def _direct_sum(rng, dim, scale):
     """A Hermitian direct sum of 1x1 and 2x2 blocks on a random permutation
@@ -714,22 +758,41 @@ def _kernel_stack(rng, dim):
     return stack if dim <= 6 else stack[2:5]
 
 
+def _zero_pivot_stack(rng, dim):
+    """Dense Hermitian matrices beside ones whose pivots stay skipped while
+    others rotate: a zero first pivot, a last row coupled by exact zeros,
+    and one coupled by 1e-310, which stays below the skip threshold."""
+    first = random_hermitian(rng, dim)
+    first[0, 1] = first[1, 0] = 0.0
+    zero_row = random_hermitian(rng, dim)
+    zero_row[-1, :-1] = zero_row[:-1, -1] = 0.0
+    tiny_row = random_hermitian(rng, dim)
+    tiny_row[-1, :-1] = tiny_row[:-1, -1] = 1e-310
+    return np.array([random_hermitian(rng, dim), first, zero_row, tiny_row, random_hermitian(rng, dim)])
+
+
 class TestJacobiKernel:
     """``linalg._jacobi`` on mixed stacks against single-matrix calls and the
     LAPACK oracle."""
 
     @pytest.mark.parametrize("dim", _KERNEL_DIMS)
     def test_stack_matches_single_calls_bit_for_bit(self, rng, dim):
-        stack = _kernel_stack(rng, dim)
-        w, v = linalg._jacobi(stack, vectors=True)
-        for i, mat in enumerate(stack):
-            wi, vi = linalg._jacobi(mat[None], vectors=True)
-            assert w[i].tolist() == wi[0].tolist()
-            assert v[i].tolist() == vi[0].tolist()
-        # the eigenvectors ride along and leave the eigenvalues alone
-        eigenvalues, none = linalg._jacobi(stack)
-        assert none is None
-        assert eigenvalues.tolist() == w.tolist()
+        stacks = [_kernel_stack(rng, dim)]
+        if dim in (3, 4):
+            # skipped and rotated pivots in one batch; at n = 4 the
+            # eigenvalues-only pivot rotates the other two columns alone
+            stacks.append(_zero_pivot_stack(rng, dim))
+        for stack in stacks:
+            w, v = linalg._jacobi(stack, vectors=True)
+            for i, mat in enumerate(stack):
+                wi, vi = linalg._jacobi(mat[None], vectors=True)
+                assert w[i].tolist() == wi[0].tolist()
+                assert v[i].tolist() == vi[0].tolist()
+                assert linalg._jacobi(mat[None])[0][0].tolist() == wi[0].tolist()
+            # the eigenvectors ride along and leave the eigenvalues alone
+            eigenvalues, none = linalg._jacobi(stack)
+            assert none is None
+            assert eigenvalues.tolist() == w.tolist()
 
     @pytest.mark.parametrize("dim", _KERNEL_DIMS)
     def test_unitary_reconstructs_and_matches_oracle(self, rng, dim):
