@@ -13,6 +13,7 @@ conversion to raw model time happens here, not in the library.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -423,6 +424,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    """Process entry of ``kraus-witness`` and ``python -m kraus_witness.cli``.
+
+    Nothing imported so far becomes garbage before exit, so it is frozen
+    and the interpreter's shutdown collections skip it; atexit handlers and
+    stream flushes still run.  ``main`` leaves the collector alone for
+    in-process callers.
+    """
+    gc.freeze()
     sys.exit(main())
 
 

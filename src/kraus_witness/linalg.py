@@ -115,7 +115,8 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
         if done.any():
             # converged matrices go back to the stack and leave the batch
             a[:, :, active[done]] = work[:, :, done]
-            active, work = active[~done], work[:, :, ~done]
+            # compress, unlike a mask, keeps the batch axis innermost
+            active, work = active[~done], np.compress(~done, work, axis=2)
         if not active.size:
             break
         for p, q, cols in pivots:
@@ -203,8 +204,11 @@ def _hermitized(arr: np.ndarray, tol: float, error: type[NonHermitian]) -> np.nd
     _require_finite(arr, error)
     adjoint = arr.conj().swapaxes(-1, -2)
     _require_defect_within(float(np.max(np.abs(arr - adjoint))) if arr.size else 0.0, tol, error)
-    sym = arr + adjoint
-    sym *= 0.5
+    # halved before the sum, which then cannot overflow; halving is exact
+    # above the subnormal range, so the bits are those of (M + M^dagger)/2
+    sym = arr * 0.5
+    adjoint *= 0.5  # a view of the fresh copy conj() made
+    sym += adjoint
     return sym
 
 

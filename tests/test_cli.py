@@ -2,15 +2,20 @@
 codes, config handling."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kraus_witness import JCMQubit, channels
+import kraus_witness
+from kraus_witness import JCMQubit, channels, cli
 from kraus_witness.cli import main
 from kraus_witness.probes import SMALL_TIME_WINDOW
 
@@ -460,3 +465,46 @@ class TestDimensionlessTime:
         assert main(["witness", "--model", "ck", "--out", str(out)]) == 0
         _, body = read_csv(out)
         assert body[-1, 0] == pytest.approx(2.0 * math.pi, abs=0.01)
+
+
+def _written(folder):
+    return {path.name: path.read_bytes() for path in sorted(folder.iterdir())}
+
+
+class TestProcessEntry:
+    def test_entry_freezes_before_main(self, monkeypatch):
+        # spies only: the test process itself is never frozen
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 3)
+        monkeypatch.setattr(sys, "exit", lambda code=None: calls.append(("exit", code)))
+        cli.entry()
+        assert calls == ["freeze", "main", ("exit", 3)]
+
+    def test_main_leaves_the_collector_alone(self, tmp_path, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["figure", "1", f"--out={tmp_path / 'f1.csv'}"]) == 0
+        assert gc.get_freeze_count() == frozen
+        capsys.readouterr()
+
+    # one command per exit code; each process takes about 0.2 s
+    @pytest.mark.parametrize("argv, code", [
+        (["figure", "1", "--out=f1.csv"], 0),
+        (["witness", "--model=ck", "--tau=-1"], 1),
+        (["validate", "--model=jcm-photon", "--alpha=3", "--n-cut=5"], 2),
+        (["witness", "--model=jcm-qubit", "--alpha=1", "--n-cut=31", "--tau=3"], 3),
+    ], ids=["csv", "usage", "cutoff", "fired"])
+    def test_process_matches_main(self, argv, code, tmp_path, monkeypatch, capsys):
+        src = Path(kraus_witness.__file__).resolve().parents[1]
+        (tmp_path / "process").mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "kraus_witness.cli", *argv],
+            cwd=tmp_path / "process", env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        (tmp_path / "in_process").mkdir()
+        monkeypatch.chdir(tmp_path / "in_process")
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert _written(tmp_path / "process") == _written(tmp_path / "in_process")

@@ -91,6 +91,13 @@ class TestHermitianEig:
         with pytest.raises(DimensionMismatch):
             hermitian_eig(np.zeros((2, 3), dtype=complex))
 
+    def test_entry_near_the_largest_double(self):
+        # M + M^dagger would overflow; the Hermitized halves do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectrum = hermitian_eig(np.diag([1e308, 0.0]))
+        assert spectrum.eigenvalues.tolist() == [0.0, 1e308]
+
 
 class TestPsdSqrt:
     def test_diagonal_pin(self):
@@ -605,6 +612,13 @@ class TestTraceNorms:
             norm = trace_norms(mat[None])[0]
         expected = np.abs(np.linalg.eigvalsh(mat)).sum()
         assert norm == pytest.approx(expected, rel=1e-13)
+
+    def test_diagonal_near_the_largest_double(self):
+        # M + M^dagger would overflow; the Hermitized halves do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = trace_norms(np.diag([1e308, 0.0, -1e307])[None])
+        assert norms.tolist() == [1.1e308]
 
     def test_rejects_non_hermitian(self):
         stack = np.zeros((2, 3, 3), dtype=complex)

@@ -6,6 +6,7 @@ is reproducible without recording example databases.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kraus_witness import (
@@ -17,6 +18,7 @@ from kraus_witness import (
     fidelity,
     fidelity_difference,
     hermitian_eig,
+    memory_fidelity,
     model_channel,
     psd_sqrt,
 )
@@ -120,3 +122,29 @@ def test_eigendecomposition_reconstructs(seed, dim):
     scale = max(1.0, float(np.max(np.abs(vals))))
     assert np.max(np.abs(rebuilt - herm)) <= 1e-10 * scale
     assert np.all(np.diff(vals) >= -1e-12 * scale)
+
+
+# paper claim 2: the overlap with the initial state is larger under slower
+# memory.  f(t; gamma) = (Gamma/2)(t - (1 - e^(-gamma t))/gamma) rises with
+# gamma at fixed t, and F0 depends on gamma only through the coherence e^(-2f)/3
+MEMORY_GAMMAS = np.geomspace(1e-4, 1e3, 29)
+MEMORY_TIMES = np.linspace(0.0, 20.0, 1001)
+
+
+@pytest.mark.parametrize("alpha_x", [0.0, 0.5, 1.0])
+def test_memory_fidelity_never_rises_with_gamma(alpha_x):
+    scans = np.array([
+        memory_fidelity(YENonMarkov(gamma=gamma, alpha_x=alpha_x), MEMORY_TIMES).values
+        for gamma in MEMORY_GAMMAS
+    ])
+    assert np.all(np.diff(scans, axis=0) <= 0.0)
+
+
+@pytest.mark.parametrize("gamma", MEMORY_GAMMAS)
+def test_memory_decay_approaches_the_semigroup(gamma):
+    # entry (1, 1) of the first operator is p = e^(-f) against c = e^(-Gamma t/2);
+    # 0 <= Gamma t/2 - f <= Gamma/(2 gamma) and e^(-x) is 1-Lipschitz for x >= 0
+    Gamma = 2.0
+    p = YENonMarkov(Gamma=Gamma, gamma=gamma).kraus(MEMORY_TIMES)[:, 0, 1, 1]
+    c = YEMarkov(Gamma=Gamma).kraus(MEMORY_TIMES)[:, 0, 1, 1]
+    assert np.max(np.abs(p - c)) <= Gamma / (2.0 * gamma)
