@@ -481,7 +481,7 @@ class TestProcessEntry:
         cli.entry()
         assert calls == ["freeze", "main", ("exit", 3)]
 
-    # one command per exit code; each process takes about 0.2 s
+    # one command per exit code
     @pytest.mark.parametrize("argv, code", [
         (["figure", "1", "--out=f1.csv"], 0),
         (["witness", "--model=ck", "--tau=-1"], 1),
