@@ -53,11 +53,21 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _as_square(mat: np.ndarray) -> np.ndarray:
+def _as_square(mat: np.ndarray, ndim: int = 2) -> np.ndarray:
+    """A square matrix, or with ``ndim`` 3 a (B, d, d) stack, as complex128."""
     arr = np.asarray(mat, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
+    if arr.ndim != ndim or arr.shape[-2] != arr.shape[-1]:
+        expected = "a square matrix" if ndim == 2 else "a (B, d, d) stack"
+        raise DimensionMismatch(f"expected {expected}, got shape {arr.shape}")
     return arr
+
+
+def _as_pair(rho1: np.ndarray, rho2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two square matrices of one shape, as stacks of one."""
+    a, b = _as_square(rho1), _as_square(rho2)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"state shapes differ: {a.shape} vs {b.shape}")
+    return a[None], b[None]
 
 
 def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
@@ -185,12 +195,15 @@ def _eigenvalues_of(sym: np.ndarray, members: np.ndarray) -> np.ndarray:
         raise NoConvergence(int(members[error.index]), error.unconverged, len(sym)) from None
 
 
-def _require_finite(arr: np.ndarray, error: type[NonHermitian]) -> None:
-    if not np.isfinite(arr).all():
+def _require_finite(error: type[NonHermitian], *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(arr).all() for arr in arrays):
         raise error("matrix has non-finite entries")
 
 
-def _require_defect_within(defect: float, tol: float, error: type[NonHermitian]) -> None:
+def _require_defect_within(halved: float, tol: float, error: type[NonHermitian]) -> None:
+    """Raise ``error`` if 2 ``halved`` = max|M - M^dagger| exceeds ``tol``; as a
+    Python float it doubles to inf past the largest double, with no warning."""
+    defect = 2.0 * float(halved)
     if not defect <= tol:
         raise error(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
 
@@ -199,17 +212,29 @@ def _hermitized(arr: np.ndarray, tol: float, error: type[NonHermitian]) -> np.nd
     """(M + M^dagger)/2 over the last two axes, raising ``error`` when an entry
     is not finite or max|M - M^dagger| exceeds ``tol``.
 
-    Finiteness is checked first, so inf - inf never reaches the defect.
+    Finiteness is checked first, so inf - inf never reaches the defect.  The
+    defect and the sum both come from the halves, which cannot overflow;
+    halving is exact above the subnormal range.
     """
-    _require_finite(arr, error)
-    adjoint = arr.conj().swapaxes(-1, -2)
-    _require_defect_within(float(np.max(np.abs(arr - adjoint))) if arr.size else 0.0, tol, error)
-    # halved before the sum, which then cannot overflow; halving is exact
-    # above the subnormal range, so the bits are those of (M + M^dagger)/2
+    _require_finite(error, arr)
     sym = arr * 0.5
-    adjoint *= 0.5  # a view of the fresh copy conj() made
-    sym += adjoint
+    adjoint = sym.conj().swapaxes(-1, -2)
+    _require_defect_within(np.max(np.abs(sym - adjoint), initial=0.0), tol, error)
+    sym += adjoint  # a view of the fresh copy conj() made
     return sym
+
+
+def _qubit_entries(arr: np.ndarray, tol: float | None) -> tuple[np.ndarray, ...]:
+    """``_hermitized`` of a (B, 2, 2) stack, read in place as the entries
+    (Re x00, Re x11, x01/2 + conj(x10)/2); the halved defect, bounded only
+    given a ``tol``, is |Im x| on the diagonal and |x01/2 - conj(x10)/2| off it."""
+    _require_finite(NonHermitian, arr)
+    x00, x11 = arr[:, 0, 0], arr[:, 1, 1]
+    upper, lower = arr[:, 0, 1] * 0.5, arr[:, 1, 0].conj() * 0.5
+    if tol is not None:
+        halved = [np.abs(x).max(initial=0.0) for x in (x00.imag, x11.imag, upper - lower)]
+        _require_defect_within(max(halved), tol, NonHermitian)
+    return x00.real, x11.real, upper + lower
 
 
 def hermitian_eig(mat: np.ndarray) -> Spectrum:
@@ -265,11 +290,7 @@ def fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     Computed as (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 by ``fidelities``
     on a stack of one pair, with its checks, floor and clamp.
     """
-    a = _as_square(rho1)
-    b = _as_square(rho2)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"state shapes differ: {a.shape} vs {b.shape}")
-    return float(fidelities(a[None], b[None])[0])
+    return float(fidelities(*_as_pair(rho1, rho2))[0])
 
 
 def fidelities(rho1_stack: np.ndarray, rho2_stack: np.ndarray) -> np.ndarray:
@@ -284,21 +305,24 @@ def fidelities(rho1_stack: np.ndarray, rho2_stack: np.ndarray) -> np.ndarray:
     FidelityOvershoot.  Stacks of 0x0 matrices raise DimensionMismatch.
 
     At d = 2 the closed form F = Tr(rho1 rho2) + 2 sqrt(det rho1 det rho2)
-    needs no eigensolve; larger stacks take two Jacobi kernel calls in all.
+    needs no eigensolve and reads both stacks in place; larger stacks take
+    two Jacobi kernel calls in all.
     """
     a = np.asarray(rho1_stack, dtype=np.complex128)
     b = np.asarray(rho2_stack, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape != b.shape:
         raise DimensionMismatch(f"expected two equal (B, d, d) stacks, got {a.shape} and {b.shape}")
-    # rho2 is only multiplied, and inf * 0 would warn before any check
-    _require_finite(b, NonHermitian)
-    a = _hermitized(a, _HERMITIAN_TOL, NonHermitian)
-    values = _qubit_fidelities(a, b) if a.shape[1] == 2 else _fidelity_jacobi(a, b)
-    return _clamp_overshoot(values)
+    # rho2 is checked finite first, as inf * 0 would warn before any check;
+    # M depends only on its Hermitian part, so its defect is not bounded
+    if a.shape[1] == 2:
+        rho2 = _qubit_entries(b, None)
+        return _clamp_overshoot(_qubit_fidelities(_qubit_entries(a, _HERMITIAN_TOL), rho2))
+    _require_finite(NonHermitian, b)
+    return _clamp_overshoot(_fidelity_jacobi(_hermitized(a, _HERMITIAN_TOL, NonHermitian), b))
 
 
-def _qubit_fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unclamped fidelities of a Hermitian and a finite (B, 2, 2) stack.
+def _qubit_fidelities(rho1: tuple[np.ndarray, ...], rho2: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Unclamped fidelities of two stacks of ``_qubit_entries``.
 
     The eigenvalues of M sum to T = Tr(rho1 rho2) and multiply to
     D = det rho1 det rho2.  The larger one comes from the quadratic and the
@@ -307,10 +331,7 @@ def _qubit_fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     F = (sqrt(l+) + sqrt(l-))^2 = T + 2 sqrt(D); where only l+ does,
     F = l+ = T - l-.
     """
-    # M depends on rho2 only through its Hermitian part
-    b = 0.5 * (b + b.conj().swapaxes(1, 2))
-    a00, a11, a01 = a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1]
-    b00, b11, b01 = b[:, 0, 0].real, b[:, 1, 1].real, b[:, 0, 1]
+    (a00, a11, a01), (b00, b11, b01) = rho1, rho2
     # rho1 has eigenvalues s/2 +- r
     half_trace, half_gap = 0.5 * (a00 + a11), 0.5 * (a00 - a11)
     r = np.hypot(half_gap, np.abs(a01))
@@ -400,8 +421,7 @@ def factor_fidelity(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
     b = np.asarray(v2, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != 2 or a.shape != b.shape:
         raise DimensionMismatch(f"expected two (d, 2) factors, got {a.shape} and {b.shape}")
-    for operand in (a, b):
-        _require_finite(operand, NonHermitian)
+    _require_finite(NonHermitian, a, b)
     m = a.conj().swapaxes(-1, -2) @ b
     # det M from its entries: near rank 1, sqrt(det(M^dagger M)) would turn
     # 1e-16 rounding into ~1e-8.  Products and |det M| are rounded as for numpy
@@ -430,19 +450,6 @@ def _qubit_norms(x00: np.ndarray, x11: np.ndarray, x01: np.ndarray) -> np.ndarra
     return np.maximum(np.abs(x00 + x11), 2.0 * radius)
 
 
-def _qubit_trace_norms(arr: np.ndarray) -> np.ndarray:
-    """``trace_norms`` of a (B, 2, 2) stack, read in place: the checks and
-    bits of the Hermitized route with no adjoint, difference or average
-    stack.  max|X - X^dagger| is 2|Im x| on the diagonal and |x01 - conj x10|
-    off it, and the average has diagonal Re x and corner (x01 + conj x10)/2."""
-    _require_finite(arr, NonHermitian)
-    x00, x01, x10, x11 = arr[:, 0, 0], arr[:, 0, 1], arr[:, 1, 0], arr[:, 1, 1]
-    diagonal = 2.0 * np.maximum(np.abs(x00.imag), np.abs(x11.imag)).max(initial=0.0)
-    corner = np.abs(x01 - x10.conj()).max(initial=0.0)
-    _require_defect_within(float(max(diagonal, corner)), _HERMITIAN_TOL, NonHermitian)
-    return _qubit_norms(x00.real, x11.real, (x01 + x10.conj()) * 0.5)
-
-
 def trace_norms(stack: np.ndarray) -> np.ndarray:
     """Trace norms ||X_b||_1 of a (B, d, d) stack of Hermitian matrices.
 
@@ -459,11 +466,9 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     eigenvalues-only kernel call, whose NoConvergence names the index in
     this stack.  A 0x0 matrix has norm 0.
     """
-    arr = np.asarray(stack, dtype=np.complex128)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise DimensionMismatch(f"expected a (B, d, d) stack, got shape {arr.shape}")
+    arr = _as_square(stack, 3)
     if arr.shape[1] == 2:
-        return _qubit_trace_norms(arr)
+        return _qubit_norms(*_qubit_entries(arr, _HERMITIAN_TOL))
     sym = _hermitized(arr, _HERMITIAN_TOL, NonHermitian)
     b, n = sym.shape[:2]
     if not n:
@@ -497,14 +502,10 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
     The difference goes through ``trace_norms`` and its checks.
     """
-    a = _as_square(rho1)
-    b = _as_square(rho2)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"state shapes differ: {a.shape} vs {b.shape}")
+    a, b = _as_pair(rho1, rho2)
     # inf - inf would warn before trace_norms could name it
-    for operand in (a, b):
-        _require_finite(operand, NonHermitian)
-    return 0.5 * float(trace_norms((a - b)[None])[0])
+    _require_finite(NonHermitian, a, b)
+    return 0.5 * float(trace_norms(a - b)[0])
 
 
 def _ldl_certified(sym: np.ndarray, margin: float) -> np.ndarray:
@@ -562,9 +563,7 @@ def validate_densities(stack: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     above -tol, and a kernel eigenvalue does not depend on its batch, so the
     message is the one the kernel gives on the whole stack.
     """
-    arr = np.asarray(stack, dtype=np.complex128)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise DimensionMismatch(f"expected a (B, d, d) stack, got shape {arr.shape}")
+    arr = _as_square(stack, 3)
     tight = tol * 1e-2
     sym = _hermitized(arr, tight, NotHermitian)
     tr = np.trace(arr, axis1=1, axis2=2)

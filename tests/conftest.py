@@ -15,6 +15,9 @@ import pytest
 
 from kraus_witness import linalg
 
+# the golden-file helpers assert for the tests that call them
+pytest.register_assert_rewrite("golden")
+
 
 def oracle_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
     w, v = np.linalg.eigh(rho1)

@@ -499,6 +499,33 @@ class TestNonFinite:
                 call()
 
 
+_WIDE = np.array([[0.0, 1e308], [-1e308, 0.0]], dtype=complex)
+
+
+class TestDefectNearTheLargestDouble:
+    """Off-diagonal entries +-1e308 are finite, but M - M^dagger is not: the
+    defect, taken from the halves, is refused by name with no overflow
+    warning (warnings are errors in this suite).  It prints as inf."""
+
+    @pytest.mark.parametrize("error, call", [
+        (NonHermitian, lambda: hermitian_eig(_WIDE)),
+        (NonHermitian, lambda: psd_sqrt(_WIDE)),
+        (NonHermitian, lambda: trace_norms(_WIDE[None])),
+        (NonHermitian, lambda: trace_norms(np.pad(_WIDE, (0, 1))[None])),
+        (NonHermitian, lambda: fidelities(_WIDE[None], np.eye(2)[None] / 2)),
+        (NonHermitian, lambda: fidelities(np.pad(_WIDE, (0, 1))[None], np.eye(3)[None] / 3)),
+        (NotHermitian, lambda: validate_density(_WIDE)),
+    ], ids=["hermitian_eig", "psd_sqrt", "trace_norms-d2", "trace_norms-d3",
+            "fidelities-d2", "fidelities-d3", "validate_density"])
+    def test_refused_by_name(self, error, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as caught:
+                call()
+        assert type(caught.value) is error
+        assert str(caught.value).startswith("Hermiticity defect inf exceeds")
+
+
 _SCALES = [1e-12, 1e-15, 1e-150, 1e-300, 1e160, 1e300]
 
 
@@ -674,6 +701,23 @@ class TestTraceNorms:
         noisy = stack + 5e-12 * (noise - noise.conj().swapaxes(1, 2))
         for case in (stack, noisy):
             assert trace_norms(case).tobytes() == self._hermitized_qubit_norms(case).tobytes()
+        # fidelities read both stacks in place through the same reader, and
+        # take rho2's Hermitian part whatever its defect.  F(s rho1, rho2/s)
+        # is F(rho1, rho2); at 1e-300, 1e160 and 1e300 a determinant of the
+        # closed form overflows, and both routes warn alike
+        rho1, rho2 = (np.array([random_density(rng, 2) for _ in range(64)]) for _ in "12")
+        rho1[zero[:, 0, 1], 0, 1] = rho1[zero[:, 0, 1], 1, 0] = 0.0
+        rho1, rho2 = (linalg._hermitized(x, np.inf, NonHermitian) for x in (scale * rho1, rho2 / scale))
+        skew = noise - noise.conj().swapaxes(1, 2)
+        pairs = [
+            (rho1, rho2 + 1e-3 / scale * skew),
+            (rho1 + 5e-12 * min(scale, 1.0) * skew, rho2),
+            # read-only views, as memory_fidelity passes its reference state
+            np.broadcast_arrays(rho1[:1], rho2),
+        ]
+        for a, b in pairs:
+            copies = [linalg._hermitized(x, np.inf, NonHermitian) for x in (a, b)]
+            assert _outcome(fidelities, a, b) == _outcome(fidelities, *copies)
 
 
 def _direct_sum(rng, dim, scale):
@@ -958,6 +1002,17 @@ def _no_warning(error, call):
         warnings.simplefilter("error")
         with pytest.raises(error):
             call()
+
+
+def _outcome(call, *args):
+    """The bytes of what ``call`` returns, or the error it raises, a warning
+    included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call(*args).tobytes()
+        except (NumericalError, RuntimeWarning) as error:
+            return repr(error)
 
 
 def _bad_qubit_pairs():
