@@ -18,7 +18,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidChannel
-from .linalg import validate_density
 
 # apply(), transfer_matrix() and _evolve() refuse a channel whose completeness defect exceeds this
 _APPLY_DEFECT_CEILING = 1e-8
@@ -277,6 +276,9 @@ def semigroup_defect(
     Zero (to rounding) exactly when the family composes as a one-parameter
     semigroup on this state.
     """
+    # the one use of linalg here, so that loading channels does not load it
+    from .linalg import validate_density
+
     state = validate_density(rho0, tol=1e-8)
     sequential = apply(family(t2), apply(family(t1), state))
     direct = apply(family(t1 + t2), state)

@@ -23,15 +23,9 @@ import numpy as np
 from .channels import completeness_defects
 from .errors import KrausWitnessError, UsageError
 from .models import MODEL_CLASSES, ModelSpec
-from .probes import SMALL_TIME_WINDOW, small_time_exponents
-from .witnesses import (
-    NON_MARKOVIAN_WITNESSED,
-    DEFAULT_WITNESS_TOL,
-    make_grid,
-    markovianity_verdict,
-    memory_fidelity,
-    scan_G,
-)
+
+# probes and witnesses (which loads linalg) are imported by the commands that
+# call them, so that each process compiles and builds only what it runs
 
 _ENV_WITNESS_TOL = "KRAUS_WITNESS_TOL"
 
@@ -168,6 +162,8 @@ def _check_finite(ns: argparse.Namespace) -> None:
 
 def _witness_tol(ns: argparse.Namespace) -> float:
     """--witness-tol or config value, else KRAUS_WITNESS_TOL, else the default."""
+    from .witnesses import DEFAULT_WITNESS_TOL
+
     if ns.witness_tol is not None:
         return ns.witness_tol
     env = os.environ.get(_ENV_WITNESS_TOL)
@@ -248,6 +244,8 @@ def _raw_grid(ns: argparse.Namespace, spec: ModelSpec,
             f"grid must satisfy step < (stop - start)/10, got step={step!r} "
             f"over window {stop - start!r}"
         )
+    from .witnesses import make_grid
+
     rate = spec.rate
     return make_grid(start / rate, stop / rate, step / rate)
 
@@ -268,6 +266,8 @@ def _summarize_column(x: np.ndarray, y: np.ndarray, name: str, xname: str) -> st
 
 
 def cmd_figure(ns: argparse.Namespace) -> int:
+    from .witnesses import memory_fidelity, scan_G
+
     fid = ns.figure_id
     model_name = _FIGURE_MODEL[fid]
     extra = {"gamma2"} if fid == 3 else set()
@@ -310,6 +310,8 @@ def cmd_figure(ns: argparse.Namespace) -> int:
 
 
 def cmd_witness(ns: argparse.Namespace) -> int:
+    from .witnesses import NON_MARKOVIAN_WITNESSED, markovianity_verdict
+
     name = _require_model(ns)
     spec = _build_spec(name, ns)
     witness_tol = _witness_tol(ns)
@@ -348,6 +350,8 @@ def cmd_witness(ns: argparse.Namespace) -> int:
 
 
 def cmd_probe(ns: argparse.Namespace) -> int:
+    from .probes import SMALL_TIME_WINDOW, small_time_exponents
+
     name = _require_model(ns)
     spec = _build_spec(name, ns)
     lo, hi, count = (default if value is None else value for value, default in

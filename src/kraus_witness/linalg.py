@@ -305,8 +305,9 @@ def fidelities(rho1_stack: np.ndarray, rho2_stack: np.ndarray) -> np.ndarray:
     FidelityOvershoot.  Stacks of 0x0 matrices raise DimensionMismatch.
 
     At d = 2 the closed form F = Tr(rho1 rho2) + 2 sqrt(det rho1 det rho2)
-    needs no eigensolve and reads both stacks in place; larger stacks take
-    two Jacobi kernel calls in all.
+    needs no eigensolve and reads both stacks in place; larger stacks, and
+    the d = 2 pairs whose closed form overflows, take two Jacobi kernel
+    calls in all.
     """
     a = np.asarray(rho1_stack, dtype=np.complex128)
     b = np.asarray(rho2_stack, dtype=np.complex128)
@@ -316,13 +317,24 @@ def fidelities(rho1_stack: np.ndarray, rho2_stack: np.ndarray) -> np.ndarray:
     # M depends only on its Hermitian part, so its defect is not bounded
     if a.shape[1] == 2:
         rho2 = _qubit_entries(b, None)
-        return _clamp_overshoot(_qubit_fidelities(_qubit_entries(a, _HERMITIAN_TOL), rho2))
+        rho1 = _qubit_entries(a, _HERMITIAN_TOL)
+        # finite entries can overflow on the way (rho1 = 1e160 I makes D inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, closed = _qubit_fidelities(rho1, rho2)
+        overflowed = np.flatnonzero(~closed)
+        if overflowed.size:
+            # Hermitian parts, as the closed form reads them
+            sym1, sym2 = (_hermitized(x[overflowed], np.inf, NonHermitian) for x in (a, b))
+            values[overflowed] = _fidelity_jacobi(sym1, sym2)
+        return _clamp_overshoot(values)
     _require_finite(NonHermitian, b)
     return _clamp_overshoot(_fidelity_jacobi(_hermitized(a, _HERMITIAN_TOL, NonHermitian), b))
 
 
-def _qubit_fidelities(rho1: tuple[np.ndarray, ...], rho2: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Unclamped fidelities of two stacks of ``_qubit_entries``.
+def _qubit_fidelities(rho1: tuple[np.ndarray, ...],
+                      rho2: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Unclamped fidelities of two stacks of ``_qubit_entries``, and the mask
+    of the pairs where they hold: where T, D and l+ below are finite.
 
     The eigenvalues of M sum to T = Tr(rho1 rho2) and multiply to
     D = det rho1 det rho2.  The larger one comes from the quadratic and the
@@ -351,11 +363,12 @@ def _qubit_fidelities(rho1: tuple[np.ndarray, ...], rho2: tuple[np.ndarray, ...]
     low = np.where(positive, product / np.where(positive, high, 1.0), trace - high)
     floor = _inner_floor(low, high)
     both = low >= floor
-    return np.where(
+    values = np.where(
         both,
         trace + 2.0 * np.sqrt(np.where(both, product, 0.0)),
         np.where(high >= floor, trace - low, 0.0),
     )
+    return values, np.isfinite(trace) & np.isfinite(product) & np.isfinite(high)
 
 
 # Veltkamp's splitter 2^27 + 1 cuts a double into two 26-bit halves
@@ -500,12 +513,18 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Trace distance (1/2)||rho1 - rho2||_1 for Hermitian operands.
 
-    The difference goes through ``trace_norms`` and its checks.
+    The difference goes through ``trace_norms`` and its checks; a
+    difference of finite operands that overflows raises NonHermitian.
     """
     a, b = _as_pair(rho1, rho2)
     # inf - inf would warn before trace_norms could name it
     _require_finite(NonHermitian, a, b)
-    return 0.5 * float(trace_norms(a - b)[0])
+    # taken whole: a difference of halves would halve the 1e-10 Hermiticity window
+    with np.errstate(over="ignore"):
+        diff = a - b
+    if not np.isfinite(diff).all():
+        raise NonHermitian("rho1 - rho2 overflows: an entry exceeds the largest double")
+    return 0.5 * float(trace_norms(diff)[0])
 
 
 def _ldl_certified(sym: np.ndarray, margin: float) -> np.ndarray:

@@ -487,7 +487,8 @@ class TestProcessEntry:
         (["witness", "--model=ck", "--tau=-1"], 1),
         (["validate", "--model=jcm-photon", "--alpha=3", "--n-cut=5"], 2),
         (["witness", "--model=jcm-qubit", "--alpha=1", "--n-cut=31", "--tau=3"], 3),
-    ], ids=["csv", "usage", "cutoff", "fired"])
+        (["probe", "--model=ck", "--out=probe.csv"], 0),
+    ], ids=["csv", "usage", "cutoff", "fired", "probe"])
     def test_process_matches_main(self, argv, code, tmp_path, monkeypatch, capsys):
         src = Path(kraus_witness.__file__).resolve().parents[1]
         (tmp_path / "process").mkdir()
@@ -505,3 +506,31 @@ class TestProcessEntry:
         out, err = capsys.readouterr()
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
         assert _written(tmp_path / "process") == _written(tmp_path / "in_process")
+
+    # a fresh interpreter imports kraus_witness.cli, runs one command and
+    # names the package modules it loaded; in this process earlier tests
+    # have loaded them all
+    @pytest.mark.parametrize("argv, loaded", [
+        ([], {"errors", "channels", "models", "cli"}),
+        (["figure", "1", "--out=f1.csv"], {"errors", "channels", "models", "linalg", "witnesses", "cli"}),
+        (["witness", "--model=ck"], {"errors", "channels", "models", "linalg", "witnesses", "cli"}),
+        (["probe", "--model=ck"], {"errors", "channels", "models", "probes", "cli"}),
+        (["validate", "--model=ck"], {"errors", "channels", "models", "cli"}),
+    ], ids=["import", "figure", "witness", "probe", "validate"])
+    def test_process_loads_only_what_its_command_runs(self, argv, loaded, tmp_path):
+        script = (
+            "import json, sys\n"
+            "from kraus_witness.cli import main\n"
+            "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('kraus_witness.'))))\n"
+            "sys.exit(code)\n"
+        )
+        src = Path(kraus_witness.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = json.loads(proc.stdout.splitlines()[-1])
+        assert names == sorted(f"kraus_witness.{module}" for module in loaded)

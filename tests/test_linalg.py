@@ -203,6 +203,14 @@ class TestTraceDistance:
         with pytest.raises(DimensionMismatch, match="state shapes differ"):
             trace_distance(np.eye(2, dtype=complex) / 2, np.eye(3, dtype=complex) / 3)
 
+    def test_overflowing_difference_is_named(self):
+        # finite operands, so it is the difference that is refused, not its entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitian, match=r"rho1 - rho2 overflows"):
+                trace_distance(np.diag([1e308, 0.0]), np.diag([-1e308, 0.0]))
+            assert trace_distance(np.diag([1e308, 0.0]), np.zeros((2, 2))) == 0.5e308
+
 
 class TestValidateDensity:
     def test_accepts_valid(self, rng):
@@ -704,7 +712,7 @@ class TestTraceNorms:
         # fidelities read both stacks in place through the same reader, and
         # take rho2's Hermitian part whatever its defect.  F(s rho1, rho2/s)
         # is F(rho1, rho2); at 1e-300, 1e160 and 1e300 a determinant of the
-        # closed form overflows, and both routes warn alike
+        # closed form overflows, and both sides send the pair to the kernel
         rho1, rho2 = (np.array([random_density(rng, 2) for _ in range(64)]) for _ in "12")
         rho1[zero[:, 0, 1], 0, 1] = rho1[zero[:, 0, 1], 1, 0] = 0.0
         rho1, rho2 = (linalg._hermitized(x, np.inf, NonHermitian) for x in (scale * rho1, rho2 / scale))
@@ -1059,6 +1067,24 @@ class TestFidelities:
         np.testing.assert_allclose(fidelities(pures, others), overlaps, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(fidelities(pures, mixed), expectations, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(fidelities(mixed, pures), expectations, rtol=0.0, atol=1e-14)
+
+    def test_overflowing_closed_form_takes_the_kernel_route(self):
+        # finite entries whose T, D or l+ is not finite: D is inf for the
+        # first pair, inf * 0 for the second; only those pairs leave the
+        # closed form, with no warning, and the first is refused as at d = 3
+        big, tiny = np.diag([1e160, 1e160]), np.diag([1e-170, 1e-170])
+        good = np.diag([0.6, 0.4])
+        errors = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dim in (2, 3):
+                with pytest.raises(FidelityOvershoot, match=r"fidelity 2e\+160 exceeds 1") as caught:
+                    fidelities(np.pad(big, (0, dim - 2))[None], np.pad(np.eye(2) / 2, (0, dim - 2))[None])
+                errors.append(str(caught.value))
+            values = fidelities(np.array([big, good]), np.array([tiny, good]))
+        assert errors[0] == errors[1]
+        assert values[0] == pytest.approx(4e-10, rel=1e-12)
+        assert values[1:].tobytes() == fidelities(good[None], good[None]).tobytes()
 
     def test_maximally_mixed(self, rng):
         half = np.broadcast_to(np.eye(2, dtype=complex) / 2, (20, 2, 2))
