@@ -116,9 +116,11 @@ class LindbladSet:
 
 def _defects(ops: np.ndarray, valid_dim: int) -> np.ndarray:
     """(T,) max-norm defects of sum_i K_i^dagger K_i against the identity,
-    one per channel of a (T, k, d, d) stack, on the leading valid_dim block."""
-    total = _gram(ops)[:, :valid_dim, :valid_dim]
-    return np.max(np.abs(total - np.eye(valid_dim)), axis=(1, 2))
+    one per channel of a (T, k, d, d) stack, on the leading valid_dim block;
+    a sum that overflows reads inf, or NaN where inf - inf meets in it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _gram(ops)[:, :valid_dim, :valid_dim]
+        return np.max(np.abs(total - np.eye(valid_dim)), axis=(1, 2))
 
 
 def _checked_defects(ops: np.ndarray, valid_dim: int, tol: float, label: str) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Dense Hermitian linear algebra for density matrices.
 
 Everything here works on complex128 arrays and is deliberately self-contained:
-the eigensolver is a cyclic Jacobi iteration rather than a LAPACK call, so the
+the eigensolver is a Jacobi iteration rather than a LAPACK call, so the
 fidelity and trace-distance results can be cross-checked against an external
 library in the test suite without sharing a code path with it.  There is one
-Jacobi kernel, ``_jacobi``, and it works on (B, n, n) stacks: the stack
+Jacobi kernel, ``_jacobi``, cyclic at every n but 4, where each sweep is three
+rounds of two disjoint pivots, and it works on (B, n, n) stacks: the stack
 function ``fidelities`` makes one or two calls for a whole stack,
 ``trace_norms`` at most one, on the matrices that are not direct sums of
 1x1 and 2x2 blocks, ``validate_densities`` at most one, on the matrices an
@@ -16,6 +17,7 @@ layout and its one convergence rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -71,30 +73,25 @@ def _as_pair(rho1: np.ndarray, rho2: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Cyclic Jacobi diagonalization of each Hermitian matrix in a (B, n, n)
-    stack: the (B, n) eigenvalues, unordered, and with ``vectors`` the
-    (B, n, n) eigenvector matrices, else None.
+    """Jacobi diagonalization of each Hermitian matrix in a (B, n, n) stack:
+    the (B, n) eigenvalues, unordered, and with ``vectors`` the (B, n, n)
+    eigenvector matrices, else None.
 
-    Reads only the upper triangle of each matrix, diagonal included, and
-    takes the lower one as its conjugate, so the input must be Hermitian.
-    The stack is copied once into an entry-major (n, n, B) array, (n, 2n, B)
-    with ``vectors``, the identity as n more columns; the input is never
-    written.  Sweeps all upper-triangle pivots in row order, each time
-    applying to the whole stack the complex plane rotation R that zeroes
-    that pivot.  Only rows p and q are rotated, by R^dagger, which turns
-    the extra columns into V^dagger.  Columns p and q of the matrix become
-    the conjugates of the new rows, its diagonal entries a_pp - t|a_pq| and
-    a_qq + t|a_pq|, and the pivot and its mirror zero.  Each matrix runs as
+    Reads only the upper triangle of each matrix, diagonal included, so the
+    input must be Hermitian, and copies the stack once into entry-major
+    arrays, batch axis last.  A sweep zeroes each upper-triangle pivot by a
+    complex plane rotation R of the whole stack, and V^dagger gathers the
+    R^dagger: in row order at n != 4 (``_cyclic_sweep``), in three rounds of
+    two disjoint pivots at n = 4 (``_paired_sweep``).  Each matrix runs as
     A_s, scaled by the power of two that puts its largest real or imaginary
-    part in [1/2, 1), and leaves the batch as soon as the off-diagonal
-    Frobenius mass of A_s, sqrt(2) times that of its upper triangle, is at
-    most 1e-14 max(1, ||A_s||_F); its eigenvalues are scaled back.  So the
-    target is relative at every scale, and a result does not depend on the
-    rest of the stack.  A pivot of A_s at or below 1e-300 gets the identity
-    rotation (c = 1, s = 0) instead of a division; those guards run only
-    in a batch that holds such a pivot.  The pivot's four entries are
-    written last, so without ``vectors`` rows p and q are rotated only
-    over the other columns where ``_other_columns`` finds them one slice.
+    part in [1/2, 1), and leaves the batch once the off-diagonal Frobenius
+    mass of A_s, sqrt(2) times that of its upper triangle, is at most
+    1e-14 max(1, ||A_s||_F); its eigenvalues are scaled back.  So the target
+    is relative at every scale, and a result does not depend on the rest of
+    the stack: every complex product has two or more entries, as numpy
+    rounds a one-entry one by another loop.  A pivot of A_s at or below
+    1e-300 gets the identity rotation (c = 1, s = 0) instead of a division,
+    with guards that run only in a batch that holds such a pivot.
     """
     arr = np.asarray(stack, dtype=np.complex128)
     b, n = arr.shape[0], arr.shape[1]
@@ -105,83 +102,126 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
     exponent = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))[1]
     np.ldexp(parts, -exponent[:, None, None], out=parts)
     target = _OFFDIAG_TARGET * np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2)))
-    # entry-major: a[i, j] is entry (i, j) of every matrix, one contiguous vector
-    a = np.zeros((n, 2 * n if vectors else n, b), dtype=np.complex128)
-    a[:, :n] = arr.transpose(1, 2, 0)
     diagonal = np.arange(n)
-    if vectors:
-        # rotating the rows of [A | I] by R^dagger turns I into V^dagger
-        a[diagonal, n + diagonal] = 1.0
     upper = np.triu_indices(n, 1)
-    pivots = [(p, q, slice(None) if vectors else _other_columns(n, p, q)) for p, q in zip(*upper)]
-    active = np.arange(b)
-    work = a
+    # entry-major: x[i, j] is entry (i, j) of every matrix, one contiguous vector
+    if n == 4:
+        # the real diagonal, o = [x01, x02, x03, x23, x13, x12] and V^dagger
+        state = [arr[:, diagonal, diagonal].real.T.copy(), arr[:, [0, 0, 0, 2, 1, 1], [1, 2, 3, 3, 3, 2]].T.copy()]
+        state += [np.eye(n, dtype=np.complex128)[:, :, None].repeat(b, axis=2)] if vectors else []
+    else:
+        a = np.zeros((n, 2 * n if vectors else n, b), dtype=np.complex128)
+        a[:, :n] = arr.transpose(1, 2, 0)
+        if vectors:
+            # rotating the rows of [A | I] by R^dagger turns I into V^dagger
+            a[diagonal, n + diagonal] = 1.0
+        state = [a]
+    active, work = np.arange(b), state
     for _ in range(_MAX_SWEEPS):
         # summed entrywise rather than as total - diagonal, which cancels
         # badly; each matrix's entries lie in one contiguous row, so they are
         # summed in the same order whatever the rest of the batch
-        mass = np.sqrt(2.0) * np.linalg.norm(np.ascontiguousarray(work[upper].T), axis=1)
+        off = work[1] if n == 4 else work[0][upper]
+        mass = np.sqrt(2.0) * np.linalg.norm(np.ascontiguousarray(off.T), axis=1)
         done = mass <= target[active]
         if done.any():
             # converged matrices go back to the stack and leave the batch
-            a[:, :, active[done]] = work[:, :, done]
+            for whole, part in zip(state, work):
+                whole[..., active[done]] = part[..., done]
             # compress, unlike a mask, keeps the batch axis innermost
-            active, work = active[~done], np.compress(~done, work, axis=2)
+            active, work = active[~done], [np.compress(~done, x, axis=-1) for x in work]
         if not active.size:
             break
-        for p, q, cols in pivots:
-            apq = work[p, q]
-            r = np.abs(apq)
-            # guards only for a batch with a pivot to skip (NaN fails the test too)
-            guarded = not r.min() > _PIVOT_SKIP
-            if guarded:
-                rotate = r > _PIVOT_SKIP
-                r = np.where(rotate, r, 1.0)
-            app, aqq = work[p, p].real, work[q, q].real
-            tau = (aqq - app) / (2.0 * r)
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-            if guarded:
-                t = np.where(rotate, t, 0.0)
-            shift = t * r
-            new_pp, new_qq = app - shift, aqq + shift
-            c = 1.0 / np.hypot(1.0, t)
-            # s e^(i arg a_pq), s = t c
-            sp = apq * (t * c / r)
-            # c as complex gives the same products without a cast per row
-            c = c.astype(np.complex128)
-            row_p, row_q = work[p, cols], work[q, cols]
-            new_p = c * row_p
-            new_p -= sp * row_q
-            # row q in place, from row p before its own rotation is stored
-            row_q *= c
-            row_q += sp.conj() * row_p
-            work[p, cols] = new_p
-            # the rotated matrix is Hermitian: its columns p and q are
-            # the conjugates of the new rows, with no rotation of their own
-            np.conjugate(new_p[:n], out=work[cols, p])
-            np.conjugate(row_q[:n], out=work[cols, q])
-            work[p, p], work[q, q] = new_pp, new_qq
-            # the rotation annihilates the pivot exactly and a skipped
-            # pivot is negligible; either way drop the residue
-            work[p, q] = work[q, p] = 0.0
+        _paired_sweep(*work) if n == 4 else _cyclic_sweep(work[0], upper)
     else:
         raise NoConvergence(int(active[0]), active.size, b)
     # C order, so that a sum over each matrix's eigenvalues keeps its order
-    eigenvalues = np.ldexp(a[diagonal, diagonal].real.T, exponent[:, None], order="C")
-    return eigenvalues, (np.conjugate(a[:, n:].transpose(2, 1, 0), order="C") if vectors else None)
+    eigenvalues = np.ldexp((state[0] if n == 4 else a[diagonal, diagonal].real).T, exponent[:, None], order="C")
+    if not vectors:
+        return eigenvalues, None
+    return eigenvalues, np.conjugate((state[2] if n == 4 else a[:, n:]).transpose(2, 1, 0), order="C")
 
 
-def _other_columns(n: int, p: int, q: int) -> slice:
-    """The columns of an n x n matrix other than p and q as one basic slice
-    (every pivot at n = 4), or every column where they do not form one of at
-    least two: at n <= 3, and at some pivots from n = 5.  On a stack of one,
-    numpy rounds a one-entry complex product by another loop than a longer
-    one, so a single column would move the bits."""
-    others = [j for j in range(n) if j not in (p, q)]
-    if len(others) < 2:
-        return slice(None)
-    cut = slice(others[0], others[-1] + 1, others[1] - others[0])
-    return cut if list(range(n))[cut] == others else slice(None)
+def _rotation(apq: np.ndarray, app: np.ndarray, aqq: np.ndarray,
+              root: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, ...]:
+    """c (as complex), s e^(i arg a_pq) and t|a_pq| of the rotations that zero
+    pivots a_pq: t = sign(tau)/(|tau| + root(tau)), tau = (a_qq - a_pp)/(2|a_pq|),
+    c = 1/root(t), s = t c, where root(x) is sqrt(1 + x^2)."""
+    r = np.abs(apq)
+    # guards only for a batch with a pivot to skip (NaN fails the test too)
+    guarded = not r.min() > _PIVOT_SKIP
+    if guarded:
+        rotate = r > _PIVOT_SKIP
+        r = np.where(rotate, r, 1.0)
+    tau = (aqq - app) / (2.0 * r)
+    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root(tau))
+    if guarded:
+        t = np.where(rotate, t, 0.0)
+    c = 1.0 / root(t)
+    # c as complex gives the same products without a cast per row
+    return c.astype(np.complex128), apq * (t * c / r), t * r
+
+
+def _rotate(row_p: np.ndarray, row_q: np.ndarray, c: np.ndarray, s: np.ndarray,
+            s_conj: np.ndarray) -> None:
+    """Rows p and q in place as c row_p - s row_q and c row_q + s_conj row_p."""
+    new_p = c * row_p
+    new_p -= s * row_q
+    row_q *= c
+    row_q += s_conj * row_p
+    row_p[...] = new_p
+
+
+def _cyclic_sweep(a: np.ndarray, upper: tuple[np.ndarray, np.ndarray]) -> None:
+    """One sweep of ``_jacobi``'s (n, n, B) array, or (n, 2n, B) with V^dagger
+    as n more columns, in place: each pivot rotates only rows p and q."""
+    n = a.shape[0]
+    for p, q in zip(*upper):
+        app, aqq = a[p, p].real, a[q, q].real
+        c, sp, shift = _rotation(a[p, q], app, aqq, lambda x: np.hypot(1.0, x))
+        new_pp, new_qq = app - shift, aqq + shift
+        _rotate(a[p], a[q], c, sp, sp.conj())
+        # the rotated matrix is Hermitian: its columns p and q are the
+        # conjugates of the new rows, with no rotation of their own
+        np.conjugate(a[p, :n], out=a[:, p])
+        np.conjugate(a[q, :n], out=a[:, q])
+        a[p, p], a[q, q] = new_pp, new_qq
+        # the rotation annihilates the pivot exactly and a skipped pivot is
+        # negligible; either way drop the residue
+        a[p, q] = a[q, p] = 0.0
+
+
+# round k zeroes o[k::3]: the pivots (0, 1) and (2, 3), (0, 2) and (1, 3), or
+# (0, 3) and (1, 2).  Its slices pick both pivots' rows p and q in d and V^dagger,
+# then in o the rows p1, q1 and columns p2, q2 of X = A[(p1, q1), (p2, q2)], the
+# block between the two pivots, and the entries of X that o stores conjugated
+_ROUNDS = (
+    (np.s_[::2], np.s_[1::2], np.s_[1:3], np.s_[5:3:-1], np.s_[1::4], np.s_[2:5:2], np.s_[:0]),
+    (np.s_[:2], np.s_[2:], np.s_[:3:2], np.s_[5:2:-2], np.s_[::5], np.s_[2:4], np.s_[5:]),
+    (np.s_[:2], np.s_[3:1:-1], np.s_[:2], np.s_[4:2:-1], np.s_[::4], np.s_[1:4:2], np.s_[3:5]),
+)
+
+
+# tau^2 is inf for a pivot far below its diagonal gap, and then t = 0
+@np.errstate(over="ignore")
+def _paired_sweep(d: np.ndarray, o: np.ndarray, adjoint: np.ndarray | None = None) -> None:
+    """One sweep of ``_jacobi``'s d, o and V^dagger at n = 4, in place, in the
+    parallel ordering of Brent & Luk (1985): each round zeroes two disjoint
+    pivots and takes the block X between them to R1^dagger X R2."""
+    for k, (p, q, p1, q1, p2, q2, lower) in enumerate(_ROUNDS):
+        app, aqq = d[p], d[q]
+        # three calls that beat np.hypot's one, which n != 4 keeps for its bits
+        c, sp, shift = _rotation(o[k::3], app, aqq, lambda x: np.sqrt(1.0 + x * x))
+        app -= shift
+        aqq += shift
+        o[k::3] = 0.0
+        sp_conj = sp.conj()
+        np.conjugate(o[lower], out=o[lower])
+        _rotate(o[p1], o[q1], c[0], sp[0], sp_conj[0])
+        _rotate(o[p2], o[q2], c[1], sp_conj[1], sp[1])
+        np.conjugate(o[lower], out=o[lower])
+        if adjoint is not None:
+            _rotate(adjoint[p], adjoint[q], c[:, None], sp[:, None], sp_conj[:, None])
 
 
 def _eigenvalues_of(sym: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -412,10 +452,14 @@ def _fidelity_jacobi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     through two kernel calls: the square roots of a, then the eigenvalues
     of the inner matrices."""
     root = _psd_sqrts(a)
-    inner = root @ b @ root
-    inner = 0.5 * (inner + inner.conj().swapaxes(1, 2))
-    # ascending, so the square roots are summed in a fixed order
-    w = np.sort(_jacobi(inner)[0], axis=1)
+    # 1e300 I overflows M, and a finite M's eigenvalue can overflow: F > 1 either way
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = root @ b @ root
+        inner = 0.5 * (inner + inner.conj().swapaxes(1, 2))
+        if not np.isfinite(inner).all():
+            raise FidelityOvershoot("sqrt(rho1) rho2 sqrt(rho1) overflows, so the fidelity exceeds 1")
+        # ascending, so the square roots are summed in a fixed order
+        w = np.sort(_jacobi(inner)[0], axis=1)
     # eigenvalues this far below the leading one are rounding images of exact
     # zeros; taking their square roots would inject ~1e-7 noise into the trace
     w = np.where(w < _inner_floor(w[:, 0], w[:, -1:]), 0.0, w)
@@ -435,14 +479,17 @@ def factor_fidelity(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
     if a.ndim < 2 or a.shape[-1] != 2 or a.shape != b.shape:
         raise DimensionMismatch(f"expected two (d, 2) factors, got {a.shape} and {b.shape}")
     _require_finite(NonHermitian, a, b)
-    m = a.conj().swapaxes(-1, -2) @ b
-    # det M from its entries: near rank 1, sqrt(det(M^dagger M)) would turn
-    # 1e-16 rounding into ~1e-8.  Products and |det M| are rounded as for numpy
-    # scalars (array ones may fuse), so a pair gets the same bits in a stack
-    x, y = m[..., 0, :], m[..., 1, ::-1]
-    re, im = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
-    det_abs = np.hypot(re[..., 0] - re[..., 1], im[..., 0] - im[..., 1])
-    return _clamp_overshoot(np.sum(np.abs(m) ** 2, axis=(-2, -1)) + 2.0 * det_abs)
+    # an overflow (inf, or inf - inf) needs an entry of M above 1e154, so F > 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = a.conj().swapaxes(-1, -2) @ b
+        # det M from its entries: near rank 1, sqrt(det(M^dagger M)) would turn
+        # 1e-16 rounding into ~1e-8.  Products and |det M| are rounded as for numpy
+        # scalars (array ones may fuse), so a pair gets the same bits in a stack
+        x, y = m[..., 0, :], m[..., 1, ::-1]
+        re, im = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+        det_abs = np.hypot(re[..., 0] - re[..., 1], im[..., 0] - im[..., 1])
+        values = np.sum(np.abs(m) ** 2, axis=(-2, -1)) + 2.0 * det_abs
+    return _clamp_overshoot(np.where(np.isnan(values), np.inf, values))
 
 
 def _clamp_overshoot(values: np.ndarray) -> np.ndarray:

@@ -202,6 +202,16 @@ class TestApply:
         with pytest.raises(InvalidChannel):
             apply(KrausChannel(np.full((1, 2, 2), np.nan)), np.eye(2, dtype=complex) / 2)
 
+    @pytest.mark.parametrize("call", [
+        lambda channel: apply(channel, np.eye(2, dtype=complex) / 2),
+        transfer_matrix,
+        lambda channel: channels._evolve(channel.operators[None], np.eye(2)[None] / 2, 2, "big"),
+    ], ids=["apply", "transfer_matrix", "_evolve"])
+    def test_rejects_a_channel_whose_completeness_sum_overflows(self, call):
+        # K^dagger K of 1e160 I is inf: a defect of inf, refused with no warning
+        with pytest.raises(InvalidChannel, match="completeness defect inf exceeds"):
+            call(KrausChannel([1e160 * np.eye(2)]))
+
     def test_exponential_branch_is_semigroup(self, rng):
         rho0 = YEMarkov().state(0.0)
         for _ in range(10):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 import warnings
 from pathlib import Path
@@ -15,6 +16,8 @@ from kraus_witness import (
     DimensionMismatch,
     FidelityOvershoot,
     JCMPhoton,
+    KrausChannel,
+    KrausWitnessError,
     NoConvergence,
     NonHermitian,
     NotHermitian,
@@ -22,6 +25,9 @@ from kraus_witness import (
     NumericalError,
     TraceNotOne,
     YEMarkov,
+    YENonMarkov,
+    apply,
+    default_blp_grid,
     default_blp_pairs,
     factor_fidelity,
     fidelities,
@@ -33,7 +39,7 @@ from kraus_witness import (
     validate_density,
 )
 from kraus_witness.linalg import validate_densities
-from kraus_witness import linalg
+from kraus_witness import channels, linalg
 
 from conftest import (
     forbid_eigensolves,
@@ -42,6 +48,7 @@ from conftest import (
     random_hermitian,
     record_kernel_calls,
 )
+from test_referee import exact_eigenvalues
 
 
 class TestHermitianEig:
@@ -933,6 +940,98 @@ class TestJacobiKernel:
             linalg._jacobi(_kernel_stack(rng, dim), vectors=vectors)
 
 
+def _refined_eigvalsh(stack):
+    """Ascending eigenvalues of a Hermitian (B, n, n) stack as Rayleigh
+    quotients, in extended precision, of LAPACK's eigenvectors: eigvalsh
+    alone is off by up to 1.6e-15 max|lambda| on random 4 x 4 matrices, and
+    these quotients agree with a 40-digit eigensolve to rounding."""
+    v = np.linalg.eigh(stack)[1].astype(np.clongdouble)
+    quotients = np.einsum("bij,bik,bkj->bj", v.conj(), stack.astype(np.clongdouble), v).real
+    return (quotients / np.einsum("bij,bij->bj", v.conj(), v).real).astype(np.float64)
+
+
+class TestPairedRounds:
+    """The n = 4 sweep, three rounds of two disjoint pivots, on its edge
+    cases, against eigenvalues good to the last bit."""
+
+    @staticmethod
+    def _assert_eigenpairs(stack, w, v):
+        for mat, wi, vi in zip(stack, w, v):
+            scale = np.abs(wi).max()
+            assert np.max(np.abs(vi.conj().T @ vi - np.eye(4))) <= 1e-14
+            assert np.max(np.abs((vi * wi) @ vi.conj().T - mat)) <= 1e-14 * scale
+        reference = _refined_eigvalsh(stack)
+        assert np.all(np.abs(np.sort(w, axis=1) - reference).max(axis=1)
+                      <= 1e-15 * np.abs(reference).max(axis=1))
+
+    def test_round_with_one_zero_pivot(self, rng, monkeypatch):
+        # round 0 rotates x01 and x23 together; with one of them exactly zero
+        # the skip guard runs on a round that also rotates, beside dense matrices
+        first, second = random_hermitian(rng, 4), random_hermitian(rng, 4)
+        first[0, 1] = first[1, 0] = 0.0
+        second[2, 3] = second[3, 2] = 0.0
+        stack = np.array([random_hermitian(rng, 4), first, second, random_hermitian(rng, 4)])
+        mixed = []
+        rotation = linalg._rotation
+
+        def recorded(apq, app, aqq, root):
+            skipped = np.abs(apq) <= linalg._PIVOT_SKIP
+            mixed.append(bool(skipped.any() and not skipped.all()))
+            return rotation(apq, app, aqq, root)
+
+        monkeypatch.setattr(linalg, "_rotation", recorded)
+        w, v = linalg._jacobi(stack, vectors=True)
+        assert mixed[0]
+        for i, mat in enumerate(stack):
+            wi, vi = linalg._jacobi(mat[None], vectors=True)
+            assert w[i].tolist() == wi[0].tolist()
+            assert v[i].tolist() == vi[0].tolist()
+        self._assert_eigenpairs(stack, w, v)
+
+    @pytest.mark.parametrize("spectrum", [[1.0, 1.0, -2.0, 0.5], [1.0, 1.0, -2.0, -2.0], [3.0] * 4],
+                             ids=["two-fold", "two two-fold", "four-fold"])
+    def test_degenerate_spectra(self, rng, spectrum):
+        stack = []
+        for _ in range(8):
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            stack.append((q * spectrum) @ q.conj().T)
+        stack = np.array(stack)
+        self._assert_eigenpairs(stack, *linalg._jacobi(stack, vectors=True))
+
+    def test_rank_two_differences_of_pure_states(self, rng):
+        # |psi><psi| - |phi><phi| has eigenvalues +-sqrt(1 - |<psi|phi>|^2), 0, 0
+        vecs = rng.normal(size=(2, 40, 4)) + 1j * rng.normal(size=(2, 40, 4))
+        psi, phi = vecs / np.linalg.norm(vecs, axis=2, keepdims=True)
+        stack = np.einsum("bi,bj->bij", psi, psi.conj()) - np.einsum("bi,bj->bij", phi, phi.conj())
+        w, v = linalg._jacobi(stack, vectors=True)
+        self._assert_eigenpairs(stack, w, v)
+        gap = np.sqrt(1.0 - np.abs(np.einsum("bi,bi->b", psi.conj(), phi)) ** 2)
+        np.testing.assert_allclose(np.sort(w, axis=1), np.stack([-gap, 0 * gap, 0 * gap, gap], axis=1),
+                                   rtol=0.0, atol=1e-15)
+
+    def test_seeded_stacks_match_refined_lapack(self):
+        # 2,000 matrices: random Hermitian ones and differences of states
+        rng = np.random.default_rng(31)
+        for draw in (lambda: random_hermitian(rng, 4), lambda: random_density(rng, 4) - random_density(rng, 4)):
+            stack = np.array([draw() for _ in range(1000)])
+            w = np.sort(linalg._jacobi(stack)[0], axis=1)
+            reference = _refined_eigvalsh(stack)
+            assert np.all(np.abs(w - reference).max(axis=1) <= 1e-15 * np.abs(reference).max(axis=1))
+
+    def test_ye_revival_difference_matches_the_referee(self):
+        # a random pair's difference under the non-Markovian dephasing is
+        # dense, so the revival takes its trace norm from the kernel
+        spec = YENonMarkov()
+        rho1, rho2, _ = next(pair for pair in default_blp_pairs(spec) if pair[2] == "random-0")
+        t = default_blp_grid(spec)[[57]]
+        x = channels._evolve(spec.kraus(t), (rho1 - rho2)[None], spec.valid_dim, spec.NAME)[0, 0]
+        assert np.all(x != 0.0)
+        exact = exact_eigenvalues(x)
+        w = np.sort(linalg._jacobi(x[None])[0][0])
+        assert np.abs(w - exact).max() <= 1e-15 * np.abs(exact).max()
+        assert trace_norms(x[None])[0] == pytest.approx(np.abs(exact).sum(), rel=1e-15)
+
+
 def _rho(v):
     return v @ v.conj().T
 
@@ -994,6 +1093,16 @@ class TestFactorFidelity:
     def test_rejects_bad_shapes(self, shape1, shape2):
         with pytest.raises(DimensionMismatch):
             factor_fidelity(np.ones(shape1), np.ones(shape2))
+
+    # at 1e100 the products that form det M overflow, at 1e160 M itself
+    @pytest.mark.parametrize("scale", [1e100, 1e160])
+    def test_overflow_is_an_overshoot(self, scale):
+        # F >= max|M_ij|^2, so an overflow on the way means F > 1
+        v = scale * np.ones((3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FidelityOvershoot, match="fidelity inf exceeds 1"):
+                factor_fidelity(v, v)
 
 
 def _pure(vec):
@@ -1085,6 +1194,16 @@ class TestFidelities:
         assert errors[0] == errors[1]
         assert values[0] == pytest.approx(4e-10, rel=1e-12)
         assert values[1:].tobytes() == fidelities(good[None], good[None]).tobytes()
+
+    @pytest.mark.parametrize("dim, scale", [(2, 1e300), (3, 1e300), (4, 1e160)])
+    def test_overflowing_inner_matrix_is_an_overshoot(self, dim, scale):
+        # M = sqrt(rho1) rho2 sqrt(rho1) of s I and s I is s^2 I, past the
+        # largest double; at d = 2 these pairs leave the closed form too
+        big = scale * np.eye(dim)[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FidelityOvershoot, match=r"sqrt\(rho1\) rho2 sqrt\(rho1\) overflows"):
+                fidelities(big, big)
 
     def test_maximally_mixed(self, rng):
         half = np.broadcast_to(np.eye(2, dtype=complex) / 2, (20, 2, 2))
@@ -1204,6 +1323,57 @@ class TestEmptyMatrices:
             warnings.simplefilter("error")
             with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
                 call(self.EMPTY)
+
+
+# from the subnormal range to just below the largest double
+_CONTRACT_SCALES = [1e-320, 1e-310, 1e-300, 1e-200, 1e-160, 1e-100, 1e-10, 1.0,
+                    1e10, 1e100, 1e160, 1e200, 1e300, 1e307]
+
+
+def _contract_calls(rng, dim, scale):
+    """The public numeric entry points on seeded inputs scaled by ``scale``."""
+    herm = scale * np.array([random_hermitian(rng, dim) for _ in range(3)])
+    rho, sigma = (scale * np.array([random_density(rng, dim) for _ in range(3)]) for _ in range(2))
+    v1, v2 = scale * (rng.normal(size=(2, dim, 2)) + 1j * rng.normal(size=(2, dim, 2)))
+    unitary = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    state = random_density(rng, dim)
+    return {
+        "trace_norms": lambda: trace_norms(herm),
+        "trace_distance": lambda: trace_distance(rho[0], sigma[0]),
+        "fidelity": lambda: fidelity(rho[0], sigma[0]),
+        "fidelities": lambda: fidelities(rho, sigma),
+        "factor_fidelity": lambda: factor_fidelity(v1, v2),
+        "psd_sqrt": lambda: psd_sqrt(rho[0]),
+        "hermitian_eig": lambda: dataclasses.astuple(hermitian_eig(herm[0])),
+        "validate_density": lambda: validate_density(rho[0]),
+        "validate_densities": lambda: validate_densities(rho),
+        "apply, scaled channel": lambda: apply(KrausChannel([scale * unitary]), state),
+        "apply, scaled state": lambda: apply(KrausChannel([unitary]), rho[0]),
+    }
+
+
+class TestFiniteInputContract:
+    """Each public numeric entry point, on finite inputs at any scale, gives
+    a finite value or a KrausWitnessError: no warning and no inf or NaN."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_a_finite_value_or_a_named_error(self, dim):
+        rng = np.random.default_rng(2310 + dim)
+        broken = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in _CONTRACT_SCALES:
+                for name, call in _contract_calls(rng, dim, scale).items():
+                    try:
+                        values = call()
+                    except KrausWitnessError:
+                        continue
+                    except Warning as warning:
+                        broken.append(f"{name} at {scale:g}: {warning}")
+                        continue
+                    if not all(np.isfinite(x).all() for x in (values if isinstance(values, tuple) else [values])):
+                        broken.append(f"{name} at {scale:g}: {values}")
+        assert not broken
 
 
 class TestLapackFree:

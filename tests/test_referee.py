@@ -49,6 +49,14 @@ def exact_fidelity(rho1: np.ndarray, rho2: np.ndarray) -> float:
         return float(mpmath.fsum(mpmath.sqrt(max(x, 0)) for x in lam) ** 2)
 
 
+def exact_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian double-precision matrix at 40
+    digits, rounded to doubles."""
+    with mpmath.workdps(40):
+        a = mpmath.matrix(mat.tolist())
+        return np.array(sorted(float(x) for x in mpmath.eighe((a + a.H) / 2, eigvals_only=True)))
+
+
 @pytest.mark.parametrize("name", PAIRS)
 def test_generic_route(name):
     assert fidelity(*PAIRS[name]()) == pytest.approx(referee(name), abs=1e-12)
