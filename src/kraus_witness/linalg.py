@@ -17,7 +17,6 @@ layout and its one convergence rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -77,26 +76,27 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
     the (B, n) eigenvalues, unordered, and with ``vectors`` the (B, n, n)
     eigenvector matrices, else None.
 
-    Reads only the upper triangle of each matrix, diagonal included, so the
-    input must be Hermitian, and copies the stack once into entry-major
-    arrays, batch axis last.  A sweep zeroes each upper-triangle pivot by a
-    complex plane rotation R of the whole stack, and V^dagger gathers the
-    R^dagger: in row order at n != 4 (``_cyclic_sweep``), in three rounds of
-    two disjoint pivots at n = 4 (``_paired_sweep``).  Each matrix runs as
-    A_s, scaled by the power of two that puts its largest real or imaginary
-    part in [1/2, 1), and leaves the batch once the off-diagonal Frobenius
-    mass of A_s, sqrt(2) times that of its upper triangle, is at most
-    1e-14 max(1, ||A_s||_F); its eigenvalues are scaled back.  So the target
-    is relative at every scale, and a result does not depend on the rest of
-    the stack: every complex product has two or more entries, as numpy
-    rounds a one-entry one by another loop.  A pivot of A_s at or below
-    1e-300 gets the identity rotation (c = 1, s = 0) instead of a division,
-    with guards that run only in a batch that holds such a pivot.
+    Reads only the upper triangle of each matrix, so the input must be
+    Hermitian, and copies the stack once, entry-major with the batch axis
+    last.  A sweep zeroes every upper-triangle pivot by a complex plane
+    rotation R of the whole stack, V^dagger gathering the R^dagger: in row
+    order at n != 4 (``_cyclic_sweep``), in three rounds of two disjoint
+    pivots at n = 4 (``_paired_sweep``).  Each matrix runs as A_s, scaled by
+    the power of two that puts its largest real or imaginary part in
+    [1/2, 1), and leaves the batch once the off-diagonal Frobenius mass of
+    A_s is at most 1e-14 max(1, ||A_s||_F); its eigenvalues are scaled back.
+    So the target is relative at every scale, and no result depends on the
+    rest of the stack, as every complex product has two or more entries
+    (numpy rounds a one-entry one by another loop).  A pivot of A_s at or
+    below 1e-300 gets the identity rotation instead of a division, with
+    guards that run only in a batch that holds such a pivot.
     """
     arr = np.asarray(stack, dtype=np.complex128)
     b, n = arr.shape[0], arr.shape[1]
+    rows, cols = np.indices((n, n))
     # a new array holding the upper triangle and its conjugate mirror
-    arr = np.where(np.triu(np.ones((n, n), dtype=bool)), arr, arr.conj().swapaxes(1, 2))
+    arr = np.take(arr.reshape(b, n * n), n * np.minimum(rows, cols) + np.maximum(rows, cols), axis=1)
+    arr.imag[:, rows > cols] *= -1.0
     # A_s, in place; a power of two rounds nothing above the subnormal range
     parts = arr.view(np.float64)
     exponent = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))[1]
@@ -135,18 +135,16 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
         _paired_sweep(*work) if n == 4 else _cyclic_sweep(work[0], upper)
     else:
         raise NoConvergence(int(active[0]), active.size, b)
+    w, adjoint = (state[0], state[-1]) if n == 4 else (a[diagonal, diagonal].real, a[:, n:])
     # C order, so that a sum over each matrix's eigenvalues keeps its order
-    eigenvalues = np.ldexp((state[0] if n == 4 else a[diagonal, diagonal].real).T, exponent[:, None], order="C")
-    if not vectors:
-        return eigenvalues, None
-    return eigenvalues, np.conjugate((state[2] if n == 4 else a[:, n:]).transpose(2, 1, 0), order="C")
+    eigenvalues = np.ldexp(w.T, exponent[:, None], order="C")
+    return eigenvalues, (np.conjugate(adjoint.transpose(2, 1, 0), order="C") if vectors else None)
 
 
-def _rotation(apq: np.ndarray, app: np.ndarray, aqq: np.ndarray,
-              root: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, ...]:
+def _rotation(apq: np.ndarray, app: np.ndarray, aqq: np.ndarray) -> tuple[np.ndarray, ...]:
     """c (as complex), s e^(i arg a_pq) and t|a_pq| of the rotations that zero
-    pivots a_pq: t = sign(tau)/(|tau| + root(tau)), tau = (a_qq - a_pp)/(2|a_pq|),
-    c = 1/root(t), s = t c, where root(x) is sqrt(1 + x^2)."""
+    pivots a_pq: t = sign(tau)/(|tau| + hypot(1, tau)), c = 1/hypot(1, t),
+    s = t c, with tau = (a_qq - a_pp)/(2|a_pq|)."""
     r = np.abs(apq)
     # guards only for a batch with a pivot to skip (NaN fails the test too)
     guarded = not r.min() > _PIVOT_SKIP
@@ -154,16 +152,15 @@ def _rotation(apq: np.ndarray, app: np.ndarray, aqq: np.ndarray,
         rotate = r > _PIVOT_SKIP
         r = np.where(rotate, r, 1.0)
     tau = (aqq - app) / (2.0 * r)
-    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root(tau))
+    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
     if guarded:
         t = np.where(rotate, t, 0.0)
-    c = 1.0 / root(t)
+    c = 1.0 / np.hypot(1.0, t)
     # c as complex gives the same products without a cast per row
     return c.astype(np.complex128), apq * (t * c / r), t * r
 
 
-def _rotate(row_p: np.ndarray, row_q: np.ndarray, c: np.ndarray, s: np.ndarray,
-            s_conj: np.ndarray) -> None:
+def _rotate(row_p: np.ndarray, row_q: np.ndarray, c: np.ndarray, s: np.ndarray, s_conj: np.ndarray) -> None:
     """Rows p and q in place as c row_p - s row_q and c row_q + s_conj row_p."""
     new_p = c * row_p
     new_p -= s * row_q
@@ -178,23 +175,20 @@ def _cyclic_sweep(a: np.ndarray, upper: tuple[np.ndarray, np.ndarray]) -> None:
     n = a.shape[0]
     for p, q in zip(*upper):
         app, aqq = a[p, p].real, a[q, q].real
-        c, sp, shift = _rotation(a[p, q], app, aqq, lambda x: np.hypot(1.0, x))
+        c, sp, shift = _rotation(a[p, q], app, aqq)
         new_pp, new_qq = app - shift, aqq + shift
         _rotate(a[p], a[q], c, sp, sp.conj())
-        # the rotated matrix is Hermitian: its columns p and q are the
-        # conjugates of the new rows, with no rotation of their own
+        # Hermitian: columns p and q are the conjugates of the new rows
         np.conjugate(a[p, :n], out=a[:, p])
         np.conjugate(a[q, :n], out=a[:, q])
         a[p, p], a[q, q] = new_pp, new_qq
-        # the rotation annihilates the pivot exactly and a skipped pivot is
-        # negligible; either way drop the residue
+        # a rotated pivot is annihilated and a skipped one negligible
         a[p, q] = a[q, p] = 0.0
 
 
-# round k zeroes o[k::3]: the pivots (0, 1) and (2, 3), (0, 2) and (1, 3), or
-# (0, 3) and (1, 2).  Its slices pick both pivots' rows p and q in d and V^dagger,
-# then in o the rows p1, q1 and columns p2, q2 of X = A[(p1, q1), (p2, q2)], the
-# block between the two pivots, and the entries of X that o stores conjugated
+# round k zeroes o[k::3], the pivots (0, 1) and (2, 3), (0, 2) and (1, 3), or (0, 3)
+# and (1, 2); its slices pick their rows p and q in d and V^dagger, then in o the rows
+# p1, q1 and columns p2, q2 of X = A[(p1, q1), (p2, q2)], and the ones o conjugates
 _ROUNDS = (
     (np.s_[::2], np.s_[1::2], np.s_[1:3], np.s_[5:3:-1], np.s_[1::4], np.s_[2:5:2], np.s_[:0]),
     (np.s_[:2], np.s_[2:], np.s_[:3:2], np.s_[5:2:-2], np.s_[::5], np.s_[2:4], np.s_[5:]),
@@ -202,18 +196,14 @@ _ROUNDS = (
 )
 
 
-# tau^2 is inf for a pivot far below its diagonal gap, and then t = 0
-@np.errstate(over="ignore")
 def _paired_sweep(d: np.ndarray, o: np.ndarray, adjoint: np.ndarray | None = None) -> None:
     """One sweep of ``_jacobi``'s d, o and V^dagger at n = 4, in place, in the
     parallel ordering of Brent & Luk (1985): each round zeroes two disjoint
     pivots and takes the block X between them to R1^dagger X R2."""
     for k, (p, q, p1, q1, p2, q2, lower) in enumerate(_ROUNDS):
-        app, aqq = d[p], d[q]
-        # three calls that beat np.hypot's one, which n != 4 keeps for its bits
-        c, sp, shift = _rotation(o[k::3], app, aqq, lambda x: np.sqrt(1.0 + x * x))
-        app -= shift
-        aqq += shift
+        c, sp, shift = _rotation(o[k::3], d[p], d[q])
+        d[p] -= shift
+        d[q] += shift
         o[k::3] = 0.0
         sp_conj = sp.conj()
         np.conjugate(o[lower], out=o[lower])
@@ -479,7 +469,7 @@ def factor_fidelity(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
     if a.ndim < 2 or a.shape[-1] != 2 or a.shape != b.shape:
         raise DimensionMismatch(f"expected two (d, 2) factors, got {a.shape} and {b.shape}")
     _require_finite(NonHermitian, a, b)
-    # an overflow (inf, or inf - inf) needs an entry of M above 1e154, so F > 1
+    # an overflow (inf, or NaN from inf - inf) needs an entry of M above 1e154, so F > 1
     with np.errstate(over="ignore", invalid="ignore"):
         m = a.conj().swapaxes(-1, -2) @ b
         # det M from its entries: near rank 1, sqrt(det(M^dagger M)) would turn
@@ -488,16 +478,15 @@ def factor_fidelity(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
         x, y = m[..., 0, :], m[..., 1, ::-1]
         re, im = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
         det_abs = np.hypot(re[..., 0] - re[..., 1], im[..., 0] - im[..., 1])
-        values = np.sum(np.abs(m) ** 2, axis=(-2, -1)) + 2.0 * det_abs
-    return _clamp_overshoot(np.where(np.isnan(values), np.inf, values))
+        return _clamp_overshoot(np.sum(np.abs(m) ** 2, axis=(-2, -1)) + 2.0 * det_abs)
 
 
 def _clamp_overshoot(values: np.ndarray) -> np.ndarray:
     """Fidelities, with rounding overshoot in (1, 1 + 1e-9] clamped to 1;
-    a larger overshoot raises FidelityOvershoot."""
-    over = values > 1.0 + 1e-9
+    a larger overshoot or the NaN of an overflow raises FidelityOvershoot."""
+    over = ~(values <= 1.0 + 1e-9)
     if np.any(over):
-        value = float(np.asarray(values)[over].flat[0])
+        value = float(np.nan_to_num(np.asarray(values)[over].flat[0], nan=np.inf))
         raise FidelityOvershoot(f"fidelity {value!r} exceeds 1 beyond the 1e-9 window")
     return np.minimum(values, 1.0)
 

@@ -25,9 +25,7 @@ from kraus_witness import (
     NumericalError,
     TraceNotOne,
     YEMarkov,
-    YENonMarkov,
     apply,
-    default_blp_grid,
     default_blp_pairs,
     factor_fidelity,
     fidelities,
@@ -48,7 +46,6 @@ from conftest import (
     random_hermitian,
     record_kernel_calls,
 )
-from test_referee import exact_eigenvalues
 
 
 class TestHermitianEig:
@@ -941,13 +938,17 @@ class TestJacobiKernel:
 
 
 def _refined_eigvalsh(stack):
-    """Ascending eigenvalues of a Hermitian (B, n, n) stack as Rayleigh
-    quotients, in extended precision, of LAPACK's eigenvectors: eigvalsh
-    alone is off by up to 1.6e-15 max|lambda| on random 4 x 4 matrices, and
-    these quotients agree with a 40-digit eigensolve to rounding."""
+    """Ascending eigenvalues of a Hermitian (B, n, n) stack and the bound,
+    relative to max|lambda|, that the kernel's must keep to them: Rayleigh
+    quotients, in extended precision, of LAPACK's eigenvectors, which agree
+    with a 40-digit eigensolve to rounding, within 1e-15.  Where a long
+    double is no wider than a double, eigvalsh itself, off by up to
+    1.6e-15 max|lambda| on random 4 x 4 matrices, within 3e-15."""
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        return np.linalg.eigvalsh(stack), 3e-15
     v = np.linalg.eigh(stack)[1].astype(np.clongdouble)
     quotients = np.einsum("bij,bik,bkj->bj", v.conj(), stack.astype(np.clongdouble), v).real
-    return (quotients / np.einsum("bij,bij->bj", v.conj(), v).real).astype(np.float64)
+    return (quotients / np.einsum("bij,bij->bj", v.conj(), v).real).astype(np.float64), 1e-15
 
 
 class TestPairedRounds:
@@ -960,9 +961,9 @@ class TestPairedRounds:
             scale = np.abs(wi).max()
             assert np.max(np.abs(vi.conj().T @ vi - np.eye(4))) <= 1e-14
             assert np.max(np.abs((vi * wi) @ vi.conj().T - mat)) <= 1e-14 * scale
-        reference = _refined_eigvalsh(stack)
+        reference, bound = _refined_eigvalsh(stack)
         assert np.all(np.abs(np.sort(w, axis=1) - reference).max(axis=1)
-                      <= 1e-15 * np.abs(reference).max(axis=1))
+                      <= bound * np.abs(reference).max(axis=1))
 
     def test_round_with_one_zero_pivot(self, rng, monkeypatch):
         # round 0 rotates x01 and x23 together; with one of them exactly zero
@@ -974,10 +975,10 @@ class TestPairedRounds:
         mixed = []
         rotation = linalg._rotation
 
-        def recorded(apq, app, aqq, root):
+        def recorded(apq, app, aqq):
             skipped = np.abs(apq) <= linalg._PIVOT_SKIP
             mixed.append(bool(skipped.any() and not skipped.all()))
-            return rotation(apq, app, aqq, root)
+            return rotation(apq, app, aqq)
 
         monkeypatch.setattr(linalg, "_rotation", recorded)
         w, v = linalg._jacobi(stack, vectors=True)
@@ -1015,21 +1016,8 @@ class TestPairedRounds:
         for draw in (lambda: random_hermitian(rng, 4), lambda: random_density(rng, 4) - random_density(rng, 4)):
             stack = np.array([draw() for _ in range(1000)])
             w = np.sort(linalg._jacobi(stack)[0], axis=1)
-            reference = _refined_eigvalsh(stack)
-            assert np.all(np.abs(w - reference).max(axis=1) <= 1e-15 * np.abs(reference).max(axis=1))
-
-    def test_ye_revival_difference_matches_the_referee(self):
-        # a random pair's difference under the non-Markovian dephasing is
-        # dense, so the revival takes its trace norm from the kernel
-        spec = YENonMarkov()
-        rho1, rho2, _ = next(pair for pair in default_blp_pairs(spec) if pair[2] == "random-0")
-        t = default_blp_grid(spec)[[57]]
-        x = channels._evolve(spec.kraus(t), (rho1 - rho2)[None], spec.valid_dim, spec.NAME)[0, 0]
-        assert np.all(x != 0.0)
-        exact = exact_eigenvalues(x)
-        w = np.sort(linalg._jacobi(x[None])[0][0])
-        assert np.abs(w - exact).max() <= 1e-15 * np.abs(exact).max()
-        assert trace_norms(x[None])[0] == pytest.approx(np.abs(exact).sum(), rel=1e-15)
+            reference, bound = _refined_eigvalsh(stack)
+            assert np.all(np.abs(w - reference).max(axis=1) <= bound * np.abs(reference).max(axis=1))
 
 
 def _rho(v):

@@ -14,8 +14,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from kraus_witness import JCMPhoton, JCMQubit, YEMarkov, factor_fidelity, fidelity
-from kraus_witness import linalg
+from kraus_witness import (
+    JCMPhoton,
+    JCMQubit,
+    YEMarkov,
+    YENonMarkov,
+    default_blp_grid,
+    default_blp_pairs,
+    factor_fidelity,
+    fidelity,
+    trace_norms,
+)
+from kraus_witness import channels, linalg
 
 from conftest import oracle_fidelity
 
@@ -96,3 +106,17 @@ def test_qubit_closed_form_near_pure(smaller1):
         closed, jacobi = fidelity(rho1, rho2), linalg._fidelity_jacobi(rho1[None], rho2[None])[0]
         assert abs(closed - exact) <= abs(jacobi - exact) + 1e-15, (smaller2, closed, jacobi, exact)
         assert abs(closed - jacobi) <= 1e-9
+
+
+def test_ye_revival_difference_matches_the_kernel():
+    # a random pair's difference under the non-Markovian dephasing is dense,
+    # so the revival takes its trace norm from the n = 4 Jacobi rounds
+    spec = YENonMarkov()
+    rho1, rho2, _ = next(pair for pair in default_blp_pairs(spec) if pair[2] == "random-0")
+    t = default_blp_grid(spec)[[57]]
+    x = channels._evolve(spec.kraus(t), (rho1 - rho2)[None], spec.valid_dim, spec.NAME)[0, 0]
+    assert np.all(x != 0.0)
+    exact = exact_eigenvalues(x)
+    w = np.sort(linalg._jacobi(x[None])[0][0])
+    assert np.abs(w - exact).max() <= 1e-15 * np.abs(exact).max()
+    assert trace_norms(x[None])[0] == pytest.approx(np.abs(exact).sum(), rel=1e-15)
