@@ -27,6 +27,7 @@ from .errors import (
     NonHermitian,
     NotHermitian,
     NotPSD,
+    NumericalError,
     TraceNotOne,
 )
 
@@ -76,27 +77,23 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
     the (B, n) eigenvalues, unordered, and with ``vectors`` the (B, n, n)
     eigenvector matrices, else None.
 
-    Reads only the upper triangle of each matrix, so the input must be
-    Hermitian, and copies the stack once, entry-major with the batch axis
-    last.  A sweep zeroes every upper-triangle pivot by a complex plane
+    Every caller hands it an exactly Hermitian stack with a real diagonal,
+    which it copies as it is and then lays out entry-major with the batch
+    axis last.  A sweep zeroes every upper-triangle pivot by a complex plane
     rotation R of the whole stack, V^dagger gathering the R^dagger: in row
     order at n != 4 (``_cyclic_sweep``), in three rounds of two disjoint
     pivots at n = 4 (``_paired_sweep``).  Each matrix runs as A_s, scaled by
     the power of two that puts its largest real or imaginary part in
     [1/2, 1), and leaves the batch once the off-diagonal Frobenius mass of
-    A_s is at most 1e-14 max(1, ||A_s||_F); its eigenvalues are scaled back.
+    A_s is at most 1e-14 max(1, ||A_s||_F); its eigenvalues are scaled back,
+    and one past the largest double comes back as inf, with no warning.
     So the target is relative at every scale, and no result depends on the
     rest of the stack, as every complex product has two or more entries
     (numpy rounds a one-entry one by another loop).  A pivot of A_s at or
-    below 1e-300 gets the identity rotation instead of a division, with
-    guards that run only in a batch that holds such a pivot.
+    below 1e-300 gets the identity rotation instead of a division.
     """
-    arr = np.asarray(stack, dtype=np.complex128)
+    arr = np.array(stack, dtype=np.complex128)
     b, n = arr.shape[0], arr.shape[1]
-    rows, cols = np.indices((n, n))
-    # a new array holding the upper triangle and its conjugate mirror
-    arr = np.take(arr.reshape(b, n * n), n * np.minimum(rows, cols) + np.maximum(rows, cols), axis=1)
-    arr.imag[:, rows > cols] *= -1.0
     # A_s, in place; a power of two rounds nothing above the subnormal range
     parts = arr.view(np.float64)
     exponent = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))[1]
@@ -137,7 +134,8 @@ def _jacobi(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.nd
         raise NoConvergence(int(active[0]), active.size, b)
     w, adjoint = (state[0], state[-1]) if n == 4 else (a[diagonal, diagonal].real, a[:, n:])
     # C order, so that a sum over each matrix's eigenvalues keeps its order
-    eigenvalues = np.ldexp(w.T, exponent[:, None], order="C")
+    with np.errstate(over="ignore"):
+        eigenvalues = np.ldexp(w.T, exponent[:, None], order="C")
     return eigenvalues, (np.conjugate(adjoint.transpose(2, 1, 0), order="C") if vectors else None)
 
 
@@ -146,15 +144,11 @@ def _rotation(apq: np.ndarray, app: np.ndarray, aqq: np.ndarray) -> tuple[np.nda
     pivots a_pq: t = sign(tau)/(|tau| + hypot(1, tau)), c = 1/hypot(1, t),
     s = t c, with tau = (a_qq - a_pp)/(2|a_pq|)."""
     r = np.abs(apq)
-    # guards only for a batch with a pivot to skip (NaN fails the test too)
-    guarded = not r.min() > _PIVOT_SKIP
-    if guarded:
-        rotate = r > _PIVOT_SKIP
-        r = np.where(rotate, r, 1.0)
+    rotate = r > _PIVOT_SKIP
+    r = np.where(rotate, r, 1.0)
     tau = (aqq - app) / (2.0 * r)
     t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-    if guarded:
-        t = np.where(rotate, t, 0.0)
+    t = np.where(rotate, t, 0.0)
     c = 1.0 / np.hypot(1.0, t)
     # c as complex gives the same products without a cast per row
     return c.astype(np.complex128), apq * (t * c / r), t * r
@@ -225,9 +219,10 @@ def _eigenvalues_of(sym: np.ndarray, members: np.ndarray) -> np.ndarray:
         raise NoConvergence(int(members[error.index]), error.unconverged, len(sym)) from None
 
 
-def _require_finite(error: type[NonHermitian], *arrays: np.ndarray) -> None:
+def _require_finite(error: type[NumericalError], *arrays: np.ndarray,
+                    message: str = "matrix has non-finite entries") -> None:
     if not all(np.isfinite(arr).all() for arr in arrays):
-        raise error("matrix has non-finite entries")
+        raise error(message)
 
 
 def _require_defect_within(halved: float, tol: float, error: type[NonHermitian]) -> None:
@@ -254,16 +249,15 @@ def _hermitized(arr: np.ndarray, tol: float, error: type[NonHermitian]) -> np.nd
     return sym
 
 
-def _qubit_entries(arr: np.ndarray, tol: float | None) -> tuple[np.ndarray, ...]:
-    """``_hermitized`` of a (B, 2, 2) stack, read in place as the entries
-    (Re x00, Re x11, x01/2 + conj(x10)/2); the halved defect, bounded only
-    given a ``tol``, is |Im x| on the diagonal and |x01/2 - conj(x10)/2| off it."""
+def _qubit_entries(arr: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """``_hermitized`` of a (B, 2, 2) stack, with its ``tol`` (np.inf for no
+    bound), read in place as the entries (Re x00, Re x11, x01/2 + conj(x10)/2);
+    the halved defect is |Im x| on the diagonal and |x01/2 - conj(x10)/2| off it."""
     _require_finite(NonHermitian, arr)
     x00, x11 = arr[:, 0, 0], arr[:, 1, 1]
     upper, lower = arr[:, 0, 1] * 0.5, arr[:, 1, 0].conj() * 0.5
-    if tol is not None:
-        halved = [np.abs(x).max(initial=0.0) for x in (x00.imag, x11.imag, upper - lower)]
-        _require_defect_within(max(halved), tol, NonHermitian)
+    halved = [np.abs(x).max(initial=0.0) for x in (x00.imag, x11.imag, upper - lower)]
+    _require_defect_within(max(halved), tol, NonHermitian)
     return x00.real, x11.real, upper + lower
 
 
@@ -271,11 +265,12 @@ def hermitian_eig(mat: np.ndarray) -> Spectrum:
     """Diagonalize a Hermitian matrix.
 
     Raises NonHermitian if an entry is not finite or max|M - M^dagger|
-    exceeds 1e-10; the iteration then runs on the Hermitized average
-    (M + M^dagger)/2.
+    exceeds 1e-10, and NumericalError if an eigenvalue exceeds the largest
+    double; the iteration runs on the Hermitized average (M + M^dagger)/2.
     """
     sym = _hermitized(_as_square(mat), _HERMITIAN_TOL, NonHermitian)
     w, v = _jacobi(sym[None], vectors=True)
+    _require_finite(NumericalError, w, message="an eigenvalue exceeds the largest double")
     order = np.argsort(w[0], kind="stable")
     return Spectrum(eigenvalues=w[0, order], eigenvectors=v[0][:, order])
 
@@ -284,8 +279,8 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Principal square root of a positive semidefinite Hermitian matrix.
 
     Eigenvalues in [-1e-10, 0) are treated as rounding images of zero and
-    clamped; anything below -1e-10 raises NotPSD.  Raises NonHermitian as
-    ``hermitian_eig`` does, and DimensionMismatch on a 0x0 matrix.
+    clamped; anything below -1e-10 raises NotPSD.  Raises NonHermitian and
+    NumericalError as ``hermitian_eig`` does, and DimensionMismatch on 0x0.
     """
     return _psd_sqrts(_hermitized(_as_square(mat), _HERMITIAN_TOL, NonHermitian)[None])[0]
 
@@ -297,6 +292,7 @@ def _psd_sqrts(stack: np.ndarray) -> np.ndarray:
     if not stack.shape[-1]:
         raise DimensionMismatch(f"0x0 matrices have no square root, got stack shape {stack.shape}")
     w, v = _jacobi(stack, vectors=True)
+    _require_finite(NumericalError, w, message="an eigenvalue exceeds the largest double")
     _require_clamp_window(w.min(axis=1))
     root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2)
     return 0.5 * (root + root.conj().swapaxes(1, 2))
@@ -346,7 +342,7 @@ def fidelities(rho1_stack: np.ndarray, rho2_stack: np.ndarray) -> np.ndarray:
     # rho2 is checked finite first, as inf * 0 would warn before any check;
     # M depends only on its Hermitian part, so its defect is not bounded
     if a.shape[1] == 2:
-        rho2 = _qubit_entries(b, None)
+        rho2 = _qubit_entries(b, np.inf)
         rho1 = _qubit_entries(a, _HERMITIAN_TOL)
         # finite entries can overflow on the way (rho1 = 1e160 I makes D inf)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -442,18 +438,18 @@ def _fidelity_jacobi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     through two kernel calls: the square roots of a, then the eigenvalues
     of the inner matrices."""
     root = _psd_sqrts(a)
-    # 1e300 I overflows M, and a finite M's eigenvalue can overflow: F > 1 either way
+    # 1e300 I overflows M, and a finite M's eigenvalue or F can overflow: F > 1 each time
     with np.errstate(over="ignore", invalid="ignore"):
         inner = root @ b @ root
         inner = 0.5 * (inner + inner.conj().swapaxes(1, 2))
-        if not np.isfinite(inner).all():
-            raise FidelityOvershoot("sqrt(rho1) rho2 sqrt(rho1) overflows, so the fidelity exceeds 1")
+        _require_finite(FidelityOvershoot, inner,
+                        message="sqrt(rho1) rho2 sqrt(rho1) overflows, so the fidelity exceeds 1")
         # ascending, so the square roots are summed in a fixed order
         w = np.sort(_jacobi(inner)[0], axis=1)
-    # eigenvalues this far below the leading one are rounding images of exact
-    # zeros; taking their square roots would inject ~1e-7 noise into the trace
-    w = np.where(w < _inner_floor(w[:, 0], w[:, -1:]), 0.0, w)
-    return np.sum(np.sqrt(w), axis=1) ** 2
+        # eigenvalues this far below the leading one are rounding images of exact
+        # zeros; taking their square roots would inject ~1e-7 noise into the trace
+        w = np.where(w < _inner_floor(w[:, 0], w[:, -1:]), 0.0, w)
+        return np.sum(np.sqrt(w), axis=1) ** 2
 
 
 def factor_fidelity(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
@@ -513,7 +509,8 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     first row, in the order the kernel sums its eigenvalues, so a diagonal
     matrix gets the kernel's bits.  The other matrices take one
     eigenvalues-only kernel call, whose NoConvergence names the index in
-    this stack.  A 0x0 matrix has norm 0.
+    this stack; an eigenvalue past the largest double raises NumericalError.
+    A 0x0 matrix has norm 0.
     """
     arr = _as_square(stack, 3)
     if arr.shape[1] == 2:
@@ -543,6 +540,7 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
         diagonal[matrix, first], diagonal[matrix, second], sym[blocks[matrix], first, second]
     )
     norms[blocks] = parts.sum(axis=1)
+    _require_finite(NumericalError, norms, message="a trace norm exceeds the largest double")
     return norms
 
 
@@ -558,8 +556,7 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     # taken whole: a difference of halves would halve the 1e-10 Hermiticity window
     with np.errstate(over="ignore"):
         diff = a - b
-    if not np.isfinite(diff).all():
-        raise NonHermitian("rho1 - rho2 overflows: an entry exceeds the largest double")
+    _require_finite(NonHermitian, diff, message="rho1 - rho2 overflows: an entry exceeds the largest double")
     return 0.5 * float(trace_norms(diff)[0])
 
 

@@ -60,9 +60,9 @@ class ExponentReport:
     """Per-operator fits plus the family-level verdict.
 
     The family classification is the classification of the smallest fitted
-    exponent among operators that vanish at t = 0, excluding quadratic
-    entries, whose norms are composition bookkeeping rather than generator
-    structure.
+    exponent among operators that vanish at t = 0, excluding exponents in
+    the quadratic band, whose norms are composition bookkeeping rather than
+    generator structure.
     """
 
     label: str
@@ -71,12 +71,16 @@ class ExponentReport:
     classification: str
 
 
+def _quadratic(exponent: float) -> bool:
+    return abs(exponent - 2.0) <= 2 * _BAND
+
+
 def _classify(exponent: float) -> tuple[str, str]:
     if abs(exponent - 0.5) <= _BAND:
         return SQRT_T, ""
     if abs(exponent - 1.0) <= _BAND:
         return LINEAR_T, ""
-    if abs(exponent - 2.0) <= 2 * _BAND:
+    if _quadratic(exponent):
         return LINEAR_T, "quadratic family, second order in the linear branch"
     return UNCLASSIFIED, ""
 
@@ -170,7 +174,7 @@ def small_time_exponents(
         for f in fits
         if not f.constant_at_zero
         and f.classification in (SQRT_T, LINEAR_T)
-        and "quadratic" not in f.note
+        and not _quadratic(f.exponent)
     ]
     if candidates:
         verdict = min(candidates, key=lambda f: f.exponent).classification

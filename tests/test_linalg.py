@@ -25,13 +25,17 @@ from kraus_witness import (
     NumericalError,
     TraceNotOne,
     YEMarkov,
+    YENonMarkov,
     apply,
+    blp_measure,
     default_blp_pairs,
     factor_fidelity,
     fidelities,
     fidelity,
     hermitian_eig,
+    make_grid,
     psd_sqrt,
+    scan_G,
     trace_distance,
     trace_norms,
     validate_density,
@@ -907,17 +911,45 @@ class TestJacobiKernel:
         np.testing.assert_allclose(np.sort(w[1]), np.linalg.eigvalsh(huge), rtol=0.0,
                                    atol=1e-13 * np.abs(huge).max())
 
-    @pytest.mark.parametrize("vectors", [False, True])
-    def test_reads_only_the_upper_triangle(self, rng, vectors):
-        stack = _kernel_stack(rng, 5)
-        scrambled = stack.copy()
-        lower = np.tril(np.ones((5, 5), dtype=bool), -1)
-        scrambled[:, lower] = rng.normal(size=scrambled[:, lower].shape)
-        expected = linalg._jacobi(stack, vectors=vectors)
-        got = linalg._jacobi(scrambled, vectors=vectors)
-        assert got[0].tolist() == expected[0].tolist()
-        if vectors:
-            assert got[1].tolist() == expected[1].tolist()
+    def test_every_caller_hands_it_an_exactly_hermitian_stack(self, rng, monkeypatch):
+        # the kernel copies its stack as it is, so each caller's stack must
+        # equal its conjugate transpose in every entry, with a real diagonal
+        seen = []
+        jacobi = linalg._jacobi
+
+        def checked(stack, vectors=False):
+            assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
+            seen.append(stack.shape)
+            return jacobi(stack, vectors)
+
+        monkeypatch.setattr(linalg, "_jacobi", checked)
+        noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho1, rho2 = (np.array([random_density(rng, 2) for _ in range(8)]) for _ in "12")
+        # exactly Hermitian, as 1e300 times a rounding defect would be refused
+        rho1 = 0.5 * (rho1 + rho1.conj().swapaxes(1, 2))
+        # exact entries, trace exactly 1: a tolerance of 1e-15 is below the
+        # LDL^dagger certificate's rounding bound, so the kernel decides
+        exact = np.array([[0.5, 0.125, 0.0], [0.125, 0.25, 0.125j], [0.0, -0.125j, 0.25]])
+        calls = {
+            **{f"trace_norms, d = {dim}": lambda dim=dim: trace_norms(
+                np.array([random_hermitian(rng, dim) for _ in range(8)])) for dim in (3, 4, 22)},
+            "validate_densities": lambda: validate_densities(exact[None], tol=1e-15),
+            **{f"fidelities, d = {dim}": lambda dim=dim: fidelities(
+                *(np.array([random_density(rng, dim) for _ in range(8)]) for _ in "12")) for dim in (3, 4)},
+            # det(1e300 rho1) overflows the closed form; F(c rho1, rho2/c) = F(rho1, rho2)
+            "fidelities, d = 2 overflowed": lambda: fidelities(1e300 * rho1, rho2 / 1e300),
+            "psd_sqrt": lambda: psd_sqrt(random_density(rng, 3)),
+            "hermitian_eig": lambda: hermitian_eig(random_hermitian(rng, 4) + 1e-12 * (noise - noise.conj().T)),
+            "scan_G on ye-nonmarkov": lambda: scan_G(YENonMarkov(), make_grid(0.0, 10.0, 0.02), 1.0),
+            "blp_measure on ye-markov": lambda: blp_measure(YEMarkov()),
+        }
+        silent = []
+        for name, call in calls.items():
+            before = len(seen)
+            call()
+            if len(seen) == before:
+                silent.append(name)
+        assert not silent
 
     @pytest.mark.parametrize("vectors", [False, True])
     def test_leaves_its_input_alone(self, rng, vectors):
@@ -1362,6 +1394,29 @@ class TestFiniteInputContract:
                     if not all(np.isfinite(x).all() for x in (values if isinstance(values, tuple) else [values])):
                         broken.append(f"{name} at {scale:g}: {values}")
         assert not broken
+
+    @pytest.mark.parametrize("call", [
+        lambda big: trace_norms(big[None]),
+        lambda big: trace_distance(big, np.zeros((3, 3))),
+        hermitian_eig,
+        psd_sqrt,
+        lambda big: fidelities(big[None], np.eye(3)[None]),
+    ], ids=["trace_norms", "trace_distance", "hermitian_eig", "psd_sqrt", "fidelities, rho1"])
+    def test_an_eigenvalue_past_the_largest_double_is_named(self, call):
+        # 1e308 times the all-ones 3 x 3 matrix has the eigenvalue 3e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="exceeds the largest double"):
+                call(1e308 * np.ones((3, 3)))
+
+    @pytest.mark.parametrize("rho2", [0.8e308 * np.ones((3, 3)), 0.5e308 * np.eye(3)], ids=["M", "F"])
+    def test_a_fidelity_past_the_largest_double_is_an_overshoot(self, rho2):
+        # a finite M with the eigenvalue 2.4e308, or three eigenvalues of
+        # 5e307 whose F = 4.5e308 overflows: F > 1 either way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FidelityOvershoot, match="exceeds 1 beyond"):
+                fidelities(np.eye(3)[None], rho2[None])
 
 
 class TestLapackFree:

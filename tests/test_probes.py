@@ -27,6 +27,7 @@ from kraus_witness import (
     jcm_photon_channel,
     lgks_residual,
     small_time_exponents,
+    probes,
     ye_markov_channel,
     ye_markov_lindblad,
 )
@@ -66,6 +67,18 @@ class TestSmallTimeExponents:
         assert 1.9 <= fits[3].exponent <= 2.1
         assert "quadratic" in fits[3].note
         assert report.classification == LINEAR_T
+
+    def test_quadratic_band_is_left_out_by_its_exponent(self, monkeypatch):
+        # the one vanishing operator grows as t^2, so no candidate is left;
+        # its note reworded, it still does not decide the family
+        def family(t):
+            return KrausChannel(np.array([math.sqrt(1.0 - t ** 4) * np.eye(2), t ** 2 * np.eye(2)[::-1]]))
+
+        classify = probes._classify
+        monkeypatch.setattr(probes, "_classify", lambda exponent: (classify(exponent)[0], "reworded"))
+        report = small_time_exponents(family)
+        assert fits_by_index(report)[1].classification == LINEAR_T
+        assert report.classification == UNCLASSIFIED
 
     def test_revival_family(self):
         report = small_time_exponents(CKDephase())
