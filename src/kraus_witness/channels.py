@@ -2,10 +2,12 @@
 
 A channel is a (k, d, d) stack of Kraus operators K_i acting as
 rho -> sum_i K_i rho K_i^dagger.  Completeness sum_i K_i^dagger K_i = I is
-checked in one place, ``_checked_defects``, which takes a (T, k, d, d) stack
-of T channels at once; ``validate_cptp``, ``apply`` and ``transfer_matrix``
-run it on a stack of one, and ``_evolve`` on a chunk of times, which
-``_chunks`` alone cuts, for ``evolve_chunks`` and ``completeness_defects``.
+refused in one place, ``_require_complete``, from the (T,) defects of a
+stack of T channels: ``validate_cptp``, ``apply`` and ``transfer_matrix``
+take them as ``_defects`` of a stack of one, through ``_checked_defects``,
+and ``_evolve`` reads them off the products it evolves with, on a chunk of
+times for ``evolve_chunks``.  ``completeness_defects`` returns ``_defects``
+unrefused; ``_chunks`` alone cuts stacks over time.
 Channels whose operator set is only complete on a leading subspace
 (truncated field sectors, conditioned dynamics) declare that subspace
 through ``valid_dim``.
@@ -114,25 +116,35 @@ class LindbladSet:
         return self.operators.shape[1]
 
 
+def _gram_defects(gram: np.ndarray, valid_dim: int) -> np.ndarray:
+    """(T,) max-norm distances of a (T, d, d) Gram stack from the identity on
+    its leading valid_dim block; the caller holds the ``np.errstate``."""
+    return np.max(np.abs(gram[:, :valid_dim, :valid_dim] - np.eye(valid_dim)), axis=(1, 2))
+
+
 def _defects(ops: np.ndarray, valid_dim: int) -> np.ndarray:
     """(T,) max-norm defects of sum_i K_i^dagger K_i against the identity,
     one per channel of a (T, k, d, d) stack, on the leading valid_dim block;
     a sum that overflows reads inf, or NaN where inf - inf meets in it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _gram(ops)[:, :valid_dim, :valid_dim]
-        return np.max(np.abs(total - np.eye(valid_dim)), axis=(1, 2))
+        return _gram_defects(_gram(ops), valid_dim)
 
 
-def _checked_defects(ops: np.ndarray, valid_dim: int, tol: float, label: str) -> np.ndarray:
-    """``_defects`` of the stack, raising InvalidChannel when the worst one
-    exceeds ``tol`` (NaN included): the one completeness check."""
-    defects = _defects(ops, valid_dim)
+def _require_complete(defects: np.ndarray, tol: float, label: str) -> None:
+    """Raise InvalidChannel when the worst of the defects exceeds ``tol``
+    (NaN included): the one refusal of an incomplete channel."""
     worst = np.max(defects, initial=0.0)
     if not worst <= tol:
         raise InvalidChannel(
             f"completeness defect {worst:.3e} exceeds {tol:.1e}"
             + (f" for channel {label!r}" if label else "")
         )
+
+
+def _checked_defects(ops: np.ndarray, valid_dim: int, tol: float, label: str) -> np.ndarray:
+    """``_defects`` of the stack, refused by ``_require_complete`` above ``tol``."""
+    defects = _defects(ops, valid_dim)
+    _require_complete(defects, tol, label)
     return defects
 
 
@@ -179,44 +191,71 @@ def transfer_matrix(channel: KrausChannel) -> np.ndarray:
 
 def _transfer_matrices(ops: np.ndarray) -> np.ndarray:
     """Unchecked (T, d^2, d^2) transfer matrices of a (T, k, d, d) stack."""
+    return _transferred(_kraus_pairs(ops))
+
+
+def _kraus_pairs(ops: np.ndarray) -> np.ndarray:
+    """(T, d, d, d, d) sums P[a, b, c, e] = sum_k K_k,ab conj(K_k,ce) of a
+    (T, k, d, d) stack: one product F F^dagger of the operators laid out as
+    (T, d^2, k) columns F."""
     n, k, d = ops.shape[:3]
-    # one product over the operator index: M[(i, a), (j, b)] = sum_k K_ia conj(K_jb)
     flat = ops.transpose(0, 2, 3, 1).reshape(n, d * d, k)
-    pairs = (flat @ flat.conj().swapaxes(1, 2)).reshape(n, d, d, d, d)
+    return (flat @ flat.conj().swapaxes(1, 2)).reshape(n, d, d, d, d)
+
+
+def _transferred(pairs: np.ndarray) -> np.ndarray:
+    """The (T, d^2, d^2) transfer matrices T[(a, c), (b, e)] = P[a, b, c, e]
+    of ``_kraus_pairs``, a strided copy."""
+    n, d = pairs.shape[:2]
     return pairs.transpose(0, 1, 3, 2, 4).reshape(n, d * d, d * d)
 
 
-def _diagonal(ops: np.ndarray) -> bool:
-    """Whether no operator of a (..., d, d) stack has an exactly nonzero
-    off-diagonal entry."""
-    d = ops.shape[-1]
-    return not ops.reshape(-1, d * d)[:, ~np.eye(d, dtype=bool).ravel()].any()
+def _structure(ops: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(live, diagonal) of a (T, k, d, d) stack from one read of its float
+    view: the (k,) operators with an entry nonzero at some time (NaN counts),
+    and whether none of them has a nonzero off-diagonal entry."""
+    n, k, d = ops.shape[:3]
+    nonzero = np.ascontiguousarray(ops).view(np.float64).reshape(n, -1).any(axis=0)
+    pattern = nonzero.reshape(k, d, d, 2).any(axis=3)
+    return pattern.any(axis=(1, 2)), not pattern[:, ~np.eye(d, dtype=bool)].any()
 
 
 def _evolve(ops: np.ndarray, xs: np.ndarray, valid_dim: int, label: str) -> np.ndarray:
     """(T, P, d, d) images of a (P, d, d) operator stack under each channel
-    of a (T, k, d, d) Kraus stack, after one completeness check of the whole
-    stack at the 1e-8 ceiling.  Operators exactly zero at every time of the
-    stack (NaN counts as nonzero) add nothing to the check or the images and
-    are dropped first; the vacuum jcm-qubit stack keeps 2 of its 21.
-    Diagonal operators make channel t the entrywise product with
-    M_t[i, j] = sum_k K_k,ii conj(K_k,jj), its transfer matrix's diagonal;
-    others take transfer matrices, built within 128 KiB at a time.  Where
+    of a (T, k, d, d) Kraus stack, each channel checked complete at the 1e-8
+    ceiling before its images are formed.  One read of the stack
+    (``_structure``) finds the operators exactly zero at every time, which
+    add nothing to the check or the images and are dropped (the vacuum
+    jcm-qubit stack keeps 2 of its 21), and the route.  Diagonal operators
+    make channel t the entrywise product with M_t[i, j] = sum_k K_k,ii
+    conj(K_k,jj), its transfer matrix's diagonal; their Gram matrix is
+    diag(M_t), so the check reads M_t.  Others take ``_kraus_pairs`` within
+    128 KiB at a time, whose partial trace sum_i P[i, b, i, a] is the Gram
+    matrix G[a, b] and whose transpose is the transfer matrices; each such
+    block is checked, then applied to every vec(X) in one product.  Where
     M_t is real, as on every default model, both routes give the same bits."""
-    live = ops.any(axis=(0, 2, 3))
+    live, diagonal = _structure(ops)
     if not live.all():
         ops = ops[:, live]
-    _checked_defects(ops, valid_dim, _APPLY_DEFECT_CEILING, label)
-    if _diagonal(ops):
+    if diagonal:
         diagonals = np.diagonal(ops, axis1=2, axis2=3).swapaxes(1, 2)
-        return (diagonals @ diagonals.conj().swapaxes(1, 2))[:, None] * xs
+        with np.errstate(over="ignore", invalid="ignore"):
+            multipliers = diagonals @ diagonals.conj().swapaxes(1, 2)
+            gram_diagonal = np.diagonal(multipliers, axis1=1, axis2=2)[:, :valid_dim]
+            defects = np.max(np.abs(gram_diagonal - 1.0), axis=1)
+        _require_complete(defects, _APPLY_DEFECT_CEILING, label)
+        return multipliers[:, None] * xs
     n, (p, d) = ops.shape[0], xs.shape[:2]
-    flat = xs.reshape(p, d * d)
-    # (T, P, d^2): the row-major vec of each image, vec(Lambda_t(X)) = T_t vec(X)
-    evolved = np.empty((n, p, d * d), dtype=np.complex128)
+    columns = xs.reshape(p, d * d).T
+    # (T, d^2, P): column p of block t is the row-major vec(Lambda_t(X_p)) = T_t vec(X_p)
+    evolved = np.empty((n, d * d, p), dtype=np.complex128)
     for part in _chunks(n, 16 * d ** 4, _TRANSFER_STACK_BYTES):
-        np.matmul(flat, _transfer_matrices(ops[part]).swapaxes(1, 2), out=evolved[part])
-    return evolved.reshape(n, p, d, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = _kraus_pairs(ops[part])
+            defects = _gram_defects(np.einsum("niaib->nba", pairs), valid_dim)
+        _require_complete(defects, _APPLY_DEFECT_CEILING, label)
+        np.matmul(_transferred(pairs).reshape(-1, d * d), columns, out=evolved[part].reshape(-1, p))
+    return evolved.swapaxes(1, 2).reshape(n, p, d, d)
 
 
 def _chunks(count: int, bytes_per_time: int, budget: int) -> list[slice]:

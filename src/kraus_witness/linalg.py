@@ -490,9 +490,10 @@ def _clamp_overshoot(values: np.ndarray) -> np.ndarray:
 def _qubit_norms(x00: np.ndarray, x11: np.ndarray, x01: np.ndarray) -> np.ndarray:
     """Trace norms max(|s|, 2r) of Hermitian 2x2 matrices [[x00, x01], [., x11]]
     with real diagonals: eigenvalues s/2 +- r, s = x00 + x11 and
-    r = hypot((x00 - x11)/2, |x01|)."""
-    radius = np.hypot(0.5 * (x00 - x11), np.abs(x01))
-    return np.maximum(np.abs(x00 + x11), 2.0 * radius)
+    r = hypot((x00 - x11)/2, |x01|); a norm past the largest double is inf."""
+    with np.errstate(over="ignore"):
+        radius = np.hypot(0.5 * (x00 - x11), np.abs(x01))
+        return np.maximum(np.abs(x00 + x11), 2.0 * radius)
 
 
 def trace_norms(stack: np.ndarray) -> np.ndarray:
@@ -514,7 +515,7 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     """
     arr = _as_square(stack, 3)
     if arr.shape[1] == 2:
-        return _qubit_norms(*_qubit_entries(arr, _HERMITIAN_TOL))
+        return _finite_norms(_qubit_norms(*_qubit_entries(arr, _HERMITIAN_TOL)))
     sym = _hermitized(arr, _HERMITIAN_TOL, NonHermitian)
     b, n = sym.shape[:2]
     if not n:
@@ -529,7 +530,7 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     direct = count.max(axis=1) <= 1
     norms = np.empty(b)
     dense = np.flatnonzero(~direct)
-    norms[dense] = np.abs(_eigenvalues_of(sym, dense)).sum(axis=1)
+    spectra = np.abs(_eigenvalues_of(sym, dense))
     blocks = np.flatnonzero(direct)
     diagonal = np.diagonal(sym, axis1=1, axis2=2).real[blocks]
     pairs = partner[blocks]
@@ -539,7 +540,14 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     parts[matrix, first] = _qubit_norms(
         diagonal[matrix, first], diagonal[matrix, second], sym[blocks[matrix], first, second]
     )
-    norms[blocks] = parts.sum(axis=1)
+    with np.errstate(over="ignore"):
+        norms[dense] = spectra.sum(axis=1)
+        norms[blocks] = parts.sum(axis=1)
+    return _finite_norms(norms)
+
+
+def _finite_norms(norms: np.ndarray) -> np.ndarray:
+    """The norms, or NumericalError if one passed the largest double."""
     _require_finite(NumericalError, norms, message="a trace norm exceeds the largest double")
     return norms
 
@@ -618,8 +626,10 @@ def validate_densities(stack: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     arr = _as_square(stack, 3)
     tight = tol * 1e-2
     sym = _hermitized(arr, tight, NotHermitian)
-    tr = np.trace(arr, axis1=1, axis2=2)
-    bad = np.flatnonzero(np.abs(tr.real - 1.0) > tol)
+    # finite entries whose trace overflows give inf (or NaN), refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = np.trace(arr, axis1=1, axis2=2)
+    bad = np.flatnonzero(~(np.abs(tr.real - 1.0) <= tol))
     if bad.size:
         real = float(tr[bad[0]].real)
         raise TraceNotOne(f"trace real part {real!r} differs from 1 by {abs(real - 1.0):.3e}")

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +453,15 @@ class TestEvolve:
         evolved = channels._evolve(ops, xs, spec.valid_dim, spec.NAME)
         assert channels._evolve(padded, xs, spec.valid_dim, spec.NAME).tobytes() == evolved.tobytes()
 
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=STACK_IDS)
+    def test_any_memory_layout(self, spec, rng):
+        # a Fortran-ordered stack has no contiguous last axis to view as floats
+        ops = spec.kraus(spec.t0 + rng.uniform(0.0, 5.0, size=3))
+        xs = rng.normal(size=(2, spec.dim, spec.dim)) + 0j
+        evolved = channels._evolve(ops, xs, spec.valid_dim, spec.NAME)
+        fortran = channels._evolve(np.asfortranarray(ops), xs, spec.valid_dim, spec.NAME)
+        assert fortran.tobytes() == evolved.tobytes()
+
     def test_operator_zero_at_some_times_is_kept(self):
         # the second operator is needed at the first time only
         half = np.sqrt(0.5) * np.eye(2, dtype=complex)
@@ -467,6 +478,77 @@ class TestEvolve:
         ops = np.array([[*live, np.zeros((2, 2)), np.zeros((2, 2))]] * 2, dtype=complex)
         with pytest.raises(InvalidChannel, match="for channel 'checked'"):
             channels._evolve(ops, UNITS, 2, "checked")
+
+
+def random_kraus(rng, times, k, d, diagonal=False):
+    """(times, k, d, d) complete Kraus stacks: per time, the columns of an
+    isometry from QR cut into k operators, or k diagonals whose entries have
+    unit norm down the operator axis."""
+    if diagonal:
+        entries = rng.normal(size=(times, k, d)) + 1j * rng.normal(size=(times, k, d))
+        entries /= np.linalg.norm(entries, axis=1, keepdims=True)
+        return entries[..., None] * np.eye(d)
+    raw = rng.normal(size=(times, k * d, d)) + 1j * rng.normal(size=(times, k * d, d))
+    return np.linalg.qr(raw)[0].reshape(times, k, d, d)
+
+
+def checked_defects(monkeypatch):
+    """The defect arrays _evolve hands to its completeness refusal, in order."""
+    seen = []
+    require_complete = channels._require_complete
+
+    def recorded(defects, *args):
+        seen.append(np.array(defects))
+        return require_complete(defects, *args)
+
+    monkeypatch.setattr(channels, "_require_complete", recorded)
+    return seen
+
+
+class TestEvolveCheck:
+    """The defect _evolve reads off its own products against _defects."""
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["schur", "transfer"])
+    @pytest.mark.parametrize("valid_dim", [4, 2], ids=["full", "leading-block"])
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    def test_matches_the_gram_defect(self, diagonal, valid_dim, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        ops = random_kraus(rng, 9, 3, 4, diagonal)
+        # off the leading block the columns scale, so only that block is complete
+        ops[..., valid_dim:] *= 1.0 + rng.uniform(0.2, 0.8, size=4 - valid_dim)
+        assert channels._structure(ops)[1] == diagonal
+        # transfer blocks of 4 times, the last one short
+        monkeypatch.setattr(channels, "_TRANSFER_STACK_BYTES", 4 * 16 * 4 ** 4)
+        seen = checked_defects(monkeypatch)
+        channels._evolve(ops, rng.normal(size=(2, 4, 4)) + 0j, valid_dim, "random")
+        assert [len(defects) for defects in seen] == ([9] if diagonal else [4, 4, 1])
+        np.testing.assert_allclose(np.concatenate(seen), channels._defects(ops, valid_dim),
+                                   rtol=0.0, atol=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["schur", "transfer"])
+    @pytest.mark.parametrize("excess", [1e-8 - 1e-12, 1e-8 + 1e-12], ids=["below", "above"])
+    def test_refuses_with_the_gram_check_at_the_ceiling(self, diagonal, excess, monkeypatch):
+        rng = np.random.default_rng(33)
+        ops = math.sqrt(1.0 + excess) * random_kraus(rng, 5, 2, 3, diagonal)
+        refused = excess > 1e-8
+        seen = checked_defects(monkeypatch)
+        with pytest.raises(InvalidChannel) if refused else contextlib.nullcontext():
+            channels._evolve(ops, np.eye(3)[None] + 0j, 3, "edge")
+        defects = channels._defects(ops, 3)
+        assert (defects.max() > 1e-8) == refused
+        np.testing.assert_allclose(np.concatenate(seen), defects, rtol=0.0, atol=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["schur", "transfer"])
+    @pytest.mark.parametrize("scale, message", [(np.nan, "nan"), (1e160, "inf|nan")], ids=["nan", "1e160"])
+    def test_refuses_a_non_finite_sum_with_no_warning(self, diagonal, scale, message):
+        ops = random_kraus(np.random.default_rng(5), 3, 2, 3, diagonal)
+        rows = np.arange(3)
+        ops[1, :, rows, rows] *= scale  # a diagonal stack stays diagonal
+        assert channels._structure(ops)[1] == diagonal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidChannel, match=f"completeness defect ({message}) exceeds"):
+                channels._evolve(ops, np.eye(3)[None] + 0j, 3, "huge")
 
 
 class TestSemigroupDefect:

@@ -326,6 +326,22 @@ class TestValidateDensities:
         with pytest.raises(DimensionMismatch):
             validate_densities(np.zeros(shape, dtype=complex))
 
+    @staticmethod
+    def _cancelling_diagonal():
+        # +-1e308 twice each: a pairwise trace meets inf and -inf, so NaN
+        diagonal = np.zeros(16)
+        diagonal[[0, 8]], diagonal[[1, 9]] = 1e308, -1e308
+        return np.diag(diagonal)
+
+    @pytest.mark.parametrize("make", [lambda: 1e308 * np.ones((3, 3)), _cancelling_diagonal],
+                             ids=["inf", "inf-minus-inf"])
+    def test_a_trace_that_overflows_is_not_one(self, make):
+        # finite entries whose trace overflows are refused by name, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TraceNotOne, match="trace real part"):
+                validate_densities(make()[None])
+
 
 _CERTIFICATE_DIMS = [*range(2, 7), 22]
 
@@ -1408,6 +1424,15 @@ class TestFiniteInputContract:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="exceeds the largest double"):
                 call(1e308 * np.ones((3, 3)))
+
+    @pytest.mark.parametrize("dim", [2, 3], ids=["qubit-sum", "direct-sum"])
+    def test_a_norm_summed_past_the_largest_double_is_named(self, dim):
+        # 1e308 I: finite eigenvalues whose sum, |x00 + x11| at d = 2 and the
+        # direct sum's row sum at d = 3, passes the largest double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="a trace norm exceeds the largest double"):
+                trace_norms(1e308 * np.eye(dim)[None])
 
     @pytest.mark.parametrize("rho2", [0.8e308 * np.ones((3, 3)), 0.5e308 * np.eye(3)], ids=["M", "F"])
     def test_a_fidelity_past_the_largest_double_is_an_overshoot(self, rho2):

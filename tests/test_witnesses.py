@@ -664,23 +664,29 @@ class TestRevivalDistances:
         assert [c.size for c in calls] == sizes
         np.testing.assert_array_equal(np.concatenate(calls), grid)
 
-    @pytest.mark.parametrize("spec, times, sizes", [
-        (CKDephase(), 629, [431, 198]),
-        (JCMPhoton(), 40, [27, 13]),
+    @pytest.mark.parametrize("spec, times, events", [
+        (CKDephase(), 629, [("check", 431), ("check", 198)]),
+        (JCMPhoton(), 40, [("check", 1), ("images", 1)] * 40),
     ], ids=["ck", "jcm-photon"])
-    def test_one_completeness_check_per_chunk(self, spec, times, sizes, monkeypatch):
-        # ck takes the Schur route; jcm-photon takes the transfer route in
-        # stacks of one time each, and is still checked once per chunk
-        checked = []
-        checked_defects = channels._checked_defects
+    def test_each_time_checked_once_before_its_images(self, spec, times, events, monkeypatch):
+        # ck takes the Schur route and checks each chunk's multipliers at
+        # once; jcm-photon takes the transfer route in blocks of one time,
+        # each checked before its transfer matrices are formed and applied
+        seen = []
+        require_complete, transferred = channels._require_complete, channels._transferred
 
-        def recorded(ops, *args):
-            checked.append(len(ops))
-            return checked_defects(ops, *args)
+        def checked(defects, *args):
+            seen.append(("check", len(defects)))
+            return require_complete(defects, *args)
 
-        monkeypatch.setattr(channels, "_checked_defects", recorded)
+        def transfers(pairs):
+            seen.append(("images", len(pairs)))
+            return transferred(pairs)
+
+        monkeypatch.setattr(channels, "_require_complete", checked)
+        monkeypatch.setattr(channels, "_transferred", transfers)
         witnesses._revival_distances(spec, default_blp_grid(spec)[:times], default_blp_pairs(spec))
-        assert checked == sizes
+        assert seen == events
 
     @pytest.mark.parametrize("spec", [CKDephase(), CKDephase(t0=1.0), YEMarkov(), YENonMarkov()],
                              ids=["ck", "ck-late-start", "ye-markov", "ye-nonmarkov"])
@@ -688,24 +694,35 @@ class TestRevivalDistances:
         # diagonal operators make each channel an entrywise multiplier, which
         # holds the bits of the transfer-matrix product it replaces
         grid, pairs = default_blp_grid(spec), default_blp_pairs(spec)
-        assert channels._diagonal(spec.kraus(grid))
+        assert channels._structure(spec.kraus(grid))[1]
+        built = []
+        kraus_pairs, structure = channels._kraus_pairs, channels._structure
+
+        def recorded(ops):
+            built.append(len(ops))
+            return kraus_pairs(ops)
+
+        monkeypatch.setattr(channels, "_kraus_pairs", recorded)
         schur = witnesses._revival_distances(spec, grid, pairs)
-        monkeypatch.setattr(channels, "_diagonal", lambda ops: False)
+        assert built == []
+        # the same live operators, declared off-diagonal: every time is transferred
+        monkeypatch.setattr(channels, "_structure", lambda ops: (structure(ops)[0], False))
         transfer = witnesses._revival_distances(spec, grid, pairs)
+        assert sum(built) == grid.size
         assert schur.tobytes() == transfer.tobytes()
 
     @pytest.mark.parametrize("spec", [JCMQubit(), JCMPhoton()], ids=["jcm-qubit", "jcm-photon"])
     def test_off_diagonal_operators_keep_the_transfer_route(self, spec, monkeypatch):
         transferred = []
-        transfer_matrices = channels._transfer_matrices
+        kraus_pairs = channels._kraus_pairs
 
         def recorded(ops):
             transferred.append(len(ops))
-            return transfer_matrices(ops)
+            return kraus_pairs(ops)
 
-        monkeypatch.setattr(channels, "_transfer_matrices", recorded)
+        monkeypatch.setattr(channels, "_kraus_pairs", recorded)
         grid = default_blp_grid(spec)[:30]
-        assert not channels._diagonal(spec.kraus(grid))
+        assert not channels._structure(spec.kraus(grid))[1]
         witnesses._revival_distances(spec, grid, default_blp_pairs(spec)[:2])
         assert sum(transferred) == grid.size, (
             "a channel with off-diagonal operators took the Schur route"
@@ -724,7 +741,7 @@ class TestRevivalDistances:
         def no_transfer(*args):
             raise AssertionError("a diagonal stack took the transfer route")
 
-        monkeypatch.setattr(channels, "_transfer_matrices", no_transfer)
+        monkeypatch.setattr(channels, "_kraus_pairs", no_transfer)
         grid = 0.0625 * np.arange(256)
         with pytest.raises(InvalidChannel, match="exceeds 1.0e-08 for channel 'ck'"):
             blp_measure(_LeakyCK(), grid)
